@@ -81,6 +81,11 @@ class KrausChannel:
         if err > COMPLETENESS_ATOL:
             raise ContractError(f"completeness violated: max |sum V^dag V - I| = {err:.3e}")
         if self.dilation is not None:
+            if self.dilation.env_initial != self.no_jump_index:
+                raise ContractError(
+                    f"no_jump_index {self.no_jump_index} differs from the dilation's "
+                    f"env_initial {self.dilation.env_initial}"
+                )
             if self.dilation.unitary.shape[0] != d * self.dilation.env_dim:
                 raise LayoutError("dilation dimension inconsistent with Kraus operators")
             extracted = _extract_kraus(self.dilation.unitary, d, self.dilation.env_dim, self.dilation.env_initial)

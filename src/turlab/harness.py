@@ -17,19 +17,19 @@ independent counter-based substreams so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from statistics import median
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_from_unitary
-from .errors import ContractError, DegenerateChannel
-from .gates import I2, KET0, P0, P1, kron_all, pauli_pair, rx, ry
-from .linalg import SubsystemLayout, outer
+from .channels import COMPLETENESS_ATOL, KrausChannel, kraus_from_unitary
+from .errors import ContractError, DegenerateChannel, SingularOperator
+from .gates import I2, KET0, P0, P1, controlled, kron_all, pauli_pair, rx, ry
+from .linalg import EIGENVALUE_GROUP_TOL, HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, outer
 from .protocol import (
+    PARTS,
     ShotResult,
     _ancilla_pullback,
     _entry_state,
@@ -40,9 +40,10 @@ from .protocol import (
     sample_shots,
     separable_tur_protocol_check,
 )
-from .tur import _tur_report, check_general_tur, purify
+from .tur import P0_CUTOFF, _tur_report, check_general_tur, purify
 
 VARIANTS = ("exact", "neumann1", "sampled")
+_SE_LAYOUT = SubsystemLayout((4, 2), ("S", "E"))
 
 
 @dataclass(frozen=True)
@@ -114,16 +115,20 @@ def _draw_pauli_pair(rng: np.random.Generator) -> tuple[int, int]:
     return k // 4, k % 4
 
 
-def generate_trial(config: ExperimentConfig, trial_id: int) -> TrialSetup:
-    """Deterministic trial inputs for (config.seed, trial_id)."""
+def _draw_inputs(config: ExperimentConfig, trial_id: int):
+    """(thetas, gamma, a_idx, b_idx) of one trial, drawn from its own stream."""
     rng = trial_rng(config.seed, trial_id)
     thetas = tuple(float(x) for x in rng.uniform(*config.theta_range, size=12))
     gamma = float(rng.uniform(*config.gamma_range))
-    a_idx = _draw_pauli_pair(rng)
-    b_idx = _draw_pauli_pair(rng)
+    return thetas, gamma, _draw_pauli_pair(rng), _draw_pauli_pair(rng)
+
+
+def generate_trial(config: ExperimentConfig, trial_id: int) -> TrialSetup:
+    """Deterministic trial inputs for (config.seed, trial_id)."""
+    thetas, gamma, a_idx, b_idx = _draw_inputs(config, trial_id)
     rho = preparation_state(thetas)
     channel = kraus_from_unitary(
-        dilation_unitary(thetas, gamma), SubsystemLayout((4, 2), ("S", "E")), env_initial=0
+        dilation_unitary(thetas, gamma), _SE_LAYOUT, env_initial=0
     )
     return TrialSetup(
         trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx,
@@ -222,6 +227,24 @@ def estimate_nested_circuit(result: ShotResult, layout: SubsystemLayout, e0: int
     return acc / n_e1
 
 
+def _sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial_id: int):
+    """(sampled variant, None), (None, reason its postselection came up empty), or (None, None) if off."""
+    if "sampled" not in config.variants or config.shots == 0:
+        return None, None
+    try:
+        pm_main = protocol_state(rho, ch, a, b, stage="premeasure", part="real")
+        res_main = sample_shots(pm_main, config.shots, (config.seed, trial_id, 0))
+        c_hat, p0_hat, t1_hat = estimate_main_circuit(res_main, pm_main.layout)
+        pm_nested = nested_premeasure_state(rho, ch, a, b, part="real")
+        res_nested = sample_shots(pm_nested, config.shots, (config.seed, trial_id, 1))
+        t2_hat = estimate_nested_circuit(res_nested, pm_nested.layout)
+    except DegenerateChannel as exc:
+        return None, str(exc)
+    xi_hat = 1.0 - p0_hat
+    q_hat = 2.0 * p0_hat * t1_hat - p0_hat * t2_hat
+    return _variant_values(c_hat, xi_hat, q_hat), None
+
+
 def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
     rho, ch, a, b = setup.rho, setup.channel, setup.a_op, setup.b_op
 
@@ -245,22 +268,7 @@ def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
     general = check_general_tur(g_emb, purify(sigma_pb), lifted)
 
     p0 = 1.0 - approx_bound.xi_b
-
-    sampled = None
-    failure = None
-    if "sampled" in config.variants and config.shots > 0:
-        try:
-            pm_main = protocol_state(rho, ch, a, b, stage="premeasure", part="real")
-            res_main = sample_shots(pm_main, config.shots, (config.seed, setup.trial_id, 0))
-            c_hat, p0_hat, t1_hat = estimate_main_circuit(res_main, pm_main.layout)
-            pm_nested = nested_premeasure_state(rho, ch, a, b, part="real")
-            res_nested = sample_shots(pm_nested, config.shots, (config.seed, setup.trial_id, 1))
-            t2_hat = estimate_nested_circuit(res_nested, pm_nested.layout)
-            xi_hat = 1.0 - p0_hat
-            q_hat = 2.0 * p0_hat * t1_hat - p0_hat * t2_hat
-            sampled = _variant_values(c_hat, xi_hat, q_hat)
-        except DegenerateChannel as exc:
-            failure = str(exc)
+    sampled, failure = _sampled_values(rho, ch, a, b, config, setup.trial_id)
 
     return TrialRecord(
         trial_id=setup.trial_id, gamma=setup.gamma, thetas=setup.thetas,
@@ -274,6 +282,199 @@ def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
         bound_gap=abs(bound.upper - approx_bound.upper),
         failure=failure,
     )
+
+
+# Batched evaluation. run_experiment evaluates trials in chunks of CHUNK_TRIALS
+# ids: a chunk's inputs are built as stacked arrays and every exact quantity of
+# evaluate_trial is computed once per chunk with batched matmul and eigh.
+# evaluate_trial and the bound functions it calls stay the reference that the
+# batched values are tested against, and the path of `verify` and `bound`.
+
+CHUNK_TRIALS = 128   # fixed so that peak memory does not grow with --trials
+
+_PAULI_PAIRS = np.stack([pauli_pair(k // 4, k % 4) for k in range(16)])   # row 4 i + j
+_CONTROLLED_PAIRS = np.stack([controlled(p) for p in _PAULI_PAIRS])
+_PULLBACKS = {part: np.stack([_ancilla_pullback(p, part) for p in _PAULI_PAIRS]) for part in PARTS}
+_PLUS = outer(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
+
+
+def _dag(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of (broadcast) stacks of matrices, ``a`` the slow factor."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _qubit_gates(thetas: np.ndarray) -> np.ndarray:
+    """RY(t_{2k+2}) RX(t_{2k+1}) for the six angle pairs of each trial: (N, 12) -> (N, 6, 2, 2)."""
+    half = thetas.reshape(-1, 6, 2) / 2
+    c, s = np.cos(half), np.sin(half)
+    x_rot = np.empty(half.shape[:2] + (2, 2), dtype=complex)
+    x_rot[..., 0, 0] = x_rot[..., 1, 1] = c[..., 0]
+    x_rot[..., 0, 1] = x_rot[..., 1, 0] = -1j * s[..., 0]
+    y_rot = np.empty_like(x_rot)
+    y_rot[..., 0, 0] = y_rot[..., 1, 1] = c[..., 1]
+    y_rot[..., 0, 1] = -s[..., 1]
+    y_rot[..., 1, 0] = s[..., 1]
+    return y_rot @ x_rot
+
+
+def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked preparation_state (N, 4, 4) and dilation_unitary (N, 8, 8)."""
+    g = _qubit_gates(thetas)
+    psi = _kron(g[:, 0, :, :1], g[:, 1, :, :1])[..., 0]
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    half = np.pi * gammas / 2
+    ry_e = np.empty((len(gammas), 2, 2), dtype=complex)
+    ry_e[:, 0, 0] = ry_e[:, 1, 1] = np.cos(half)
+    ry_e[:, 0, 1] = -np.sin(half)
+    ry_e[:, 1, 0] = np.sin(half)
+    coupling = np.zeros((len(gammas), 8, 8), dtype=complex)
+    coupling[:, :4, :4] = np.eye(4)
+    coupling[:, 4:, 4:] = _kron(I2, ry_e)
+    layer1 = _kron(_kron(g[:, 2], g[:, 3]), I2)
+    layer2 = _kron(_kron(g[:, 4], g[:, 5]), I2)
+    return rho, layer2 @ coupling @ layer1
+
+
+def _stacked_hermitian_inverse(m: np.ndarray) -> np.ndarray:
+    """linalg.hermitian_inverse over a stack, operation for operation.
+
+    Eigenvalues closer than EIGENVALUE_GROUP_TOL share their mean, as in
+    linalg.spectral. Repeating the scalar arithmetic makes Xi come out as the
+    scalar path computes it, to the last bit on one numpy build; that matters
+    because the interval half-width sqrt(Xi) turns an ulp of Xi near zero into
+    ~1e-8. Singular input is the caller's check.
+    """
+    w, v = np.linalg.eigh((m + _dag(m)) / 2.0)
+    splits = np.abs(w[:, -2::-1] - w[:, :0:-1]) > EIGENVALUE_GROUP_TOL   # descending neighbours
+    out = np.empty_like(m)
+    patterns, which = np.unique(splits, axis=0, return_inverse=True)
+    for k, pattern in enumerate(patterns):
+        rows = np.flatnonzero(which.ravel() == k)
+        w_k, v_k = w[rows][:, ::-1], v[rows][:, :, ::-1]
+        edges = [0, *(np.flatnonzero(pattern) + 1), m.shape[-1]]
+        acc = 0
+        for i, j in zip(edges, edges[1:]):
+            block = v_k[:, :, i:j]
+            acc = acc + (1.0 / np.mean(w_k[:, i:j], axis=1))[:, None, None] * (block @ _dag(block))
+        out[rows] = acc
+    return out
+
+
+def _raise_first_failure(trial_ids, checks) -> None:
+    """Raise what the scalar path raises first: the lowest failing trial, its first failing check.
+
+    ``checks`` lists (failed mask, error factory taking a chunk index) in the
+    scalar path's order.
+    """
+    hits = [(int(np.argmax(failed)), k) for k, (failed, _) in enumerate(checks) if failed.any()]
+    if hits:
+        n, k = min(hits)
+        exc = checks[k][1](n)
+        exc.args = (f"trial {trial_ids[n]}: {exc.args[0]}",)
+        raise exc
+
+
+def _general_tur_terms(sigma, v, v0_inv, g):
+    """<G>, Var[G] and Q_G over the joint state for G = I_R (x) G_P (x) I_E.
+
+    The purification of each entry state comes from a batched eigh; G is
+    applied by contraction over the P index, so no R+P+E matrix is built.
+    """
+    w, e = np.linalg.eigh(sigma)
+    w, e = np.maximum(w[:, ::-1], 0.0), e[:, :, ::-1]
+    w = w / w.sum(axis=1, keepdims=True)
+    joint = ((e * np.sqrt(w)[:, None, :]) @ e.swapaxes(1, 2)).reshape(-1, 16, 4)   # [(R, S'), S]
+    psi = (joint[:, None] @ v.swapaxes(-1, -2)).reshape(-1, 2, 8, 8)             # [E, R, P]
+    g_psi = psi @ g.swapaxes(-1, -2)[:, None]
+    tilde = (joint @ v0_inv.conj()).reshape(-1, 8, 8)                            # E = e0 block
+    mean = np.sum(psi.conj() * g_psi, axis=(1, 2, 3)).real
+    second = np.sum(np.abs(g_psi) ** 2, axis=(1, 2, 3))
+    q = np.sum(tilde.conj() * g_psi[:, 0], axis=(1, 2)).real
+    return mean, second - mean * mean, q
+
+
+def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
+    """evaluate_trial(generate_trial(config, i), config) for each id, in one stacked pass.
+
+    Xi, p0 and the baselines follow the scalar formulas operation for
+    operation, so the records match evaluate_trial's to the last bit, not
+    just within a tolerance.
+    """
+    draws = [_draw_inputs(config, i) for i in trial_ids]
+    a_k = np.array([4 * i + j for _, _, (i, j), _ in draws])
+    b_k = np.array([4 * i + j for _, _, _, (i, j) in draws])
+    rho, u = _stacked_inputs(np.array([d[0] for d in draws]), np.array([d[1] for d in draws]))
+    v = np.ascontiguousarray(u.reshape(-1, 4, 2, 4, 2)[..., 0].transpose(0, 2, 1, 3))   # [m, S, S]
+    v0 = v[:, 0]
+    w = _dag(v0) @ v0
+    cb = _CONTROLLED_PAIRS[b_k]
+    sigma = cb @ _kron(_PLUS, rho) @ _dag(cb)          # entry state on P = S' (x) S
+    rho_sb = sigma[:, :4, :4] + sigma[:, 4:, 4:]
+    p0 = _trace(rho_sb @ _dag(v0) @ v0).real
+    g_re, g_im = _PULLBACKS["real"][a_k], _PULLBACKS["imag"][a_k]
+
+    unitary_err = np.abs(_dag(u) @ u - np.eye(8)).max(axis=(1, 2))
+    complete_err = np.abs((_dag(v) @ v).sum(axis=1) - np.eye(4)).max(axis=(1, 2))
+    w_min = np.linalg.eigvalsh(w)[:, 0]
+    g_err = np.abs(g_re - _dag(g_re)).max(axis=(1, 2))
+    _raise_first_failure(trial_ids, [
+        (unitary_err > UNITARY_ATOL, lambda n: ContractError(
+            f"dilation unitary is not unitary: max |M^dag M - I| = {unitary_err[n]:.3e}")),
+        (complete_err > COMPLETENESS_ATOL, lambda n: ContractError(
+            f"completeness violated: max |sum V^dag V - I| = {complete_err[n]:.3e}")),
+        (w_min <= P0_CUTOFF, lambda n: SingularOperator(
+            "no-jump operator V_0 is singular", eigenvalue=float(w_min[n]))),
+        (p0 <= P0_CUTOFF, lambda n: DegenerateChannel(
+            f"no-jump probability {p0[n]:.3e} is numerically zero")),
+        (g_err > HERMITIAN_ATOL, lambda n: ContractError(
+            f"observable G is not Hermitian: max |M - M^dag| = {g_err[n]:.3e}")),
+    ])
+
+    a, b = _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
+    c = _trace(rho @ (_dag(v) @ a[:, None] @ v).sum(axis=1) @ b)    # Tr[rho A(T) B]
+    w_inv = _stacked_hermitian_inverse(w)
+    xi = _trace(rho_sb @ w_inv).real - 1.0
+    lift = _kron(I2, v0)
+    rho_v0 = lift @ sigma @ _dag(lift) / p0[:, None, None]
+    ww = _kron(I2, v0 @ _dag(v0))
+    ww_inv = _kron(I2, _stacked_hermitian_inverse(v0 @ _dag(v0)))
+    q_re, q_im = (p0 * _trace(rho_v0 @ (0.5 * (g @ ww_inv + ww_inv @ g))).real for g in (g_re, g_im))
+    q_approx = 2.0 * p0 * _trace(rho_v0 @ g_re).real - p0 * _trace(rho_v0 @ g_re @ ww).real
+    mean, var, q_g = _general_tur_terms(sigma, v, w_inv @ _dag(v0), g_re)
+
+    c_re, c_im, xi, p0, q_re, q_im, q_approx, mean, var, q_g = (
+        x.tolist() for x in (c.real, c.imag, xi, p0, q_re, q_im, q_approx, mean, var, q_g))
+    sampling = "sampled" in config.variants and config.shots > 0
+    records = []
+    for n, (trial_id, (thetas, gamma, a_idx, b_idx)) in enumerate(zip(trial_ids, draws)):
+        exact = _variant_values(c_re[n], xi[n], q_re[n])
+        approx = _variant_values(c_re[n], 1.0 - p0[n], q_approx[n])
+        imag = _variant_values(c_im[n], xi[n], q_im[n])
+        sampled = failure = None
+        if sampling:
+            ch = kraus_from_unitary(u[n], _SE_LAYOUT, env_initial=0)
+            sampled, failure = _sampled_values(rho[n], ch, a[n], b[n], config, trial_id)
+        records.append(TrialRecord(
+            trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx,
+            exact=exact, approx=approx, sampled=sampled,
+            shots=config.shots if sampled is not None else 0, postselect_p0=1.0 - approx.xi_b,
+            general_tur_holds=_tur_report(mean[n], var[n], q_g[n], xi[n]).holds,
+            contained_imag=imag.contained,
+            sep_tur_holds_imag=not imag.tur_violated,
+            tur_margin=_tur_report(c_re[n], 1.0 - c_re[n] * c_re[n], q_re[n], xi[n]).margin,
+            bound_gap=abs(exact.upper - approx.upper),
+            failure=failure,
+        ))
+    return records
 
 
 @dataclass(frozen=True)
@@ -318,16 +519,14 @@ def summarize(records: list[TrialRecord]) -> RunSummary:
     gammas = [r.gamma for r in records]
     lo, hi = min(gammas), max(gammas)
     edges = tuple(lo + (hi - lo) * k / 4.0 for k in range(5)) if hi > lo else (lo, hi)
-    bucket_medians: list[float | None] = []
     if hi > lo:
-        for k in range(4):
-            in_bucket = [
-                r.bound_gap for r in records
-                if edges[k] <= r.gamma <= (edges[k + 1] if k == 3 else edges[k + 1] - 1e-15)
-            ]
-            bucket_medians.append(median(in_bucket) if in_bucket else None)
+        # Half-open buckets [e_k, e_{k+1}); the last one also takes gamma = hi.
+        buckets: list[list[float]] = [[] for _ in range(4)]
+        for r in records:
+            buckets[min(bisect_right(edges, r.gamma) - 1, 3)].append(r.bound_gap)
+        bucket_medians = [median(b) if b else None for b in buckets]
     else:
-        bucket_medians.append(median(r.bound_gap for r in records))
+        bucket_medians = [median(r.bound_gap for r in records)]
     return RunSummary(
         n_trials=len(records),
         violations=violations,
@@ -340,29 +539,12 @@ def summarize(records: list[TrialRecord]) -> RunSummary:
     )
 
 
-def _worker(args) -> TrialRecord:
-    config, trial_id = args
-    return evaluate_trial(generate_trial(config, trial_id), config)
-
-
-def worker_count() -> int:
-    raw = os.environ.get("TURLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], RunSummary]:
-    """Evaluate every trial of the configured family; trials are independent."""
+    """Evaluate every trial of the configured family, CHUNK_TRIALS trials per stacked pass."""
     start = time.perf_counter()
-    jobs = [(config, i) for i in range(config.n_trials)]
-    workers = worker_count()
-    if workers > 1 and config.n_trials > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_worker, jobs, chunksize=max(1, config.n_trials // (4 * workers))))
-    else:
-        records = [_worker(j) for j in jobs]
-    records.sort(key=lambda r: r.trial_id)
+    ids = range(config.n_trials)
+    records = [
+        r for k in range(0, config.n_trials, CHUNK_TRIALS) for r in _evaluate_chunk(config, ids[k:k + CHUNK_TRIALS])
+    ]
     summary = replace(summarize(records), runtime_seconds=time.perf_counter() - start)
     return records, summary

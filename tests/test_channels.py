@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from conftest import amplitude_damping
 
 from turlab.channels import (
+    Dilation,
     KrausChannel,
     apply,
     dv0_dtheta,
@@ -51,6 +52,11 @@ class TestKrausFromUnitary:
     def test_non_unitary_rejected(self):
         with pytest.raises(ContractError):
             kraus_from_unitary(np.ones((4, 4), dtype=complex), SE)
+
+    def test_no_jump_index_must_match_env_initial(self):
+        ch = amplitude_damping(0.3)
+        with pytest.raises(ContractError, match="env_initial"):
+            KrausChannel(ch.operators, no_jump_index=1, dilation=Dilation(ch.dilation.unitary, 2, 0))
 
     def test_completeness_invariant(self, rng):
         ch = random_channel(3, 2, rng)

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from turlab.errors import ContractError
+from turlab import harness
+from turlab.errors import ContractError, SingularOperator
 from turlab.harness import (
     ExperimentConfig,
     evaluate_trial,
@@ -127,12 +129,66 @@ class TestRunExperiment:
         rec2, _ = run_experiment(cfg)
         assert rec1 == rec2
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        cfg = ExperimentConfig(seed=6, n_trials=6, shots=100)
-        serial, _ = run_experiment(cfg)
-        monkeypatch.setenv("TURLAB_THREADS", "3")
-        parallel, _ = run_experiment(cfg)
-        assert serial == parallel
+
+def oracle(cfg, trial_id):
+    return evaluate_trial(generate_trial(cfg, trial_id), cfg)
+
+
+class TestBatchedPath:
+    """run_experiment's stacked evaluation against the scalar evaluate_trial."""
+
+    FLAGS = ("general_tur_holds", "contained_imag", "sep_tur_holds_imag", "failure")
+
+    @pytest.mark.parametrize("cfg", [
+        exact_config(seed=4, n_trials=200, variants=("exact", "neumann1")),
+        exact_config(seed=11, n_trials=200, variants=("exact", "neumann1")),
+        exact_config(seed=1, n_trials=10, gamma_range=(0.0, 0.0)),
+    ], ids=["seed4", "seed11", "gamma0"])
+    def test_agrees_with_scalar_oracle(self, cfg):
+        records, _ = run_experiment(cfg)
+        assert [r.trial_id for r in records] == list(range(cfg.n_trials))
+        for r in records:
+            o = oracle(cfg, r.trial_id)
+            assert (r.gamma, r.thetas, r.a_idx, r.b_idx) == (o.gamma, o.thetas, o.a_idx, o.b_idx)
+            for got, want in ((r.exact, o.exact), (r.approx, o.approx)):
+                for f in ("c_real", "xi_b", "q_ab", "lower", "upper"):
+                    assert abs(getattr(got, f) - getattr(want, f)) <= 1e-12, (r.trial_id, f)
+                assert (got.contained, got.tur_violated, got.degenerate) == \
+                    (want.contained, want.tur_violated, want.degenerate), r.trial_id
+                # lhs divides by (<G> - Q)^2, which can be ~1e-17: compare relatively
+                assert got.tur_lhs == pytest.approx(want.tur_lhs, rel=1e-6), r.trial_id
+            assert r.tur_margin == pytest.approx(o.tur_margin, rel=1e-6), r.trial_id
+            assert abs(r.postselect_p0 - o.postselect_p0) <= 1e-12
+            assert abs(r.bound_gap - o.bound_gap) <= 1e-12
+            assert [getattr(r, f) for f in self.FLAGS] == [getattr(o, f) for f in self.FLAGS], r.trial_id
+
+    def test_sampled_values_equal_oracle(self):
+        cfg = ExperimentConfig(seed=2, n_trials=8, shots=300)
+        records, _ = run_experiment(cfg)
+        assert all(r.sampled is not None for r in records)
+        for r in records:
+            o = oracle(cfg, r.trial_id)
+            assert (r.sampled, r.shots, r.failure) == (o.sampled, o.shots, o.failure)
+
+    def test_prefix_stability(self):
+        cfg = exact_config(seed=3, n_trials=300, variants=("exact", "neumann1"))
+        full, _ = run_experiment(cfg)
+        prefix, _ = run_experiment(exact_config(seed=3, n_trials=37, variants=("exact", "neumann1")))
+        assert prefix == full[:37]
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_does_not_change_records(self, monkeypatch, chunk):
+        cfg = exact_config(seed=5, n_trials=20)
+        default, _ = run_experiment(cfg)
+        monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
+        assert run_experiment(cfg)[0] == default
+
+    def test_singular_no_jump_operator_raises_like_oracle(self):
+        cfg = exact_config(gamma_range=(0.9999999, 0.9999999), n_trials=3)
+        with pytest.raises(SingularOperator):
+            oracle(cfg, 0)
+        with pytest.raises(SingularOperator, match="trial 0"):
+            run_experiment(cfg)
 
 
 class TestSummarize:
@@ -155,6 +211,17 @@ class TestSummarize:
         s1 = summarize([r])
         s2 = summarize([r, r])
         assert s1.margin_min == s2.margin_min == s2.margin_median
+
+    def test_gap_buckets_are_half_open(self):
+        cfg = exact_config(seed=8, gamma_range=(0.3, 0.6))
+        r = evaluate_trial(generate_trial(cfg, 0), cfg)
+        records = [
+            dataclasses.replace(r, trial_id=i, gamma=g, bound_gap=gap)
+            for i, (g, gap) in enumerate([(0.0, 1.0), (math.nextafter(0.5, 0.0), 2.0), (1.0, 3.0)])
+        ]
+        summary = summarize(records)
+        assert summary.gap_bucket_edges == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert summary.gap_bucket_medians == (1.0, 2.0, None, 3.0)
 
     def test_min_margin_matches_brute_force(self):
         cfg = exact_config(seed=12, n_trials=12, gamma_range=(0.2, 0.7))
