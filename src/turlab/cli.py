@@ -119,7 +119,11 @@ def _cmd_experiment(args) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INPUT
     start = time.perf_counter()
-    records, summary = run_experiment(config)
+    try:
+        records, summary = run_experiment(config)
+    except (SingularOperator, DegenerateChannel) as exc:
+        print(f"numerical degeneracy: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     out_dir = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     config_echo = {

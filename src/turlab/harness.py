@@ -30,11 +30,12 @@ from .gates import I2, KET0, P0, P1, controlled, kron_all, pauli_pair, rx, ry
 from .linalg import EIGENVALUE_GROUP_TOL, HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, outer
 from .protocol import (
     PARTS,
-    ShotResult,
     _ancilla_pullback,
     _entry_state,
     correlator_bound,
-    key_digits,
+    correlator_interval,
+    estimate_main_circuit,
+    estimate_nested_circuit,
     nested_premeasure_state,
     protocol_state,
     sample_shots,
@@ -172,59 +173,12 @@ class TrialRecord:
 
 
 def _variant_values(c_part: float, xi: float, q: float) -> VariantValues:
-    report = _tur_report(c_part, 1.0 - c_part * c_part, q, xi)
-    half = math.sqrt(max(xi, 0.0))
-    lower, upper = q - half, q + half
-    contained = (lower - 1e-9) <= c_part <= (upper + 1e-9)
+    lower, upper, contained, report = correlator_interval(c_part, q, xi)
     return VariantValues(
         c_real=c_part, xi_b=xi, q_ab=q, lower=lower, upper=upper,
         tur_lhs=report.lhs, contained=contained,
         tur_violated=not report.holds, degenerate=report.degenerate,
     )
-
-
-def _sign_from_digit(d: int) -> int:
-    return 1 if d == 0 else -1
-
-
-def estimate_main_circuit(result: ShotResult, layout: SubsystemLayout, e0: int = 0):
-    """(c_hat, p0_hat, t1_hat) from the main premeasure counts.
-
-    c_hat: mean sign of S'; p0_hat: frequency of E = e0; t1_hat: mean sign of
-    S' over the E = e0 shots.
-    """
-    n = result.shots
-    total_sign = 0
-    n_e0 = 0
-    sign_e0 = 0
-    for key, count in result.counts.items():
-        digits = key_digits(key, layout)
-        s = _sign_from_digit(digits[0])
-        total_sign += s * count
-        if digits[-1] == e0:
-            n_e0 += count
-            sign_e0 += s * count
-    c_hat = total_sign / n
-    p0_hat = n_e0 / n
-    if n_e0 == 0:
-        raise DegenerateChannel("no shots survived the E = e0 postselection")
-    return c_hat, p0_hat, sign_e0 / n_e0
-
-
-def estimate_nested_circuit(result: ShotResult, layout: SubsystemLayout, e0: int = 0) -> float:
-    """Mean of sign(S2') * [E2 = e0] over shots with E1 = e0."""
-    n_e1 = 0
-    acc = 0
-    for key, count in result.counts.items():
-        digits = key_digits(key, layout)
-        if digits[3] != e0:
-            continue
-        n_e1 += count
-        if digits[4] == e0:
-            acc += _sign_from_digit(digits[0]) * count
-    if n_e1 == 0:
-        raise DegenerateChannel("no shots survived the E1 = e0 postselection")
-    return acc / n_e1
 
 
 def _sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial_id: int):
@@ -234,10 +188,10 @@ def _sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial
     try:
         pm_main = protocol_state(rho, ch, a, b, stage="premeasure", part="real")
         res_main = sample_shots(pm_main, config.shots, (config.seed, trial_id, 0))
-        c_hat, p0_hat, t1_hat = estimate_main_circuit(res_main, pm_main.layout)
+        c_hat, p0_hat, t1_hat = estimate_main_circuit(res_main.counts)
         pm_nested = nested_premeasure_state(rho, ch, a, b, part="real")
         res_nested = sample_shots(pm_nested, config.shots, (config.seed, trial_id, 1))
-        t2_hat = estimate_nested_circuit(res_nested, pm_nested.layout)
+        t2_hat = estimate_nested_circuit(res_nested.counts)
     except DegenerateChannel as exc:
         return None, str(exc)
     xi_hat = 1.0 - p0_hat
@@ -470,7 +424,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
             general_tur_holds=_tur_report(mean[n], var[n], q_g[n], xi[n]).holds,
             contained_imag=imag.contained,
             sep_tur_holds_imag=not imag.tur_violated,
-            tur_margin=_tur_report(c_re[n], 1.0 - c_re[n] * c_re[n], q_re[n], xi[n]).margin,
+            tur_margin=correlator_interval(c_re[n], q_re[n], xi[n])[3].margin,
             bound_gap=abs(exact.upper - approx.upper),
             failure=failure,
         ))

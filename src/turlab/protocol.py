@@ -18,27 +18,26 @@ sampling of the premeasure state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import KrausChannel, ensure_dilation, heisenberg
-from .errors import ContractError, DegenerateChannel, LayoutError, SingularOperator
+from .errors import ContractError, DegenerateChannel, LayoutError
 from .gates import HADAMARD, S_GATE, SIGMA_X, SIGMA_Y, controlled
 from .linalg import (
     SubsystemLayout,
     basis_vector,
     dag,
     embed_operator,
-    hermitian_inverse,
     max_abs,
     outer,
     partial_trace,
-    project_factor,
     require_density,
     require_hermitian,
 )
-from .tur import P0_CUTOFF, TUR_SLACK, TurReport, _tur_report
+from .tur import P0_CUTOFF, TUR_SLACK, TurReport, _tur_report, separable_baseline, survival_activity
 
 STAGES = ("prepared", "after_UB", "after_channel", "after_UA", "premeasure")
 PARTS = ("real", "imag")
@@ -172,27 +171,17 @@ class BoundReport:
     part: str = "real"
 
 
-def _bound_pieces(rho: np.ndarray, ch: KrausChannel, b: np.ndarray):
-    """Shared exact quantities: entry state, its S marginal, p0 and rho_P^V0."""
-    sigma_pb = _entry_state(rho, b)
-    layout = SubsystemLayout((2, ch.dim), ("S'", "S"))
-    rho_sb = partial_trace(sigma_pb, layout, keep=[1])
-    v0 = ch.v0
-    lowest = float(np.linalg.eigvalsh(dag(v0) @ v0)[0])
-    if lowest <= P0_CUTOFF:
-        raise SingularOperator("no-jump operator V_0 is singular", eigenvalue=lowest)
-    p0 = float(np.trace(rho_sb @ dag(v0) @ v0).real)
-    if p0 <= P0_CUTOFF:
-        raise DegenerateChannel(f"no-jump probability {p0:.3e} is numerically zero")
-    lift = np.kron(np.eye(2), v0)
-    rho_v0 = _conj(lift, sigma_pb) / p0
-    return sigma_pb, rho_sb, p0, rho_v0
+def correlator_interval(c: float, q: float, xi: float) -> tuple[float, float, bool, TurReport]:
+    """(lower, upper, contained, trade-off) for one component c of C(T).
 
-
-def _exact_q(rho_v0: np.ndarray, p0: float, ch: KrausChannel, g_p: np.ndarray) -> float:
-    winv = np.kron(np.eye(2), hermitian_inverse(ch.v0 @ dag(ch.v0)))
-    h = 0.5 * (g_p @ winv + winv @ g_p)
-    return p0 * float(np.trace(rho_v0 @ h).real)
+    The interval is Q -+ sqrt(Xi) and contains c within TUR_SLACK. The
+    trade-off is the separable one of the protocol observable G, which is
+    Hermitian and unitary, so Var[G] = 1 - c^2.
+    """
+    half = math.sqrt(max(xi, 0.0))
+    lower, upper = q - half, q + half
+    contained = (lower - TUR_SLACK) <= c <= (upper + TUR_SLACK)
+    return lower, upper, contained, _tur_report(c, 1.0 - c * c, q, xi)
 
 
 def approx_bound_quantities(
@@ -201,28 +190,22 @@ def approx_bound_quantities(
     a: np.ndarray,
     b: np.ndarray,
     part: str = "real",
-    second_order_factor: str = "p0",
 ) -> tuple[float, float]:
     """First-order (truncated Neumann series) surrogates for Xi_B and Q_{A,B}.
 
     (V_0^dag V_0)^-1 ~ 2 - V_0^dag V_0 gives Xi ~ 1 - p_0 and
     Q ~ 2 p_0 T_1 - p_0 T_2 with T_1 = Tr[rho^V0 G] and
-    T_2 = Re Tr[rho^V0 G V_0 V_0^dag]. ``second_order_factor="p0_squared"``
-    selects the variant with p_0^2 on the second term instead; it converges
-    one order slower and exists for comparison only.
+    T_2 = Re Tr[rho^V0 G V_0 V_0^dag].
     """
-    if second_order_factor not in ("p0", "p0_squared"):
-        raise ContractError(f"unknown second_order_factor {second_order_factor!r}")
     a = require_hermitian_unitary(a, "A")
     b = require_hermitian_unitary(b, "B")
     rho = require_density(rho)
-    _, _, p0, rho_v0 = _bound_pieces(rho, ch, b)
     g_p = _ancilla_pullback(a, part)
+    p0, rho_v0, _ = separable_baseline(_entry_state(rho, b), ch.v0, g_p)
     t1 = float(np.trace(rho_v0 @ g_p).real)
     ww = np.kron(np.eye(2), ch.v0 @ dag(ch.v0))
     t2 = float(np.trace(rho_v0 @ g_p @ ww).real)
-    factor = p0 if second_order_factor == "p0" else p0 * p0
-    return 1.0 - p0, 2.0 * p0 * t1 - factor * t2
+    return 1.0 - p0, 2.0 * p0 * t1 - p0 * t2
 
 
 def correlator_bound(
@@ -236,8 +219,8 @@ def correlator_bound(
     """Thermodynamic bound on one component of C(T).
 
     exact: Xi_B = Tr[rho_S^B (V_0^dag V_0)^-1] - 1 with rho_S^B the S marginal
-    of the state entering the channel, and Q_{A,B} from the separable-baseline
-    machinery with G the ancilla pullback of the readout Pauli. neumann1: the
+    of the state entering the channel, and Q_{A,B} the separable baseline
+    with G the ancilla pullback of the readout Pauli. neumann1: the
     first-order surrogates of approx_bound_quantities. The interval half-width
     is sqrt(Xi_B) (variance of the unitary-Hermitian G capped at 1).
     """
@@ -248,17 +231,13 @@ def correlator_bound(
     rho = require_density(rho)
     c = exact_correlator(rho, ch, a, b)
     c_part = c.real if part == "real" else c.imag
-    g_p = _ancilla_pullback(a, part)
     if variant == "exact":
-        _, rho_sb, p0, rho_v0 = _bound_pieces(rho, ch, b)
-        w = dag(ch.v0) @ ch.v0
-        xi_b = float(np.trace(rho_sb @ hermitian_inverse(w)).real) - 1.0
-        q = _exact_q(rho_v0, p0, ch, g_p)
+        sigma_pb = _entry_state(rho, b)
+        _, _, q = separable_baseline(sigma_pb, ch.v0, _ancilla_pullback(a, part))
+        xi_b = survival_activity(partial_trace(sigma_pb, SubsystemLayout((2, ch.dim)), keep=[1]), ch)
     else:
         xi_b, q = approx_bound_quantities(rho, ch, a, b, part=part)
-    half = math.sqrt(max(xi_b, 0.0))
-    lower, upper = q - half, q + half
-    holds = (lower - TUR_SLACK) <= c_part <= (upper + TUR_SLACK)
+    lower, upper, holds, _ = correlator_interval(c_part, q, xi_b)
     return BoundReport(
         correlator_real=c_part, q_ab=q, xi_b=xi_b, lower=lower, upper=upper,
         holds=holds, approx_variant=variant, part=part,
@@ -274,9 +253,7 @@ def separable_tur_protocol_check(
 ) -> TurReport:
     """Separable trade-off for the protocol observable G (Var[G] = 1 - <G>^2)."""
     bound = correlator_bound(rho, ch, a, b, variant="exact", part=part)
-    mean = bound.correlator_real
-    variance = 1.0 - mean * mean
-    return _tur_report(mean, variance, bound.q_ab, bound.xi_b)
+    return correlator_interval(bound.correlator_real, bound.q_ab, bound.xi_b)[3]
 
 
 @dataclass(frozen=True)
@@ -295,46 +272,25 @@ def nested_run(
     b: np.ndarray,
     part: str = "real",
 ) -> NestedRun:
-    """Simulate the nested circuit measuring Re Tr[rho^V0 G (V_0 V_0^dag)].
+    """Exact outcome of the nested circuit measuring Re Tr[rho^V0 G (V_0 V_0^dag)].
 
     Postselect E_1 = |e0> after the dilation to form rho^V0; attach a fresh
     ancilla in |+> and apply controlled-G; realize V_0^dag through the inverse
     dilation on a second environment; the joint expectation of sigma_x on the
-    ancilla with the E_2 = |e0> projector is the nested term.
+    ancilla with the E_2 = |e0> projector is the nested term. All three
+    numbers are read off the outcome probabilities of nested_premeasure_state,
+    the value through the shot estimator estimate_nested_circuit.
     """
-    a = require_hermitian_unitary(a, "A")
-    b = require_hermitian_unitary(b, "B")
-    rho = require_density(rho)
-    ch = ensure_dilation(ch)
-    dil = ch.dilation
-    d_s, d_e, e0 = ch.dim, dil.env_dim, dil.env_initial
-    sigma_pb = _entry_state(rho, b)
-
-    layout1 = SubsystemLayout((2, d_s, d_e), ("S'", "S", "E1"))
-    env = outer(basis_vector(d_e, e0))
-    omega1 = _conj(np.kron(np.eye(2), dil.unitary), np.kron(sigma_pb, env))
-    block = project_factor(omega1, layout1, factor=2, index=e0)
-    p_first = float(np.trace(block).real)
+    state = nested_premeasure_state(rho, ch, a, b, part=part)
+    probs = np.diag(state.matrix).real.reshape(state.layout.dims)
+    e0 = ch.no_jump_index
+    p_first = float(probs[:, :, :, e0].sum())
     if p_first <= P0_CUTOFF:
         raise DegenerateChannel(f"first postselection probability {p_first:.3e} is numerically zero")
-    sigma1 = block / p_first
-
-    plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
-    tau = np.kron(outer(plus), sigma1)
-    g_p = _ancilla_pullback(a, part)
-    tau = _conj(controlled(g_p), tau)
-
-    dims2 = (2, 2, d_s, d_e)
-    u_back = embed_operator(dag(dil.unitary), dims2, (2, 3))
-    omega2 = _conj(u_back, np.kron(tau, env))
-    layout2 = SubsystemLayout(dims2, ("S2'", "S'", "S", "E2"))
-    proj_e2 = embed_operator(outer(basis_vector(d_e, e0)), dims2, (3,))
-    p_second = float(np.trace(omega2 @ proj_e2).real)
+    p_second = float(probs[:, :, :, e0, e0].sum()) / p_first
     if p_second <= P0_CUTOFF:
         raise DegenerateChannel(f"second postselection probability {p_second:.3e} is numerically zero")
-    meas = embed_operator(SIGMA_X, dims2, (0,)) @ proj_e2
-    value = float(np.trace(omega2 @ meas).real)
-    return NestedRun(value=value, p_first=p_first, p_second=p_second)
+    return NestedRun(value=estimate_nested_circuit(probs, e0), p_first=p_first, p_second=p_second)
 
 
 def nested_expectation(
@@ -382,42 +338,26 @@ def nested_premeasure_state(
 class ShotResult:
     """Multinomial counts over computational-basis outcomes of a premeasure state.
 
-    Keys encode one fixed-width binary field per layout factor, slowest factor
-    first (width = bits needed for that factor's dimension).
+    ``counts`` is an integer array of shape ``layout.dims``, one axis per
+    layout factor, slowest factor first.
     """
 
-    counts: dict[str, int]
+    counts: np.ndarray
     shots: int
     seed: tuple[int, ...]
 
 
-def factor_bit_widths(layout: SubsystemLayout) -> tuple[int, ...]:
-    return tuple(max(1, int(d - 1).bit_length()) for d in layout.dims)
-
-
-def outcome_key(index: int, layout: SubsystemLayout) -> str:
-    digits = []
-    for d in reversed(layout.dims):
-        index, r = divmod(index, d)
-        digits.append(r)
-    digits.reverse()
-    widths = factor_bit_widths(layout)
-    return "".join(format(v, f"0{w}b") for v, w in zip(digits, widths))
-
-
-def key_digits(key: str, layout: SubsystemLayout) -> tuple[int, ...]:
-    widths = factor_bit_widths(layout)
-    out, pos = [], 0
-    for w in widths:
-        out.append(int(key[pos:pos + w], 2))
-        pos += w
-    return tuple(out)
+def _seed_entropy(seed) -> tuple[int, ...]:
+    """Entropy tuple of an integer seed (numpy integers included) or a sequence of them."""
+    try:
+        return (operator.index(seed),)
+    except TypeError:
+        return tuple(int(s) for s in seed)
 
 
 def shot_rng(seed) -> np.random.Generator:
     """Counter-based (Philox) generator keyed by an integer or a tuple of them."""
-    entropy = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed_entropy(seed))))
 
 
 def sample_shots(state: ProtocolState, shots: int, seed) -> ShotResult:
@@ -428,12 +368,33 @@ def sample_shots(state: ProtocolState, shots: int, seed) -> ShotResult:
         raise ContractError("shots must be >= 1")
     probs = np.clip(np.diag(state.matrix).real, 0.0, None)
     probs = probs / probs.sum()
-    rng = shot_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    counts = {
-        outcome_key(i, state.layout): int(n)
-        for i, n in enumerate(draws)
-        if n > 0
-    }
-    entropy = (seed,) if isinstance(seed, int) else tuple(int(s) for s in seed)
+    entropy = _seed_entropy(seed)
+    counts = shot_rng(entropy).multinomial(shots, probs).reshape(state.layout.dims)
     return ShotResult(counts=counts, shots=int(shots), seed=entropy)
+
+
+# The estimators take outcome weights over a premeasure layout: shot counts,
+# or exact outcome probabilities. Each sums the raw weights and divides once.
+
+def estimate_main_circuit(weights: np.ndarray, e0: int = 0) -> tuple[float, float, float]:
+    """(c_hat, p0_hat, t1_hat) from weights over S' (x) S (x) E.
+
+    c_hat: mean sign of S'; p0_hat: share of E = e0; t1_hat: mean sign of
+    S' over the E = e0 outcomes.
+    """
+    signed = weights[0] - weights[1]
+    n_e0 = weights[:, :, e0].sum()
+    if n_e0 == 0:
+        raise DegenerateChannel("no shots survived the E = e0 postselection")
+    n = weights.sum()
+    return float(signed.sum() / n), float(n_e0 / n), float(signed[:, e0].sum() / n_e0)
+
+
+def estimate_nested_circuit(weights: np.ndarray, e0: int = 0) -> float:
+    """Mean of sign(S2') * [E2 = e0] over the E1 = e0 outcomes of S2' (x) S' (x) S (x) E1 (x) E2."""
+    kept = weights[:, :, :, e0]
+    n_e1 = kept.sum()
+    if n_e1 == 0:
+        raise DegenerateChannel("no shots survived the E1 = e0 postselection")
+    both = kept[..., e0]
+    return float((both[0].sum() - both[1].sum()) / n_e1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, dv0_dtheta, ensure_dilation, heisenberg
-from .errors import ContractError, DegenerateChannel, LayoutError
+from .errors import ContractError, DegenerateChannel, LayoutError, SingularOperator
 from .linalg import (
     SubsystemLayout,
     basis_vector,
@@ -26,6 +26,7 @@ from .linalg import (
     hermitian_inverse,
     inverse,
     outer,
+    partial_trace,
     project_factor,
     require_density,
     require_hermitian,
@@ -163,26 +164,41 @@ def q_baseline_general(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> fl
     return float(np.vdot(tilde, g @ psi_t).real)
 
 
+def separable_baseline(sigma: np.ndarray, v0: np.ndarray, g0: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(p_0, rho^V0, Q) of a state sigma on X (x) S, X any register left alone by the channel.
+
+    p_0 = Tr[sigma_S V_0^dag V_0] with sigma_S the S marginal,
+    rho^V0 = (I_X (x) V_0) sigma (I_X (x) V_0^dag) / p_0 and the no-cost
+    baseline of a separable observable with E = |phi_0> block G_0 is
+    Q = p_0 Tr[rho^V0 H] with H = (1/2) {G_0, I_X (x) (V_0 V_0^dag)^-1}.
+    X is the purifying copy R of S or the protocol ancilla S'.
+    """
+    d_s = v0.shape[0]
+    d_x = sigma.shape[0] // d_s
+    try:
+        winv = np.kron(np.eye(d_x), hermitian_inverse(v0 @ dag(v0)))
+    except SingularOperator as exc:
+        raise SingularOperator("no-jump operator V_0 is singular", eigenvalue=exc.eigenvalue) from None
+    sigma_s = partial_trace(sigma, SubsystemLayout((d_x, d_s)), keep=[1])
+    p0 = float(np.trace(sigma_s @ dag(v0) @ v0).real)
+    if p0 <= P0_CUTOFF:
+        raise DegenerateChannel(f"no-jump probability {p0:.3e} is numerically zero")
+    lift = np.kron(np.eye(d_x), v0)
+    rho_v0 = lift @ sigma @ dag(lift) / p0
+    h = 0.5 * (g0 @ winv + winv @ g0)
+    return p0, rho_v0, p0 * float(np.trace(rho_v0 @ h).real)
+
+
 def q_baseline_separable(g0: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> float:
     """No-cost baseline for a separable observable, from its E = |phi_0> block G_0.
 
-    Q = p_0 Tr[rho_RS^V0 H] with p_0 = Tr[rho_S V_0^dag V_0],
-    rho_RS^V0 = (I (x) V_0) rho_RS (I (x) V_0^dag) / p_0 and
-    H = (1/2) {G_0, I_R (x) (V_0 V_0^dag)^-1}.
+    The Q of separable_baseline on the purified state |Psi_RS(0)>.
     """
     g0 = require_hermitian(g0, name="observable block G_0")
     d_r = ps.joint_vector.size // ps.dim_s
     if g0.shape[0] != d_r * ps.dim_s:
         raise LayoutError(f"G_0 has dimension {g0.shape[0]}, R+S has {d_r * ps.dim_s}")
-    v0 = ch.v0
-    p0 = float(np.trace(ps.rho() @ dag(v0) @ v0).real)
-    if p0 <= P0_CUTOFF:
-        raise DegenerateChannel(f"no-jump probability {p0:.3e} is numerically zero")
-    lift = np.kron(np.eye(d_r), v0)
-    rho_v0 = lift @ outer(ps.joint_vector) @ dag(lift) / p0
-    winv = np.kron(np.eye(d_r), hermitian_inverse(v0 @ dag(v0)))
-    h = 0.5 * (g0 @ winv + winv @ g0)
-    return p0 * float(np.trace(rho_v0 @ h).real)
+    return separable_baseline(outer(ps.joint_vector), ch.v0, g0)[2]
 
 
 def qfi(ch: KrausChannel, ps: PurifiedState) -> float:

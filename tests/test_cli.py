@@ -127,6 +127,13 @@ class TestExperimentCommand:
         json_rows = json.loads((out_dir / "trials.json").read_text())["trials"]
         assert all(r["tur_lhs_exact"] == "inf" for r in json_rows)
 
+    def test_singular_no_jump_operator_exits_4_naming_trial(self, tmp_path, capsys):
+        code = main(["experiment", "--gamma-min", "0.9999999", "--gamma-max", "0.9999999",
+                     "--trials", "2", "--shots", "0", "--out-dir", str(tmp_path / "sing")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "trial 0" in err and "singular" in err
+
     def test_bad_flags_exit_3(self, capsys, tmp_path):
         assert main(["experiment", "--gamma-max", "1.5", "--out-dir", str(tmp_path / "x")]) == 3
         assert main(["experiment"]) == 3  # missing --out-dir

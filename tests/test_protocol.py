@@ -11,11 +11,14 @@ from turlab.linalg import SubsystemLayout, dag
 from turlab.protocol import (
     PARTS,
     _ancilla_pullback,
-    _bound_pieces,
+    _entry_state,
     approx_bound_quantities,
     correlator_bound,
+    estimate_main_circuit,
+    estimate_nested_circuit,
     exact_correlator,
     nested_expectation,
+    nested_premeasure_state,
     nested_run,
     protocol_correlator,
     protocol_state,
@@ -23,7 +26,7 @@ from turlab.protocol import (
     separable_tur_protocol_check,
 )
 from turlab.random_ops import random_channel, random_density
-from turlab.tur import purify
+from turlab.tur import purify, separable_baseline
 
 SE = SubsystemLayout((2, 2), ("S", "E"))
 IDENTITY_CH = kraus_from_unitary(np.eye(4, dtype=complex), SE)
@@ -119,7 +122,7 @@ class TestCorrelatorBound:
         for i in range(5):
             s = family_setup(31, i, gamma_lo=0.1)
             report = correlator_bound(s.rho, s.channel, s.a_op, s.b_op)
-            sigma_pb, _, _, _ = _bound_pieces(s.rho, s.channel, s.b_op)
+            sigma_pb = _entry_state(s.rho, s.b_op)
             lifted = KrausChannel(
                 tuple(np.kron(I2, v) for v in s.channel.operators),
                 no_jump_index=s.channel.no_jump_index,
@@ -163,8 +166,10 @@ class TestApproxBoundQuantities:
         for i in range(10):
             s = family_setup(43, i, gamma_lo=0.05, gamma_hi=0.15)
             exact = correlator_bound(s.rho, s.channel, s.a_op, s.b_op)
-            _, q1 = approx_bound_quantities(s.rho, s.channel, s.a_op, s.b_op, second_order_factor="p0")
-            _, q2 = approx_bound_quantities(s.rho, s.channel, s.a_op, s.b_op, second_order_factor="p0_squared")
+            xi_a, q1 = approx_bound_quantities(s.rho, s.channel, s.a_op, s.b_op)
+            p0 = 1.0 - xi_a
+            t2 = nested_expectation(s.rho, s.channel, s.a_op, s.b_op)
+            q2 = q1 + p0 * (1.0 - p0) * t2   # 2 p0 T_1 - p0^2 T_2
             gaps_p0.append(abs(q1 - exact.q_ab))
             gaps_p0sq.append(abs(q2 - exact.q_ab))
         assert np.median(gaps_p0) < np.median(gaps_p0sq)
@@ -172,7 +177,6 @@ class TestApproxBoundQuantities:
 
 class TestNestedExpectation:
     def test_identity_channel_reduces_to_plain_expectation(self, rng):
-        from turlab.protocol import _entry_state
         rho = random_density(2, rng)
         value = nested_expectation(rho, IDENTITY_CH, SIGMA_X, SIGMA_Z)
         sigma_pb = _entry_state(rho, SIGMA_Z)
@@ -183,8 +187,8 @@ class TestNestedExpectation:
         for i in range(10):
             s = family_setup(53, i, gamma_lo=0.1)
             value = nested_expectation(s.rho, s.channel, s.a_op, s.b_op)
-            _, _, _, rho_v0 = _bound_pieces(s.rho, s.channel, s.b_op)
             g_p = _ancilla_pullback(s.a_op, "real")
+            _, rho_v0, _ = separable_baseline(_entry_state(s.rho, s.b_op), s.channel.v0, g_p)
             ww = np.kron(np.eye(2), s.channel.v0 @ dag(s.channel.v0))
             direct = np.trace(rho_v0 @ g_p @ ww).real
             assert abs(value - direct) <= 1e-9
@@ -196,7 +200,6 @@ class TestNestedExpectation:
         from turlab.channels import ensure_dilation
         from turlab.gates import controlled
         from turlab.linalg import embed_operator, outer, basis_vector
-        from turlab.protocol import _entry_state
         ch = ensure_dilation(s.channel)
         dil = ch.dilation
         dims = (2, 2, 4, 2, 2)
@@ -238,7 +241,8 @@ class TestSampleShots:
         rho = np.diag([0.0, 1.0]).astype(complex)
         st = protocol_state(rho, IDENTITY_CH, SIGMA_Z, SIGMA_Z, stage="premeasure")
         res = sample_shots(st, 500, seed=(1, 2))
-        assert sum(res.counts.values()) == 500
+        assert res.counts.shape == st.layout.dims
+        assert res.counts.sum() == 500
 
     def test_uniform_qubit_three_sigma(self):
         # |+> on S' after readout rotation: P(0) = 0.5; 10^6 shots, 3 sigma band
@@ -246,9 +250,8 @@ class TestSampleShots:
         st = protocol_state(rho, IDENTITY_CH, SIGMA_Z, SIGMA_X, stage="premeasure")
         res = sample_shots(st, 10**6, seed=7)
         layout = st.layout
-        from turlab.protocol import key_digits
-        n0 = sum(c for k, c in res.counts.items() if key_digits(k, layout)[0] == 0)
-        p_hat = n0 / res.shots
+        assert res.counts.shape == layout.dims
+        p_hat = res.counts[0].sum() / res.shots
         half = layout.dim // 2
         p_exact = float(np.sum(np.diag(st.matrix).real[:half]))  # S' is the slowest factor
         assert abs(p_exact - 0.5) <= 1e-10
@@ -260,7 +263,16 @@ class TestSampleShots:
         st = protocol_state(s.rho, s.channel, s.a_op, s.b_op, stage="premeasure")
         r1 = sample_shots(st, 1000, seed=(3, 4, 5))
         r2 = sample_shots(st, 1000, seed=(3, 4, 5))
-        assert r1.counts == r2.counts
+        assert r1.counts.shape == st.layout.dims
+        assert np.array_equal(r1.counts, r2.counts)
+
+    def test_numpy_integer_seed_equals_int_seed(self):
+        s = family_setup(71, 0)
+        st = protocol_state(s.rho, s.channel, s.a_op, s.b_op, stage="premeasure")
+        r_np = sample_shots(st, 1000, seed=np.int64(3))
+        r_int = sample_shots(st, 1000, seed=3)
+        assert np.array_equal(r_np.counts, r_int.counts)
+        assert r_np.seed == r_int.seed == (3,)
 
     def test_requires_premeasure_stage(self, rng):
         st = protocol_state(random_density(2, rng), IDENTITY_CH, SIGMA_X, SIGMA_Z, stage="after_UA")
@@ -271,7 +283,44 @@ class TestSampleShots:
         s = family_setup(73, 1)
         st = protocol_state(s.rho, s.channel, s.a_op, s.b_op, stage="premeasure")
         res = sample_shots(st, 1234, seed=9)
-        assert sum(res.counts.values()) == 1234
+        assert res.counts.shape == st.layout.dims
+        assert res.counts.sum() == 1234
+
+
+class TestCircuitEstimators:
+    def test_counts_match_per_outcome_loop(self):
+        # reference: one pass over the outcomes in Python integers, divided once
+        s = family_setup(89, 2, gamma_lo=0.2, gamma_hi=0.8)
+        main = sample_shots(protocol_state(s.rho, s.channel, s.a_op, s.b_op, stage="premeasure"), 2000, seed=5)
+        nested = sample_shots(nested_premeasure_state(s.rho, s.channel, s.a_op, s.b_op), 2000, seed=6)
+        sign = total = n_e0 = sign_e0 = 0
+        for (s_p, _, e), n in np.ndenumerate(main.counts):
+            sign += (1 - 2 * s_p) * int(n)
+            total += int(n)
+            if e == 0:
+                n_e0 += int(n)
+                sign_e0 += (1 - 2 * s_p) * int(n)
+        assert estimate_main_circuit(main.counts) == (sign / total, n_e0 / total, sign_e0 / n_e0)
+        n_e1 = acc = 0
+        for (s2, _, _, e1, e2), n in np.ndenumerate(nested.counts):
+            if e1 == 0:
+                n_e1 += int(n)
+                acc += (1 - 2 * s2) * int(n) * (e2 == 0)
+        assert estimate_nested_circuit(nested.counts) == acc / n_e1
+
+    def test_exact_probabilities_match_neumann1_bound(self):
+        # the shot estimators applied to the exact outcome probabilities give
+        # Re C, p0 = 1 - Xi_B(neumann1) and Q_AB(neumann1) = 2 p0 T_1 - p0 T_2
+        for i in range(10):
+            s = family_setup(83, i, gamma_lo=0.05, gamma_hi=0.9)
+            main = protocol_state(s.rho, s.channel, s.a_op, s.b_op, stage="premeasure")
+            nested = nested_premeasure_state(s.rho, s.channel, s.a_op, s.b_op)
+            c, p0, t1 = estimate_main_circuit(np.diag(main.matrix).real.reshape(main.layout.dims))
+            t2 = estimate_nested_circuit(np.diag(nested.matrix).real.reshape(nested.layout.dims))
+            bound = correlator_bound(s.rho, s.channel, s.a_op, s.b_op, variant="neumann1")
+            assert abs(c - bound.correlator_real) <= 1e-12
+            assert abs(p0 - (1.0 - bound.xi_b)) <= 1e-12
+            assert abs(2.0 * p0 * t1 - p0 * t2 - bound.q_ab) <= 1e-12
 
 
 class TestSamplingConvergence:
@@ -285,7 +334,7 @@ class TestSamplingConvergence:
             out = []
             for r in range(reps):
                 res = sample_shots(st, shots, seed=(101, shots, r))
-                c_hat, _, _ = estimate_main_circuit(res, st.layout)
+                c_hat, _, _ = estimate_main_circuit(res.counts)
                 out.append(abs(c_hat - c_exact))
             return np.median(out)
 
