@@ -89,6 +89,9 @@ def _cmd_verify(args) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return EXIT_INPUT
+    if args.seed < 0:
+        print("--seed must be >= 0", file=sys.stderr)
+        return EXIT_INPUT
     results = run_suites(suites, trials=args.trials, seed=args.seed, inject_fault=args.inject_fault)
     for r in results:
         tag = "PASS" if r.passed else "FAIL"

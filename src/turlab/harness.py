@@ -17,9 +17,8 @@ independent counter-based substreams so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -39,7 +38,6 @@ from .protocol import (
     nested_premeasure_state,
     protocol_state,
     sample_shots,
-    separable_tur_protocol_check,
 )
 from .tur import P0_CUTOFF, _tur_report, check_general_tur, purify
 
@@ -67,6 +65,8 @@ class ExperimentConfig:
             raise ContractError("n_trials must be >= 1")
         if self.shots < 0:
             raise ContractError("shots must be >= 0")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
         variants = tuple(self.variants)
         unknown = set(variants) - set(VARIANTS)
         if unknown:
@@ -203,11 +203,11 @@ def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
     rho, ch, a, b = setup.rho, setup.channel, setup.a_op, setup.b_op
 
     bound = correlator_bound(rho, ch, a, b, variant="exact", part="real")
-    sep = separable_tur_protocol_check(rho, ch, a, b, part="real")
+    sep = correlator_interval(bound.correlator_real, bound.q_ab, bound.xi_b)[3]
     exact = _variant_values(bound.correlator_real, bound.xi_b, bound.q_ab)
 
     bound_i = correlator_bound(rho, ch, a, b, variant="exact", part="imag")
-    sep_i = separable_tur_protocol_check(rho, ch, a, b, part="imag")
+    sep_i = correlator_interval(bound_i.correlator_real, bound_i.q_ab, bound_i.xi_b)[3]
 
     approx_bound = correlator_bound(rho, ch, a, b, variant="neumann1", part="real")
     approx = _variant_values(approx_bound.correlator_real, approx_bound.xi_b, approx_bound.q_ab)
@@ -441,7 +441,6 @@ class RunSummary:
     failed_trials: int
     gap_bucket_edges: tuple[float, ...]
     gap_bucket_medians: tuple[float | None, ...]
-    runtime_seconds: float | None = None
 
 
 def summarize(records: list[TrialRecord]) -> RunSummary:
@@ -495,10 +494,8 @@ def summarize(records: list[TrialRecord]) -> RunSummary:
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], RunSummary]:
     """Evaluate every trial of the configured family, CHUNK_TRIALS trials per stacked pass."""
-    start = time.perf_counter()
     ids = range(config.n_trials)
     records = [
         r for k in range(0, config.n_trials, CHUNK_TRIALS) for r in _evaluate_chunk(config, ids[k:k + CHUNK_TRIALS])
     ]
-    summary = replace(summarize(records), runtime_seconds=time.perf_counter() - start)
-    return records, summary
+    return records, summarize(records)

@@ -12,7 +12,8 @@ The protocol estimating C(T) = Tr[rho A(T) B(0)] for Hermitian unitary A, B:
 The sigma_x readout is realized as Hadamard-then-sigma_z, sigma_y as
 (S-dagger, Hadamard)-then-sigma_z. Everything is simulated exactly on the full
 S' (x) S (x) E density matrix; shot noise enters only through multinomial
-sampling of the premeasure state.
+sampling of the premeasure state. Each circuit is a list of gates on their own
+register factors, and a stage is a prefix of that list.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .linalg import (
     SubsystemLayout,
     basis_vector,
     dag,
-    embed_operator,
     max_abs,
     outer,
     partial_trace,
@@ -40,8 +40,8 @@ from .linalg import (
 from .tur import P0_CUTOFF, TUR_SLACK, TurReport, _tur_report, separable_baseline, survival_activity
 
 STAGES = ("prepared", "after_UB", "after_channel", "after_UA", "premeasure")
+_STAGE_GATES = dict(zip(STAGES, (0, 2, 3, 4, 5)))   # gates of protocol_state's list applied by each stage
 PARTS = ("real", "imag")
-EQUIVALENCE_ATOL = 1e-10
 
 
 def require_hermitian_unitary(m: np.ndarray, name: str) -> np.ndarray:
@@ -69,8 +69,15 @@ class ProtocolState:
             raise ContractError(f"protocol state trace {tr:.12g} != 1")
 
 
-def _conj(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return u @ rho @ dag(u)
+def _on_factors(u: np.ndarray, sigma: np.ndarray, dims: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
+    """u sigma u^dag for u acting on the register factors ``targets`` (in u's factor order)."""
+    n = len(dims)
+    order = list(targets) + [k for k in range(n) if k not in targets]
+    back = list(np.argsort(order)) + [n]
+    for _ in range(2):   # targets of the row index first, one matmul, then the adjoint: u (u sigma)^dag
+        t = sigma.reshape(dims + (-1,)).transpose(order + [n])
+        sigma = dag((u @ t.reshape(u.shape[0], -1)).reshape(t.shape).transpose(back).reshape(sigma.shape))
+    return sigma
 
 
 def _readout_rotation(part: str) -> np.ndarray:
@@ -100,25 +107,18 @@ def protocol_state(
     if rho.shape[0] != ch.dim or a.shape[0] != ch.dim or b.shape[0] != ch.dim:
         raise LayoutError("rho, A, B must act on the channel's system")
     dil = ch.dilation
-    d_s, d_e = ch.dim, dil.env_dim
-    layout = SubsystemLayout((2, d_s, d_e), ("S'", "S", "E"))
-    rest = d_s * d_e
-
-    sigma = np.kron(np.kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(d_e, dil.env_initial)))
-    if stage == "prepared":
-        return ProtocolState(layout, sigma, stage)
-    sigma = _conj(np.kron(HADAMARD, np.eye(rest)), sigma)
-    sigma = _conj(np.kron(controlled(b), np.eye(d_e)), sigma)
-    if stage == "after_UB":
-        return ProtocolState(layout, sigma, stage)
-    sigma = _conj(np.kron(np.eye(2), dil.unitary), sigma)
-    if stage == "after_channel":
-        return ProtocolState(layout, sigma, stage)
-    sigma = _conj(np.kron(controlled(a), np.eye(d_e)), sigma)
-    if stage == "after_UA":
-        return ProtocolState(layout, sigma, stage)
-    sigma = _conj(np.kron(_readout_rotation(part), np.eye(rest)), sigma)
-    return ProtocolState(layout, sigma, "premeasure")
+    layout = SubsystemLayout((2, ch.dim, dil.env_dim), ("S'", "S", "E"))
+    gates = [
+        (HADAMARD, (0,)),
+        (controlled(b), (0, 1)),
+        (dil.unitary, (1, 2)),
+        (controlled(a), (0, 1)),
+        (_readout_rotation(part), (0,)),
+    ]
+    sigma = np.kron(np.kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(dil.env_dim, dil.env_initial)))
+    for u, targets in gates[:_STAGE_GATES[stage]]:
+        sigma = _on_factors(u, sigma, layout.dims, targets)
+    return ProtocolState(layout, sigma, stage)
 
 
 def exact_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
@@ -130,11 +130,12 @@ def exact_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.nda
 
 
 def protocol_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
-    """C(T) from the ancilla protocol: <sigma_x (x) I> + i <sigma_y (x) I> on S'."""
+    """C(T) from the ancilla protocol: the mean sign of S' after the real and the imaginary readout."""
     state = protocol_state(rho, ch, a, b, stage="after_UA")
-    rest = state.layout.dim // 2
-    re = float(np.trace(state.matrix @ np.kron(SIGMA_X, np.eye(rest))).real)
-    im = float(np.trace(state.matrix @ np.kron(SIGMA_Y, np.eye(rest))).real)
+    dims = state.layout.dims
+    # Not estimate_main_circuit: C(T) stays defined when the E = e0 outcome has probability 0.
+    probs = (np.diag(_on_factors(_readout_rotation(p), state.matrix, dims, (0,))).real.reshape(2, -1) for p in PARTS)
+    re, im = (float(p[0].sum() - p[1].sum()) for p in probs)
     return complex(re, im)
 
 
@@ -150,7 +151,8 @@ def _ancilla_pullback(a: np.ndarray, part: str) -> np.ndarray:
 def _entry_state(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
     """State of S' (x) S entering the channel: U_B^c (|+><+| (x) rho) U_B^c-dag."""
     plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
-    return _conj(controlled(b), np.kron(outer(plus), rho))
+    ucb = controlled(b)
+    return ucb @ np.kron(outer(plus), rho) @ dag(ucb)
 
 
 @dataclass(frozen=True)
@@ -323,14 +325,17 @@ def nested_premeasure_state(
     d_s, d_e, e0 = ch.dim, dil.env_dim, dil.env_initial
     dims = (2, 2, d_s, d_e, d_e)
     layout = SubsystemLayout(dims, ("S2'", "S'", "S", "E1", "E2"))
-
+    gates = [
+        (dil.unitary, (2, 3)),
+        (controlled(_ancilla_pullback(a, part)), (0, 1, 2)),
+        (dag(dil.unitary), (2, 4)),
+        (HADAMARD, (0,)),
+    ]
     plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
     env = outer(basis_vector(d_e, e0))
     sigma = np.kron(np.kron(outer(plus), _entry_state(rho, b)), np.kron(env, env))
-    sigma = _conj(embed_operator(dil.unitary, dims, (2, 3)), sigma)
-    sigma = _conj(embed_operator(controlled(_ancilla_pullback(a, part)), dims, (0, 1, 2)), sigma)
-    sigma = _conj(embed_operator(dag(dil.unitary), dims, (2, 4)), sigma)
-    sigma = _conj(embed_operator(HADAMARD, dims, (0,)), sigma)
+    for u, targets in gates:
+        sigma = _on_factors(u, sigma, dims, targets)
     return ProtocolState(layout, sigma, "premeasure")
 
 

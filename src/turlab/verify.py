@@ -66,16 +66,15 @@ def _instances(seed: int, n: int):
             yield random_channel(dim_s, 2, rng), random_density(dim_s, rng)
 
 
+def _branches(ps: PurifiedState, ops) -> np.ndarray:
+    """sum_m (K_m on S)|Psi_RS> (x) |m> over R (x) S (x) E, the branches stacked on the last axis."""
+    joint = ps.joint_vector.reshape(-1, ps.dim_s)
+    return np.stack([joint @ k.T for k in ops], axis=-1).reshape(-1)
+
+
 def perturbed_mean(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, theta: float) -> float:
     """<G> over the joint state evolved by the theta-perturbed Kraus family."""
-    pert = perturbed_kraus(ch, theta)
-    d_r = ps.joint_vector.size // ps.dim_s
-    n_env = len(ch.operators)
-    dim = d_r * ps.dim_s * n_env
-    psi = np.zeros(dim, dtype=complex)
-    for m, v in enumerate(pert.operators):
-        branch = (ps.joint_vector.reshape(d_r, ps.dim_s) @ v.T)
-        psi += np.einsum("rs,e->rse", branch, np.eye(n_env)[m]).reshape(-1)
+    psi = _branches(ps, perturbed_kraus(ch, theta).operators)
     return float(np.vdot(psi, g @ psi).real)
 
 
@@ -85,13 +84,7 @@ def analytic_scaling(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, flip_dv
     if flip_dv0_sign:
         d0 = -d0
     derivs = [d0 if i == ch.no_jump_index else 0.5 * v for i, v in enumerate(ch.operators)]
-    d_r = ps.joint_vector.size // ps.dim_s
-    n_env = len(ch.operators)
-    dim = d_r * ps.dim_s * n_env
-    dpsi = np.zeros(dim, dtype=complex)
-    for m, d in enumerate(derivs):
-        branch = ps.joint_vector.reshape(d_r, ps.dim_s) @ d.T
-        dpsi += np.einsum("rs,e->rse", branch, np.eye(n_env)[m]).reshape(-1)
+    dpsi = _branches(ps, derivs)
     psi_t = final_joint_state(ps, ch)
     return 2.0 * float(np.vdot(dpsi, g @ psi_t).real)
 

@@ -49,6 +49,11 @@ class TestVerifyCommand:
         assert code == 2
         assert "[FAIL] scaling" in capsys.readouterr().out
 
+    def test_negative_seed_is_input_error(self, capsys, tmp_path):
+        assert main(["verify", "--suite", "qfi", "--trials", "2", "--seed", "-1"]) == 3
+        assert main(["experiment", "--seed", "-1", "--trials", "2", "--out-dir", str(tmp_path / "x")]) == 3
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_suite_is_input_error(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 3
 

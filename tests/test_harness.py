@@ -35,6 +35,7 @@ class TestConfig:
         dict(theta_range=(0.0, 7.0)),
         dict(n_trials=0),
         dict(variants=("exact", "bogus")),
+        dict(seed=-1),
     ])
     def test_invalid(self, bad):
         with pytest.raises(ContractError):

@@ -76,6 +76,13 @@ class TestProtocolCorrelator:
             b = paulis[rng.integers(3)]
             assert abs(exact_correlator(rho, ch, a, b) - protocol_correlator(rho, ch, a, b)) <= 1e-10
 
+    def test_defined_when_no_jump_outcome_has_zero_probability(self):
+        # SWAP dilation: V0 = |0><0|, so from |1> the environment never ends in e0 (p0 = 0 exactly).
+        swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+        ch = kraus_from_unitary(swap, SE)
+        c = protocol_correlator(KET1, ch, SIGMA_X, SIGMA_Z)
+        assert abs(c - exact_correlator(KET1, ch, SIGMA_X, SIGMA_Z)) <= 1e-12
+
     def test_identity_b_gives_one_point_function(self, rng):
         from turlab.channels import heisenberg
         ch = random_channel(2, 2, rng)
