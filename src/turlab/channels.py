@@ -32,7 +32,6 @@ from .linalg import (
 COMPLETENESS_ATOL = 1e-9
 DILATION_ATOL = 1e-10
 ADMISSIBILITY_MARGIN = 1e-12
-PERTURBATION_RECOVERY_ATOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -179,10 +178,6 @@ class PerturbedChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "operators", tuple(_freeze(op) for op in self.operators))
-        if abs(self.theta) < 1e-300:
-            worst = max(max_abs(a - b) for a, b in zip(self.operators, self.base.operators))
-            if worst > PERTURBATION_RECOVERY_ATOL:  # pragma: no cover
-                raise ContractError(f"theta=0 must recover the base operators, got {worst:.3e}")
 
 
 def perturbed_kraus(ch: KrausChannel, theta: float) -> PerturbedChannel:

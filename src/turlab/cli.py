@@ -16,7 +16,7 @@ from pathlib import Path
 from ._version import __version__
 from .errors import ContractError, DegenerateChannel, SingularOperator
 from .harness import ExperimentConfig, run_experiment
-from .protocol import correlator_bound, separable_tur_protocol_check
+from .protocol import correlator_bound, correlator_interval
 from .serialize import (
     SpecParseError,
     channel_from_spec,
@@ -179,7 +179,9 @@ def _cmd_bound(args) -> int:
         return EXIT_INPUT
     try:
         bound = correlator_bound(rho, channel, a, b, variant=args.variant, part=args.part)
-        tur = separable_tur_protocol_check(rho, channel, a, b, part=args.part)
+        # separable_tur_protocol_check's report, read off one exact bound evaluation
+        exact = bound if args.variant == "exact" else correlator_bound(rho, channel, a, b, part=args.part)
+        tur = correlator_interval(exact.correlator_real, exact.q_ab, exact.xi_b)[3]
     except (SingularOperator, DegenerateChannel) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

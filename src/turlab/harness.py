@@ -25,12 +25,15 @@ import numpy as np
 
 from .channels import COMPLETENESS_ATOL, KrausChannel, kraus_from_unitary
 from .errors import ContractError, DegenerateChannel, SingularOperator
-from .gates import I2, KET0, P0, P1, controlled, kron_all, pauli_pair, rx, ry
+from .gates import HADAMARD, I2, KET0, P0, P1, controlled, kron_all, pauli_pair, rx, ry
 from .linalg import EIGENVALUE_GROUP_TOL, HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, outer
 from .protocol import (
     PARTS,
     _ancilla_pullback,
     _entry_state,
+    _main_gates,
+    _multinomial_counts,
+    _nested_gates,
     correlator_bound,
     correlator_interval,
     estimate_main_circuit,
@@ -181,6 +184,16 @@ def _variant_values(c_part: float, xi: float, q: float) -> VariantValues:
     )
 
 
+def _sampled_variant(main_counts: np.ndarray, nested_counts: np.ndarray) -> VariantValues:
+    """The sampled variant from the shot counts of the main and the nested circuit.
+
+    Raises DegenerateChannel when a postselection kept no shot.
+    """
+    c_hat, p0_hat, t1_hat = estimate_main_circuit(main_counts)
+    t2_hat = estimate_nested_circuit(nested_counts)
+    return _variant_values(c_hat, 1.0 - p0_hat, 2.0 * p0_hat * t1_hat - p0_hat * t2_hat)
+
+
 def _sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial_id: int):
     """(sampled variant, None), (None, reason its postselection came up empty), or (None, None) if off."""
     if "sampled" not in config.variants or config.shots == 0:
@@ -188,15 +201,11 @@ def _sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial
     try:
         pm_main = protocol_state(rho, ch, a, b, stage="premeasure", part="real")
         res_main = sample_shots(pm_main, config.shots, (config.seed, trial_id, 0))
-        c_hat, p0_hat, t1_hat = estimate_main_circuit(res_main.counts)
         pm_nested = nested_premeasure_state(rho, ch, a, b, part="real")
         res_nested = sample_shots(pm_nested, config.shots, (config.seed, trial_id, 1))
-        t2_hat = estimate_nested_circuit(res_nested.counts)
+        return _sampled_variant(res_main.counts, res_nested.counts), None
     except DegenerateChannel as exc:
         return None, str(exc)
-    xi_hat = 1.0 - p0_hat
-    q_hat = 2.0 * p0_hat * t1_hat - p0_hat * t2_hat
-    return _variant_values(c_hat, xi_hat, q_hat), None
 
 
 def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
@@ -249,6 +258,7 @@ CHUNK_TRIALS = 128   # fixed so that peak memory does not grow with --trials
 _PAULI_PAIRS = np.stack([pauli_pair(k // 4, k % 4) for k in range(16)])   # row 4 i + j
 _CONTROLLED_PAIRS = np.stack([controlled(p) for p in _PAULI_PAIRS])
 _PULLBACKS = {part: np.stack([_ancilla_pullback(p, part) for p in _PAULI_PAIRS]) for part in PARTS}
+_CONTROLLED_PULLBACKS = np.stack([controlled(g) for g in _PULLBACKS["real"]])
 _PLUS = outer(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
 
 
@@ -280,8 +290,8 @@ def _qubit_gates(thetas: np.ndarray) -> np.ndarray:
     return y_rot @ x_rot
 
 
-def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked preparation_state (N, 4, 4) and dilation_unitary (N, 8, 8)."""
+def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked preparation vectors (N, 4), preparation_state (N, 4, 4) and dilation_unitary (N, 8, 8)."""
     g = _qubit_gates(thetas)
     psi = _kron(g[:, 0, :, :1], g[:, 1, :, :1])[..., 0]
     rho = psi[:, :, None] * psi.conj()[:, None, :]
@@ -295,7 +305,7 @@ def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray,
     coupling[:, 4:, 4:] = _kron(I2, ry_e)
     layer1 = _kron(_kron(g[:, 2], g[:, 3]), I2)
     layer2 = _kron(_kron(g[:, 4], g[:, 5]), I2)
-    return rho, layer2 @ coupling @ layer1
+    return psi, rho, layer2 @ coupling @ layer1
 
 
 def _stacked_hermitian_inverse(m: np.ndarray) -> np.ndarray:
@@ -356,6 +366,39 @@ def _general_tur_terms(sigma, v, v0_inv, g):
     return mean, second - mean * mean, q
 
 
+def _on_factors_stacked(u: np.ndarray, psi: np.ndarray, dims: tuple[int, ...], targets: tuple[int, ...]):
+    """u (one gate or a stack of N) on the register factors ``targets`` of each vector of psi (N, prod(dims))."""
+    order = [0] + [k + 1 for k in targets] + [k + 1 for k in range(len(dims)) if k not in targets]
+    t = psi.reshape((-1,) + dims).transpose(order)
+    t = (u @ t.reshape(len(psi), u.shape[-1], -1)).reshape(t.shape)
+    return t.transpose(np.argsort(order)).reshape(psi.shape)
+
+
+def _premeasure_probabilities(psi: np.ndarray, u: np.ndarray, a_k: np.ndarray, b_k: np.ndarray):
+    """Outcome probabilities of the real-part main (N, 2, 4, 2) and nested (N, 2, 2, 4, 2, 2) circuits.
+
+    The gate lists of protocol_state(stage="premeasure") and
+    nested_premeasure_state run on stacked state vectors: every preparation
+    of the family is pure, so |amp|^2 is the diagonal the scalar path reads
+    off its density matrices.
+    """
+    n = len(psi)
+    cb = _CONTROLLED_PAIRS[b_k]
+    main = np.zeros((n, 2, 4, 2), dtype=complex)
+    main[:, 0, :, 0] = psi
+    main = main.reshape(n, 16)
+    for g, targets in _main_gates(cb, u, _CONTROLLED_PAIRS[a_k], HADAMARD):
+        main = _on_factors_stacked(g, main, (2, 4, 2), targets)
+    # |+> (x) U_B^c (|+> (x) psi) (x) |e0 e0>, the two 1/sqrt(2) in one division
+    entry = cb @ np.concatenate([psi, psi], axis=1)[..., None] / 2.0
+    nested = np.zeros((n, 2, 8, 2, 2), dtype=complex)
+    nested[:, :, :, 0, 0] = entry[:, None, :, 0]
+    nested = nested.reshape(n, 64)
+    for g, targets in _nested_gates(u, _dag(u), _CONTROLLED_PULLBACKS[a_k]):
+        nested = _on_factors_stacked(g, nested, (2, 2, 4, 2, 2), targets)
+    return np.abs(main.reshape(n, 2, 4, 2)) ** 2, np.abs(nested.reshape(n, 2, 2, 4, 2, 2)) ** 2
+
+
 def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     """evaluate_trial(generate_trial(config, i), config) for each id, in one stacked pass.
 
@@ -366,7 +409,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     draws = [_draw_inputs(config, i) for i in trial_ids]
     a_k = np.array([4 * i + j for _, _, (i, j), _ in draws])
     b_k = np.array([4 * i + j for _, _, _, (i, j) in draws])
-    rho, u = _stacked_inputs(np.array([d[0] for d in draws]), np.array([d[1] for d in draws]))
+    psi, rho, u = _stacked_inputs(np.array([d[0] for d in draws]), np.array([d[1] for d in draws]))
     v = np.ascontiguousarray(u.reshape(-1, 4, 2, 4, 2)[..., 0].transpose(0, 2, 1, 3))   # [m, S, S]
     v0 = v[:, 0]
     w = _dag(v0) @ v0
@@ -408,6 +451,8 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     c_re, c_im, xi, p0, q_re, q_im, q_approx, mean, var, q_g = (
         x.tolist() for x in (c.real, c.imag, xi, p0, q_re, q_im, q_approx, mean, var, q_g))
     sampling = "sampled" in config.variants and config.shots > 0
+    if sampling:
+        main_probs, nested_probs = _premeasure_probabilities(psi, u, a_k, b_k)
     records = []
     for n, (trial_id, (thetas, gamma, a_idx, b_idx)) in enumerate(zip(trial_ids, draws)):
         exact = _variant_values(c_re[n], xi[n], q_re[n])
@@ -415,8 +460,12 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
         imag = _variant_values(c_im[n], xi[n], q_im[n])
         sampled = failure = None
         if sampling:
-            ch = kraus_from_unitary(u[n], _SE_LAYOUT, env_initial=0)
-            sampled, failure = _sampled_values(rho[n], ch, a[n], b[n], config, trial_id)
+            try:
+                sampled = _sampled_variant(
+                    _multinomial_counts(main_probs[n], config.shots, (config.seed, trial_id, 0)),
+                    _multinomial_counts(nested_probs[n], config.shots, (config.seed, trial_id, 1)))
+            except DegenerateChannel as exc:
+                failure = str(exc)
         records.append(TrialRecord(
             trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx,
             exact=exact, approx=approx, sampled=sampled,

@@ -89,6 +89,16 @@ def _readout_rotation(part: str) -> np.ndarray:
     raise ContractError(f"part must be one of {PARTS}, got {part!r}")
 
 
+def _main_gates(b_gate, unitary, a_gate, readout) -> list:
+    """The main circuit as (gate, target factors) on S' (x) S (x) E; a gate may be a stack, one per trial."""
+    return [(HADAMARD, (0,)), (b_gate, (0, 1)), (unitary, (1, 2)), (a_gate, (0, 1)), (readout, (0,))]
+
+
+def _nested_gates(unitary, unitary_dag, g_gate) -> list:
+    """The nested circuit as (gate, target factors) on S2' (x) S' (x) S (x) E1 (x) E2 after its entry state."""
+    return [(unitary, (2, 3)), (g_gate, (0, 1, 2)), (unitary_dag, (2, 4)), (HADAMARD, (0,))]
+
+
 def protocol_state(
     rho: np.ndarray,
     ch: KrausChannel,
@@ -108,13 +118,7 @@ def protocol_state(
         raise LayoutError("rho, A, B must act on the channel's system")
     dil = ch.dilation
     layout = SubsystemLayout((2, ch.dim, dil.env_dim), ("S'", "S", "E"))
-    gates = [
-        (HADAMARD, (0,)),
-        (controlled(b), (0, 1)),
-        (dil.unitary, (1, 2)),
-        (controlled(a), (0, 1)),
-        (_readout_rotation(part), (0,)),
-    ]
+    gates = _main_gates(controlled(b), dil.unitary, controlled(a), _readout_rotation(part))
     sigma = np.kron(np.kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(dil.env_dim, dil.env_initial)))
     for u, targets in gates[:_STAGE_GATES[stage]]:
         sigma = _on_factors(u, sigma, layout.dims, targets)
@@ -325,12 +329,7 @@ def nested_premeasure_state(
     d_s, d_e, e0 = ch.dim, dil.env_dim, dil.env_initial
     dims = (2, 2, d_s, d_e, d_e)
     layout = SubsystemLayout(dims, ("S2'", "S'", "S", "E1", "E2"))
-    gates = [
-        (dil.unitary, (2, 3)),
-        (controlled(_ancilla_pullback(a, part)), (0, 1, 2)),
-        (dag(dil.unitary), (2, 4)),
-        (HADAMARD, (0,)),
-    ]
+    gates = _nested_gates(dil.unitary, dag(dil.unitary), controlled(_ancilla_pullback(a, part)))
     plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
     env = outer(basis_vector(d_e, e0))
     sigma = np.kron(np.kron(outer(plus), _entry_state(rho, b)), np.kron(env, env))
@@ -371,11 +370,15 @@ def sample_shots(state: ProtocolState, shots: int, seed) -> ShotResult:
         raise ContractError(f"sampling requires a premeasure state, got stage {state.stage!r}")
     if shots < 1:
         raise ContractError("shots must be >= 1")
-    probs = np.clip(np.diag(state.matrix).real, 0.0, None)
-    probs = probs / probs.sum()
     entropy = _seed_entropy(seed)
-    counts = shot_rng(entropy).multinomial(shots, probs).reshape(state.layout.dims)
+    counts = _multinomial_counts(np.diag(state.matrix).real.reshape(state.layout.dims), shots, entropy)
     return ShotResult(counts=counts, shots=int(shots), seed=entropy)
+
+
+def _multinomial_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Counts of ``shots`` draws from outcome probabilities (any shape, clipped at 0 and renormalised)."""
+    p = np.clip(probs, 0.0, None).ravel()
+    return shot_rng(seed).multinomial(shots, p / p.sum()).reshape(probs.shape)
 
 
 # The estimators take outcome weights over a premeasure layout: shot counts,

@@ -1,4 +1,5 @@
-"""Circuit simulation on register factors against full-register embedded operators."""
+"""Circuit simulation on register factors against full-register embedded operators, and the
+stacked state-vector premeasure circuits against the density-matrix ones."""
 
 import math
 
@@ -8,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from turlab.channels import ensure_dilation
-from turlab.gates import HADAMARD, S_GATE, controlled
-from turlab.harness import ExperimentConfig, generate_trial
-from turlab.linalg import basis_vector, dag, embed_operator, outer
+from turlab.channels import ensure_dilation, kraus_from_unitary
+from turlab.gates import HADAMARD, S_GATE, controlled, pauli_pair
+from turlab.harness import ExperimentConfig, _premeasure_probabilities, generate_trial
+from turlab.linalg import SubsystemLayout, basis_vector, dag, embed_operator, outer
 from turlab.protocol import (
     PARTS,
     STAGES,
@@ -21,7 +22,7 @@ from turlab.protocol import (
     nested_premeasure_state,
     protocol_state,
 )
-from turlab.random_ops import random_channel, random_density
+from turlab.random_ops import random_channel, random_density, random_unitary
 
 
 @st.composite
@@ -100,3 +101,22 @@ def test_nested_premeasure_matches_embedded_construction(part):
             (HADAMARD, (0,)),
         ])
         assert_allclose(nested_premeasure_state(rho, ch, a, b, part=part).matrix, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_stacked_premeasure_probabilities_match_density_circuits(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    u = np.stack([random_unitary(8, rng) for _ in range(n)])
+    a_k, b_k = rng.integers(0, 16, size=(2, n))
+    main, nested = _premeasure_probabilities(psi, u, a_k, b_k)
+    for k in range(n):
+        rho = outer(psi[k])
+        ch = kraus_from_unitary(u[k], SubsystemLayout((4, 2), ("S", "E")))
+        a, b = pauli_pair(a_k[k] // 4, a_k[k] % 4), pauli_pair(b_k[k] // 4, b_k[k] % 4)
+        want_main = np.diag(protocol_state(rho, ch, a, b, stage="premeasure").matrix).real
+        want_nested = np.diag(nested_premeasure_state(rho, ch, a, b).matrix).real
+        assert_allclose(main[k].ravel(), want_main, rtol=0, atol=1e-14)
+        assert_allclose(nested[k].ravel(), want_nested, rtol=0, atol=1e-14)

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -164,12 +166,35 @@ class TestBatchedPath:
             assert [getattr(r, f) for f in self.FLAGS] == [getattr(o, f) for f in self.FLAGS], r.trial_id
 
     def test_sampled_values_equal_oracle(self):
-        cfg = ExperimentConfig(seed=2, n_trials=8, shots=300)
-        records, _ = run_experiment(cfg)
-        assert all(r.sampled is not None for r in records)
-        for r in records:
-            o = oracle(cfg, r.trial_id)
-            assert (r.sampled, r.shots, r.failure) == (o.sampled, o.shots, o.failure)
+        # evaluate_trial takes its sampled fields from _sampled_values alone, so the
+        # oracle calls it directly and skips the exact bounds. 150 trials cross a
+        # chunk boundary; one shot often leaves a postselection empty.
+        failures = 0
+        grid = itertools.product((2, 9), ((0.0, 0.75), (0.5, 0.99), (0.0, 0.0)), (1, 20, 1000))
+        for seed, gamma_range, shots in grid:
+            cfg = ExperimentConfig(seed=seed, n_trials=150, shots=shots, gamma_range=gamma_range)
+            records, _ = run_experiment(cfg)
+            for r in records:
+                s = generate_trial(cfg, r.trial_id)
+                sampled, failure = harness._sampled_values(s.rho, s.channel, s.a_op, s.b_op, cfg, r.trial_id)
+                want = (sampled, shots if sampled is not None else 0, failure)
+                assert (r.sampled, r.shots, r.failure) == want, (seed, gamma_range, shots, r.trial_id)
+                failures += failure is not None
+        assert failures > 0
+
+    def test_sampled_chunk_builds_no_channel_or_density_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called by the batched sampled path")
+
+        originals = [getattr(harness, name) for name in ("protocol_state", "nested_premeasure_state",
+                                                         "kraus_from_unitary")]
+        originals.append(sys.modules["turlab.linalg"].require_density)
+        for module in [m for n, m in sys.modules.items() if n == "turlab" or n.startswith("turlab.")]:
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+        records, summary = run_experiment(ExperimentConfig(seed=0, n_trials=20, shots=100))
+        assert summary.violations["sampled"]["n"] == 20
 
     def test_prefix_stability(self):
         cfg = exact_config(seed=3, n_trials=300, variants=("exact", "neumann1"))
