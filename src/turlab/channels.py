@@ -111,11 +111,10 @@ def kraus_from_unitary(u: np.ndarray, layout: SubsystemLayout, env_initial: int 
     """Build the channel of a unitary dilation, one Kraus operator per E basis state."""
     if layout.nfactors != 2:
         raise LayoutError(f"expected a two-factor (S, E) layout, got {layout.dims}")
-    u = layout.require_matches(u)
-    require_unitary(u, name="dilation unitary")
     dim_s, dim_e = layout.dims
-    ops = _extract_kraus(u, dim_s, dim_e, env_initial)
-    return KrausChannel(ops, no_jump_index=env_initial, dilation=Dilation(u, dim_e, env_initial))
+    dilation = Dilation(layout.require_matches(u), dim_e, env_initial)   # checks unitarity
+    ops = _extract_kraus(dilation.unitary, dim_s, dim_e, env_initial)
+    return KrausChannel(ops, no_jump_index=env_initial, dilation=dilation)
 
 
 def synthesize_dilation(ch: KrausChannel) -> Dilation:

@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--gamma-min", type=float, default=0.0)
     p_exp.add_argument("--gamma-max", type=float, default=0.75)
     p_exp.add_argument("--variants", default="exact,neumann1,sampled",
-                       help="comma list among exact,neumann1,sampled")
+                       help="comma list among exact,neumann1,sampled; only switches sampled "
+                            "(exact and neumann1 are always computed)")
     p_exp.add_argument("--out-dir", type=Path, required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate the correlator bound for one instance")

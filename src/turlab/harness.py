@@ -175,23 +175,22 @@ class TrialRecord:
     failure: str | None = None
 
 
-def _variant_values(c_part: float, xi: float, q: float) -> VariantValues:
+def _variant_values(c_part, xi, q) -> tuple[list[VariantValues], list[float]]:
+    """VariantValues of each element of the 1-d arrays c_part, xi, q, and their trade-off margins."""
     lower, upper, contained, report = correlator_interval(c_part, q, xi)
-    return VariantValues(
-        c_real=c_part, xi_b=xi, q_ab=q, lower=lower, upper=upper,
-        tur_lhs=report.lhs, contained=contained,
-        tur_violated=not report.holds, degenerate=report.degenerate,
-    )
+    columns = (c_part, xi, q, lower, upper, report.lhs, contained, ~report.holds, report.degenerate)
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    return [VariantValues(*row) for row in rows], report.margin.tolist()
 
 
-def _sampled_variant(main_counts: np.ndarray, nested_counts: np.ndarray) -> VariantValues:
-    """The sampled variant from the shot counts of the main and the nested circuit.
+def _sampled_estimates(main_counts: np.ndarray, nested_counts: np.ndarray) -> tuple[float, float, float]:
+    """(c, xi, q) of the sampled variant from the shot counts of the main and the nested circuit.
 
     Raises DegenerateChannel when a postselection kept no shot.
     """
     c_hat, p0_hat, t1_hat = estimate_main_circuit(main_counts)
     t2_hat = estimate_nested_circuit(nested_counts)
-    return _variant_values(c_hat, 1.0 - p0_hat, 2.0 * p0_hat * t1_hat - p0_hat * t2_hat)
+    return c_hat, 1.0 - p0_hat, 2.0 * p0_hat * t1_hat - p0_hat * t2_hat
 
 
 def _sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial_id: int):
@@ -203,7 +202,8 @@ def _sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial
         res_main = sample_shots(pm_main, config.shots, (config.seed, trial_id, 0))
         pm_nested = nested_premeasure_state(rho, ch, a, b, part="real")
         res_nested = sample_shots(pm_nested, config.shots, (config.seed, trial_id, 1))
-        return _sampled_variant(res_main.counts, res_nested.counts), None
+        c, xi, q = _sampled_estimates(res_main.counts, res_nested.counts)
+        return _variant_values([c], [xi], [q])[0][0], None
     except DegenerateChannel as exc:
         return None, str(exc)
 
@@ -212,14 +212,13 @@ def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
     rho, ch, a, b = setup.rho, setup.channel, setup.a_op, setup.b_op
 
     bound = correlator_bound(rho, ch, a, b, variant="exact", part="real")
-    sep = correlator_interval(bound.correlator_real, bound.q_ab, bound.xi_b)[3]
-    exact = _variant_values(bound.correlator_real, bound.xi_b, bound.q_ab)
+    (exact,), (margin,) = _variant_values([bound.correlator_real], [bound.xi_b], [bound.q_ab])
 
     bound_i = correlator_bound(rho, ch, a, b, variant="exact", part="imag")
     sep_i = correlator_interval(bound_i.correlator_real, bound_i.q_ab, bound_i.xi_b)[3]
 
     approx_bound = correlator_bound(rho, ch, a, b, variant="neumann1", part="real")
-    approx = _variant_values(approx_bound.correlator_real, approx_bound.xi_b, approx_bound.q_ab)
+    (approx,), _ = _variant_values([approx_bound.correlator_real], [approx_bound.xi_b], [approx_bound.q_ab])
 
     # General trade-off instance: the protocol observable embedded on R+P+E.
     sigma_pb = _entry_state(rho, b)
@@ -241,7 +240,7 @@ def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
         general_tur_holds=general.holds,
         contained_imag=bound_i.holds,
         sep_tur_holds_imag=sep_i.holds,
-        tur_margin=sep.margin,
+        tur_margin=margin,
         bound_gap=abs(bound.upper - approx_bound.upper),
         failure=failure,
     )
@@ -448,36 +447,38 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     q_approx = 2.0 * p0 * _trace(rho_v0 @ g_re).real - p0 * _trace(rho_v0 @ g_re @ ww).real
     mean, var, q_g = _general_tur_terms(sigma, v, w_inv @ _dag(v0), g_re)
 
-    c_re, c_im, xi, p0, q_re, q_im, q_approx, mean, var, q_g = (
-        x.tolist() for x in (c.real, c.imag, xi, p0, q_re, q_im, q_approx, mean, var, q_g))
-    sampling = "sampled" in config.variants and config.shots > 0
-    if sampling:
+    exact, margins = _variant_values(c.real, xi, q_re)
+    approx, _ = _variant_values(c.real, 1.0 - p0, q_approx)
+    _, _, contained_imag, sep_imag = correlator_interval(c.imag, q_im, xi)
+    contained_imag, sep_holds_imag = contained_imag.tolist(), sep_imag.holds.tolist()
+    general_holds = _tur_report(mean, var, q_g, xi).holds.tolist()
+    sampled, failures = [None] * len(draws), [None] * len(draws)
+    if "sampled" in config.variants and config.shots > 0:
         main_probs, nested_probs = _premeasure_probabilities(psi, u, a_k, b_k)
-    records = []
-    for n, (trial_id, (thetas, gamma, a_idx, b_idx)) in enumerate(zip(trial_ids, draws)):
-        exact = _variant_values(c_re[n], xi[n], q_re[n])
-        approx = _variant_values(c_re[n], 1.0 - p0[n], q_approx[n])
-        imag = _variant_values(c_im[n], xi[n], q_im[n])
-        sampled = failure = None
-        if sampling:
+        estimates = {}
+        for n, trial_id in enumerate(trial_ids):
             try:
-                sampled = _sampled_variant(
+                estimates[n] = _sampled_estimates(
                     _multinomial_counts(main_probs[n], config.shots, (config.seed, trial_id, 0)),
                     _multinomial_counts(nested_probs[n], config.shots, (config.seed, trial_id, 1)))
             except DegenerateChannel as exc:
-                failure = str(exc)
-        records.append(TrialRecord(
+                failures[n] = str(exc)
+        for n, values in zip(estimates, _variant_values(*np.reshape(list(estimates.values()), (-1, 3)).T)[0]):
+            sampled[n] = values
+    return [
+        TrialRecord(
             trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx,
-            exact=exact, approx=approx, sampled=sampled,
-            shots=config.shots if sampled is not None else 0, postselect_p0=1.0 - approx.xi_b,
-            general_tur_holds=_tur_report(mean[n], var[n], q_g[n], xi[n]).holds,
-            contained_imag=imag.contained,
-            sep_tur_holds_imag=not imag.tur_violated,
-            tur_margin=correlator_interval(c_re[n], q_re[n], xi[n])[3].margin,
-            bound_gap=abs(exact.upper - approx.upper),
-            failure=failure,
-        ))
-    return records
+            exact=exact[n], approx=approx[n], sampled=sampled[n],
+            shots=config.shots if sampled[n] is not None else 0, postselect_p0=1.0 - approx[n].xi_b,
+            general_tur_holds=general_holds[n],
+            contained_imag=contained_imag[n],
+            sep_tur_holds_imag=sep_holds_imag[n],
+            tur_margin=margins[n],
+            bound_gap=abs(exact[n].upper - approx[n].upper),
+            failure=failures[n],
+        )
+        for n, (trial_id, (thetas, gamma, a_idx, b_idx)) in enumerate(zip(trial_ids, draws))
+    ]
 
 
 @dataclass(frozen=True)

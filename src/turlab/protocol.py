@@ -177,17 +177,22 @@ class BoundReport:
     part: str = "real"
 
 
-def correlator_interval(c: float, q: float, xi: float) -> tuple[float, float, bool, TurReport]:
+def correlator_interval(c, q, xi) -> tuple[float, float, bool, TurReport]:
     """(lower, upper, contained, trade-off) for one component c of C(T).
 
     The interval is Q -+ sqrt(Xi) and contains c within TUR_SLACK. The
     trade-off is the separable one of the protocol observable G, which is
-    Hermitian and unitary, so Var[G] = 1 - c^2.
+    Hermitian and unitary, so Var[G] = 1 - c^2. Like _tur_report, it takes
+    floats or equal-shape arrays and returns Python values or arrays.
     """
-    half = math.sqrt(max(xi, 0.0))
+    c, q, xi = (np.asarray(x, dtype=float) for x in (c, q, xi))
+    half = np.sqrt(np.maximum(xi, 0.0))
     lower, upper = q - half, q + half
-    contained = (lower - TUR_SLACK) <= c <= (upper + TUR_SLACK)
-    return lower, upper, contained, _tur_report(c, 1.0 - c * c, q, xi)
+    contained = (lower - TUR_SLACK <= c) & (c <= upper + TUR_SLACK)
+    report = _tur_report(c, 1.0 - c * c, q, xi)
+    if c.ndim == 0:
+        return lower.item(), upper.item(), contained.item(), report
+    return lower, upper, contained, report
 
 
 def approx_bound_quantities(

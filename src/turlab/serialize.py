@@ -1,16 +1,16 @@
 """Machine-readable input/output formats.
 
 Complex numbers are serialized as [re, im] pairs, matrices as row-major lists
-of rows. CSV files are RFC-4180 style with a mandatory header row and numbers
-printed with 17 significant digits, so CSV and JSON duals round-trip to the
-same values.
+of rows. CSV files are RFC-4180 style with a mandatory header row and floats
+printed with 17 significant digits (0.10000000000000001); JSON floats are the
+shortest repr that round-trips (0.1). Both read back to the same doubles.
+Non-finite floats are inf, -inf and nan in CSV and the strings "inf", "-inf"
+and "nan" in JSON; a disabled cell is empty in CSV and null in JSON.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 from datetime import datetime, timezone
@@ -103,45 +103,60 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
-
-
 def _variant_cells(v: VariantValues | None) -> list:
     if v is None:
         return [None] * 6
     return [v.c_real, v.xi_b, v.q_ab, v.lower, v.upper, v.tur_lhs]
 
 
-def record_row(r: TrialRecord) -> dict:
-    row: dict = {"trial_id": r.trial_id, "gamma": r.gamma}
-    for i, t in enumerate(r.thetas, start=1):
-        row[f"theta_{i}"] = t
-    row["a_i"], row["a_j"] = r.a_idx
-    row["b_i"], row["b_j"] = r.b_idx
-    for variant, values in (("exact", r.exact), ("approx", r.approx), ("sampled", r.sampled)):
-        for name, cell in zip(("c_real", "xi_b", "q_ab", "lower", "upper", "tur_lhs"), _variant_cells(values)):
-            row[f"{name}_{variant}"] = cell
-    row["postselect_p0"] = r.postselect_p0
-    row["violated_exact"] = r.exact.tur_violated
-    row["violated_sampled"] = None if r.sampled is None else r.sampled.tur_violated
-    return row
+def _record_cells(r: TrialRecord) -> list:
+    """The cells of one record in CSV_COLUMNS order: floats, ints, bools or None."""
+    return [
+        r.trial_id, r.gamma, *r.thetas, *r.a_idx, *r.b_idx,
+        *_variant_cells(r.exact), *_variant_cells(r.approx), *_variant_cells(r.sampled),
+        r.postselect_p0, r.exact.tur_violated, None if r.sampled is None else r.sampled.tur_violated,
+    ]
+
+
+def _csv_cell(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(x)
+
+
+_JSON_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
+def _json_cell(x) -> str:
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _JSON_NON_FINITE.get(text, text)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return int.__repr__(x)
 
 
 def trials_csv_text(records: list[TrialRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        row = record_row(r)
-        writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
-    return buf.getvalue()
+    # No cell holds a comma, quote or newline, so no cell needs quoting.
+    rows = [",".join(CSV_COLUMNS)] + [",".join(map(_csv_cell, _record_cells(r))) for r in records]
+    return "\n".join(rows) + "\n"
+
+
+_JSON_KEYS = tuple(f'      {json.dumps(c)}: ' for c in CSV_COLUMNS)
+
+
+def trials_json_text(records: list[TrialRecord]) -> str:
+    """dumps_json({"trials": [row, ...]}) of the records, without building the row dicts."""
+    if not records:
+        return dumps_json({"trials": []})
+    rows = (",\n".join(map(str.__add__, _JSON_KEYS, map(_json_cell, _record_cells(r)))) for r in records)
+    return '{\n  "trials": [\n    {\n' + "\n    },\n    {\n".join(rows) + "\n    }\n  ]\n}\n"
 
 
 def _json_default(o):
@@ -165,10 +180,6 @@ def _sanitize(x):
 
 def dumps_json(obj) -> str:
     return json.dumps(_sanitize(obj), indent=2, sort_keys=False, default=_json_default, allow_nan=False) + "\n"
-
-
-def trials_json_text(records: list[TrialRecord]) -> str:
-    return dumps_json({"trials": [record_row(r) for r in records]})
 
 
 def summary_json_text(summary: RunSummary) -> str:

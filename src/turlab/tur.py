@@ -262,25 +262,23 @@ class TurReport:
         return self.variance * self.xi / (self.mean - self.q_baseline) ** 2
 
 
-def _tur_report(mean: float, variance: float, q: float, xi: float) -> TurReport:
-    degenerate = abs(mean - q) <= DEGENERATE_MEAN_ATOL
-    if degenerate:
-        lhs = math.inf
-    else:
-        lhs = max(variance, 0.0) / (mean - q) ** 2
-    rhs = 1.0 / xi if xi > P0_CUTOFF else math.inf
-    if degenerate:
-        holds, margin = True, math.inf
-    elif math.isinf(rhs):
-        # xi = 0 forces <G> = Q exactly; reaching here means both are at noise level.
-        holds, margin = math.isinf(lhs), math.inf if math.isinf(lhs) else -math.inf
-    else:
-        margin = lhs - rhs
-        holds = margin >= -TUR_SLACK
-    return TurReport(
-        mean=mean, variance=variance, q_baseline=q, xi=xi,
-        lhs=lhs, rhs=rhs, holds=holds, margin=margin, degenerate=degenerate,
-    )
+def _tur_report(mean, variance, q, xi) -> TurReport:
+    """The trade-off report of floats, or elementwise of equal-shape arrays.
+
+    Float arguments give Python floats and bools, array arguments arrays. The
+    square is float_power, the libm pow of Python's ``x ** 2``, not numpy's x*x.
+    """
+    mean, variance, q, xi = (np.asarray(x, dtype=float) for x in (mean, variance, q, xi))
+    with np.errstate(all="ignore"):
+        degenerate = np.abs(mean - q) <= DEGENERATE_MEAN_ATOL
+        lhs = np.where(degenerate, math.inf, np.maximum(variance, 0.0) / np.float_power(mean - q, 2.0))
+        rhs = np.where(xi > P0_CUTOFF, 1.0 / xi, math.inf)
+        # xi = 0 forces <G> = Q exactly; a finite lhs there means both are at noise level.
+        no_rhs = np.isinf(rhs) & ~degenerate
+        margin = np.where(degenerate | (no_rhs & np.isinf(lhs)), math.inf, np.where(no_rhs, -math.inf, lhs - rhs))
+    holds = margin >= -TUR_SLACK
+    fields = (mean, variance, q, xi, lhs, rhs, holds, margin, degenerate)
+    return TurReport(*((f.item() for f in fields) if mean.ndim == 0 else fields))
 
 
 def mean_and_variance(g: np.ndarray, state: np.ndarray) -> tuple[float, float]:

@@ -1,5 +1,10 @@
+import math
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import amplitude_damping
@@ -8,8 +13,13 @@ from turlab.channels import KrausChannel, apply, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
 from turlab.gates import SIGMA_Z
 from turlab.linalg import SubsystemLayout, dag, outer, partial_trace
+from turlab.protocol import correlator_interval
 from turlab.random_ops import random_channel, random_density, random_hermitian
 from turlab.tur import (
+    DEGENERATE_MEAN_ATOL,
+    P0_CUTOFF,
+    TUR_SLACK,
+    _tur_report,
     check_general_tur,
     check_observable_evolution_bound,
     classical_correlation_bound,
@@ -349,3 +359,69 @@ class TestClassicalCorrelationBound:
             rho = random_density(2, rng)
             lo, val, hi = classical_correlation_bound(ch, rho, random_hermitian(2, rng), random_hermitian(2, rng))
             assert lo - 1e-9 <= val <= hi + 1e-9
+
+
+def python_tur_report(mean, variance, q, xi):
+    """(lhs, rhs, holds, margin, degenerate) in Python float arithmetic, one instance at a time."""
+    degenerate = abs(mean - q) <= DEGENERATE_MEAN_ATOL
+    lhs = math.inf if degenerate else max(variance, 0.0) / (mean - q) ** 2
+    rhs = 1.0 / xi if xi > P0_CUTOFF else math.inf
+    if degenerate:
+        holds, margin = True, math.inf
+    elif math.isinf(rhs):
+        holds, margin = math.isinf(lhs), math.inf if math.isinf(lhs) else -math.inf
+    else:
+        margin = lhs - rhs
+        holds = margin >= -TUR_SLACK
+    return lhs, rhs, holds, margin, degenerate
+
+
+MARGIN_ROW = (1.0, 2.0**-29 - TUR_SLACK, 0.0, 2.0**29)   # lhs - rhs is exactly -TUR_SLACK
+SQUARE_ROW = (0.7257718954826365, 0.3, 0.0, 0.5)         # pow(mean - q, 2) != (mean - q) * (mean - q)
+BOUNDARY_ROWS = [                                        # (mean, variance, q, xi)
+    (DEGENERATE_MEAN_ATOL, 0.5, 0.0, 1.0),
+    (-DEGENERATE_MEAN_ATOL, 0.5, 0.0, 1.0),
+    (0.3, 0.5, 0.1, 0.0),
+    (0.3, 0.5, 0.1, P0_CUTOFF),
+    (0.3, 0.5, 0.1, -0.25),
+    (1e-5, 1e300, 0.0, 0.0),                             # infinite lhs without a finite rhs
+    (0.2, 0.5, 0.2, 0.0),
+    MARGIN_ROW,
+    SQUARE_ROW,
+]
+_values = st.floats(-3.0, 3.0)
+TUR_ROWS = st.one_of(
+    st.tuples(_values, st.floats(-1.0, 3.0), _values,
+              st.one_of(st.floats(-0.5, 50.0), st.sampled_from([0.0, P0_CUTOFF, -1e-3]))),
+    st.sampled_from(BOUNDARY_ROWS),
+)
+REPORT_TYPES = [float] * 6 + [bool, float, bool]   # TurReport field order
+
+
+def test_boundary_rows_sit_on_their_boundaries():
+    assert abs(BOUNDARY_ROWS[0][0] - BOUNDARY_ROWS[0][2]) == DEGENERATE_MEAN_ATOL
+    report = _tur_report(*MARGIN_ROW)
+    assert report.margin == -TUR_SLACK and report.holds
+    d = SQUARE_ROW[0] - SQUARE_ROW[2]
+    assert d ** 2 != d * d
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rows=st.lists(TUR_ROWS, min_size=1, max_size=10))
+@example(rows=BOUNDARY_ROWS)
+def test_array_reports_equal_scalar_reports(rows):
+    """_tur_report and correlator_interval over arrays equal their float calls, which give Python values."""
+    mean, variance, q, xi = (np.array(column) for column in zip(*rows))
+    reports = _tur_report(mean, variance, q, xi)
+    intervals = correlator_interval(mean, q, xi)
+    names = [f.name for f in fields(reports)]
+    for n, row in enumerate(rows):
+        one = _tur_report(*row)
+        assert [type(x) for x in astuple(one)] == REPORT_TYPES
+        assert astuple(one) == tuple(getattr(reports, name)[n].item() for name in names)
+        assert (one.lhs, one.rhs, one.holds, one.margin, one.degenerate) == python_tur_report(*row)
+        lower, upper, contained, sep = correlator_interval(row[0], row[2], row[3])
+        assert [type(x) for x in (lower, upper, contained)] == [float, float, bool]
+        assert (lower, upper, contained) == tuple(x[n].item() for x in intervals[:3])
+        assert [type(x) for x in astuple(sep)] == REPORT_TYPES
+        assert astuple(sep) == tuple(getattr(intervals[3], name)[n].item() for name in names)
