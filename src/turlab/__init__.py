@@ -13,14 +13,12 @@ from .linalg import (
     SpectralDecomposition,
     SubsystemLayout,
     embed_operator,
-    hermitian_function,
     hermitian_inverse,
     hermitian_sqrt,
     partial_trace,
     polar_unitary,
     project_factor,
     spectral,
-    tensor_product,
 )
 from .channels import (
     Dilation,
@@ -59,7 +57,6 @@ from .protocol import (
     approx_bound_quantities,
     correlator_bound,
     exact_correlator,
-    nested_expectation,
     protocol_correlator,
     protocol_state,
     sample_shots,

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import AdmissibilityError, ContractError, LayoutError, SingularOperator
 from .linalg import (
     SubsystemLayout,
+    _hermitian_sqrt,
     dag,
-    hermitian_sqrt,
     inverse,
     max_abs,
     polar_unitary,
@@ -159,6 +159,10 @@ def heisenberg(ch: KrausChannel, a: np.ndarray) -> np.ndarray:
     a = require_hermitian(a, name="observable")
     if a.shape[0] != ch.dim:
         raise LayoutError(f"observable dimension {a.shape[0]} != channel dimension {ch.dim}")
+    return _heisenberg(ch, a)
+
+
+def _heisenberg(ch: KrausChannel, a: np.ndarray) -> np.ndarray:
     return sum(dag(v) @ a @ v for v in ch.operators)
 
 
@@ -189,7 +193,7 @@ def perturbed_kraus(ch: KrausChannel, theta: float) -> PerturbedChannel:
         )
     u_v = polar_unitary(ch.v0)
     d = ch.dim
-    v0_theta = u_v @ hermitian_sqrt(np.eye(d) - np.exp(theta) * jump)
+    v0_theta = u_v @ _hermitian_sqrt(np.eye(d) - np.exp(theta) * jump)
     scale = np.exp(theta / 2.0)
     ops = tuple(
         v0_theta if i == ch.no_jump_index else scale * v

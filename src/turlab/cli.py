@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -16,7 +17,7 @@ from pathlib import Path
 from ._version import __version__
 from .errors import ContractError, DegenerateChannel, SingularOperator
 from .harness import ExperimentConfig, run_experiment
-from .protocol import correlator_bound, correlator_interval
+from .protocol import _bound_and_tradeoff, separable_tur_protocol_check
 from .serialize import (
     SpecParseError,
     channel_from_spec,
@@ -42,7 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args keeps no state in it between calls."""
     parser = _Parser(prog="turlab", description="TPCP-map thermodynamic trade-off toolkit")
     parser.add_argument("--version", action="version", version=f"turlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -179,10 +182,9 @@ def _cmd_bound(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        bound = correlator_bound(rho, channel, a, b, variant=args.variant, part=args.part)
-        # separable_tur_protocol_check's report, read off one exact bound evaluation
-        exact = bound if args.variant == "exact" else correlator_bound(rho, channel, a, b, part=args.part)
-        tur = correlator_interval(exact.correlator_real, exact.q_ab, exact.xi_b)[3]
+        bound, tur = _bound_and_tradeoff(rho, channel, a, b, args.variant, args.part)
+        if args.variant != "exact":   # the trade-off reported is always the exact interval's
+            tur = separable_tur_protocol_check(rho, channel, a, b, part=args.part)
     except (SingularOperator, DegenerateChannel) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -194,9 +196,8 @@ def _cmd_bound(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command == "verify":

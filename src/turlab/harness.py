@@ -11,7 +11,8 @@ Each trial draws twelve rotation angles and an interaction strength gamma:
     uniformly from the fifteen non-identity Pauli pairs.
 
 Every trial is a deterministic function of (seed, trial_id); shot sampling uses
-independent counter-based substreams so repeated runs are bit-identical.
+independent counter-based substreams so repeated runs are bit-identical. The
+inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import numpy as np
 
 from .channels import COMPLETENESS_ATOL, KrausChannel, kraus_from_unitary
 from .errors import ContractError, DegenerateChannel, SingularOperator
-from .gates import HADAMARD, I2, KET0, P0, P1, controlled, kron_all, pauli_pair, rx, ry
+from .gates import HADAMARD, I2, controlled, kron_all, pauli_pair
 from .linalg import EIGENVALUE_GROUP_TOL, HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, outer
 from .protocol import (
     PARTS,
     _ancilla_pullback,
+    _bound_and_tradeoff,
     _entry_state,
     _main_gates,
     _multinomial_counts,
@@ -98,22 +100,6 @@ class TrialSetup:
     b_op: np.ndarray
 
 
-def preparation_state(thetas) -> np.ndarray:
-    """Pure two-qubit state of the four-rotation preparation circuit."""
-    t1, t2, t3, t4 = thetas[:4]
-    psi = np.kron(ry(t2) @ rx(t1) @ KET0, ry(t4) @ rx(t3) @ KET0)
-    return outer(psi)
-
-
-def dilation_unitary(thetas, gamma: float) -> np.ndarray:
-    """8x8 dilation on S1 (x) S2 (x) E with a controlled-RY(pi*gamma) coupling."""
-    t5, t6, t7, t8, t9, t10, t11, t12 = thetas[4:12]
-    layer1 = kron_all(ry(t6) @ rx(t5), ry(t8) @ rx(t7), I2)
-    coupling = kron_all(P0, I2, I2) + kron_all(P1, I2, ry(math.pi * gamma))
-    layer2 = kron_all(ry(t10) @ rx(t9), ry(t12) @ rx(t11), I2)
-    return layer2 @ coupling @ layer1
-
-
 def _draw_pauli_pair(rng: np.random.Generator) -> tuple[int, int]:
     k = int(rng.integers(1, 16))  # 1..15 skips the identity pair
     return k // 4, k % 4
@@ -129,15 +115,7 @@ def _draw_inputs(config: ExperimentConfig, trial_id: int):
 
 def generate_trial(config: ExperimentConfig, trial_id: int) -> TrialSetup:
     """Deterministic trial inputs for (config.seed, trial_id)."""
-    thetas, gamma, a_idx, b_idx = _draw_inputs(config, trial_id)
-    rho = preparation_state(thetas)
-    channel = kraus_from_unitary(
-        dilation_unitary(thetas, gamma), _SE_LAYOUT, env_initial=0
-    )
-    return TrialSetup(
-        trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx,
-        rho=rho, channel=channel, a_op=pauli_pair(*a_idx), b_op=pauli_pair(*b_idx),
-    )
+    return _trial_setups(config, [trial_id])[0]
 
 
 @dataclass(frozen=True)
@@ -214,8 +192,7 @@ def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
     bound = correlator_bound(rho, ch, a, b, variant="exact", part="real")
     (exact,), (margin,) = _variant_values([bound.correlator_real], [bound.xi_b], [bound.q_ab])
 
-    bound_i = correlator_bound(rho, ch, a, b, variant="exact", part="imag")
-    sep_i = correlator_interval(bound_i.correlator_real, bound_i.q_ab, bound_i.xi_b)[3]
+    bound_i, sep_i = _bound_and_tradeoff(rho, ch, a, b, "exact", "imag")
 
     approx_bound = correlator_bound(rho, ch, a, b, variant="neumann1", part="real")
     (approx,), _ = _variant_values([approx_bound.correlator_real], [approx_bound.xi_b], [approx_bound.q_ab])
@@ -255,6 +232,7 @@ def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
 CHUNK_TRIALS = 128   # fixed so that peak memory does not grow with --trials
 
 _PAULI_PAIRS = np.stack([pauli_pair(k // 4, k % 4) for k in range(16)])   # row 4 i + j
+_PAULI_PAIRS.setflags(write=False)   # TrialSetup.a_op and b_op are views of its rows
 _CONTROLLED_PAIRS = np.stack([controlled(p) for p in _PAULI_PAIRS])
 _PULLBACKS = {part: np.stack([_ancilla_pullback(p, part) for p in _PAULI_PAIRS]) for part in PARTS}
 _CONTROLLED_PULLBACKS = np.stack([controlled(g) for g in _PULLBACKS["real"]])
@@ -290,7 +268,7 @@ def _qubit_gates(thetas: np.ndarray) -> np.ndarray:
 
 
 def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked preparation vectors (N, 4), preparation_state (N, 4, 4) and dilation_unitary (N, 8, 8)."""
+    """Stacked preparation vectors (N, 4), their density matrices (N, 4, 4) and dilation unitaries (N, 8, 8)."""
     g = _qubit_gates(thetas)
     psi = _kron(g[:, 0, :, :1], g[:, 1, :, :1])[..., 0]
     rho = psi[:, :, None] * psi.conj()[:, None, :]
@@ -305,6 +283,27 @@ def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray,
     layer1 = _kron(_kron(g[:, 2], g[:, 3]), I2)
     layer2 = _kron(_kron(g[:, 4], g[:, 5]), I2)
     return psi, rho, layer2 @ coupling @ layer1
+
+
+def _draw_stacked(config: ExperimentConfig, trial_ids):
+    """The draws of each id, the Pauli-pair rows of A and B, and _stacked_inputs of the draws."""
+    draws = [_draw_inputs(config, i) for i in trial_ids]
+    a_k = np.array([4 * i + j for _, _, (i, j), _ in draws])
+    b_k = np.array([4 * i + j for _, _, _, (i, j) in draws])
+    return (draws, a_k, b_k) + _stacked_inputs(np.array([d[0] for d in draws]), np.array([d[1] for d in draws]))
+
+
+def _trial_setups(config: ExperimentConfig, trial_ids) -> list[TrialSetup]:
+    """generate_trial(config, i) for each id, the inputs of all of them built in one stacked pass."""
+    draws, a_k, b_k, _, rho, u = _draw_stacked(config, trial_ids)
+    return [
+        TrialSetup(
+            trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx, rho=rho[n],
+            channel=kraus_from_unitary(u[n], _SE_LAYOUT, env_initial=0),
+            a_op=_PAULI_PAIRS[a_k[n]], b_op=_PAULI_PAIRS[b_k[n]],
+        )
+        for n, (trial_id, (thetas, gamma, a_idx, b_idx)) in enumerate(zip(trial_ids, draws))
+    ]
 
 
 def _stacked_hermitian_inverse(m: np.ndarray) -> np.ndarray:
@@ -405,10 +404,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     operation, so the records match evaluate_trial's to the last bit, not
     just within a tolerance.
     """
-    draws = [_draw_inputs(config, i) for i in trial_ids]
-    a_k = np.array([4 * i + j for _, _, (i, j), _ in draws])
-    b_k = np.array([4 * i + j for _, _, _, (i, j) in draws])
-    psi, rho, u = _stacked_inputs(np.array([d[0] for d in draws]), np.array([d[1] for d in draws]))
+    draws, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids)
     v = np.ascontiguousarray(u.reshape(-1, 4, 2, 4, 2)[..., 0].transpose(0, 2, 1, 3))   # [m, S, S]
     v0 = v[:, 0]
     w = _dag(v0) @ v0

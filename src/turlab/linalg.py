@@ -28,13 +28,6 @@ PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    out = np.asarray(m, dtype=complex)
-    if out.ndim != 2:
-        raise ContractError(f"expected a 2-D matrix, got ndim={out.ndim}")
-    return out
-
-
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
@@ -45,7 +38,9 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = as_complex_matrix(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise ContractError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] != m.shape[1]:
         raise ContractError(f"{name} must be square, got shape {m.shape}")
     return m
@@ -125,15 +120,6 @@ class SubsystemLayout:
         if m.shape[0] != self.dim:
             raise LayoutError(f"matrix dimension {m.shape[0]} != layout product {self.dim} {self.dims}")
         return m
-
-    def drop(self, factor: int) -> "SubsystemLayout":
-        keep = [i for i in range(self.nfactors) if i != factor]
-        return SubsystemLayout(tuple(self.dims[i] for i in keep), tuple(self.labels[i] for i in keep))
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the slow (left) factor."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def partial_trace(m: np.ndarray, layout: SubsystemLayout, keep: Iterable[int]) -> np.ndarray:
@@ -218,7 +204,11 @@ class SpectralDecomposition:
 
 def spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    m = require_hermitian(m)
+    return _spectral(require_hermitian(m), group_tol)
+
+
+def _spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> SpectralDecomposition:
+    """spectral of a complex matrix known to be Hermitian up to rounding (it is symmetrised)."""
     w, v = np.linalg.eigh((m + dag(m)) / 2.0)
     w, v = w[::-1], v[:, ::-1]
     values: list[float] = []
@@ -235,14 +225,13 @@ def spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> Spectral
     return SpectralDecomposition(tuple(values), tuple(projectors))
 
 
-def hermitian_function(m: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix through its spectrum."""
-    return spectral(m).apply(f)
-
-
 def hermitian_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian matrix; SingularOperator if any eigenvalue is ~0."""
-    s = spectral(m)
+    return _hermitian_inverse(require_hermitian(m))
+
+
+def _hermitian_inverse(m: np.ndarray) -> np.ndarray:
+    s = _spectral(m)
     smallest = min(s.eigenvalues, key=abs)
     if abs(smallest) <= SINGULAR_CUTOFF:
         raise SingularOperator("matrix is singular, inverse undefined", eigenvalue=smallest)
@@ -251,7 +240,11 @@ def hermitian_inverse(m: np.ndarray) -> np.ndarray:
 
 def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix (eigenvalues >= -1e-12, clamped)."""
-    s = spectral(m)
+    return _hermitian_sqrt(require_hermitian(m))
+
+
+def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
+    s = _spectral(m)
     lo = min(s.eigenvalues)
     if lo < -SINGULAR_CUTOFF:
         raise ContractError(f"matrix is not PSD: eigenvalue {lo:.3e}")
@@ -261,13 +254,13 @@ def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
 def inverse(v: np.ndarray) -> np.ndarray:
     """Inverse of a general square matrix via (v^dag v)^-1 v^dag."""
     v = require_square(v)
-    return hermitian_inverse(dag(v) @ v) @ dag(v)
+    return _hermitian_inverse(dag(v) @ v) @ dag(v)
 
 
 def polar_unitary(v: np.ndarray) -> np.ndarray:
     """Unitary factor U of the polar decomposition v = U sqrt(v^dag v)."""
     v = require_square(v)
-    s = spectral(dag(v) @ v)
+    s = _spectral(dag(v) @ v)
     lo = min(s.eigenvalues)
     if lo <= SINGULAR_CUTOFF:
         raise SingularOperator("polar decomposition needs nonsingular v^dag v", eigenvalue=lo)

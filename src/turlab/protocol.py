@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, ensure_dilation, heisenberg
+from .channels import KrausChannel, _heisenberg, ensure_dilation
 from .errors import ContractError, DegenerateChannel, LayoutError
 from .gates import HADAMARD, S_GATE, SIGMA_X, SIGMA_Y, controlled
 from .linalg import (
@@ -37,19 +37,25 @@ from .linalg import (
     require_density,
     require_hermitian,
 )
-from .tur import P0_CUTOFF, TUR_SLACK, TurReport, _tur_report, separable_baseline, survival_activity
+from .tur import P0_CUTOFF, TUR_SLACK, TurReport, _survival_activity, _tur_report, separable_baseline
 
 STAGES = ("prepared", "after_UB", "after_channel", "after_UA", "premeasure")
 _STAGE_GATES = dict(zip(STAGES, (0, 2, 3, 4, 5)))   # gates of protocol_state's list applied by each stage
 PARTS = ("real", "imag")
 
 
-def require_hermitian_unitary(m: np.ndarray, name: str) -> np.ndarray:
-    m = require_hermitian(m, name=name)
-    err = max_abs(dag(m) @ m - np.eye(m.shape[0]))
-    if err > 1e-10:
-        raise ContractError(f"{name} must be unitary (Pauli-string class): |M^dag M - I| = {err:.3e}")
-    return m
+def _require_inputs(rho, ch: KrausChannel, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, A, B) checked as a density matrix and two Hermitian unitaries on the channel's system."""
+    checked = [require_density(rho)]
+    for m, name in ((a, "A"), (b, "B")):
+        m = require_hermitian(m, name=name)
+        err = max_abs(dag(m) @ m - np.eye(m.shape[0]))
+        if err > 1e-10:
+            raise ContractError(f"{name} must be unitary (Pauli-string class): |M^dag M - I| = {err:.3e}")
+        checked.append(m)
+    if any(m.shape[0] != ch.dim for m in checked):
+        raise LayoutError("rho, A, B must act on the channel's system")
+    return tuple(checked)
 
 
 @dataclass(frozen=True)
@@ -110,12 +116,8 @@ def protocol_state(
     """Evolve the protocol register up to the requested stage."""
     if stage not in STAGES:
         raise ContractError(f"unknown stage {stage!r}")
-    rho = require_density(rho)
-    a = require_hermitian_unitary(a, "A")
-    b = require_hermitian_unitary(b, "B")
+    rho, a, b = _require_inputs(rho, ch, a, b)
     ch = ensure_dilation(ch)
-    if rho.shape[0] != ch.dim or a.shape[0] != ch.dim or b.shape[0] != ch.dim:
-        raise LayoutError("rho, A, B must act on the channel's system")
     dil = ch.dilation
     layout = SubsystemLayout((2, ch.dim, dil.env_dim), ("S'", "S", "E"))
     gates = _main_gates(controlled(b), dil.unitary, controlled(a), _readout_rotation(part))
@@ -127,10 +129,12 @@ def protocol_state(
 
 def exact_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
     """C(T) = Tr[rho A(T) B] with A(T) the Heisenberg-evolved observable."""
-    rho = require_density(rho)
-    a = require_hermitian_unitary(a, "A")
-    b = require_hermitian_unitary(b, "B")
-    return complex(np.trace(rho @ heisenberg(ch, a) @ b))
+    rho, a, b = _require_inputs(rho, ch, a, b)
+    return _exact_correlator(rho, ch, a, b)
+
+
+def _exact_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
+    return complex(np.trace(rho @ _heisenberg(ch, a) @ b))
 
 
 def protocol_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
@@ -208,9 +212,11 @@ def approx_bound_quantities(
     Q ~ 2 p_0 T_1 - p_0 T_2 with T_1 = Tr[rho^V0 G] and
     T_2 = Re Tr[rho^V0 G V_0 V_0^dag].
     """
-    a = require_hermitian_unitary(a, "A")
-    b = require_hermitian_unitary(b, "B")
-    rho = require_density(rho)
+    rho, a, b = _require_inputs(rho, ch, a, b)
+    return _approx_bound_quantities(rho, ch, a, b, part)
+
+
+def _approx_bound_quantities(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray, part: str):
     g_p = _ancilla_pullback(a, part)
     p0, rho_v0, _ = separable_baseline(_entry_state(rho, b), ch.v0, g_p)
     t1 = float(np.trace(rho_v0 @ g_p).real)
@@ -235,24 +241,27 @@ def correlator_bound(
     first-order surrogates of approx_bound_quantities. The interval half-width
     is sqrt(Xi_B) (variance of the unitary-Hermitian G capped at 1).
     """
+    return _bound_and_tradeoff(rho, ch, a, b, variant, part)[0]
+
+
+def _bound_and_tradeoff(rho, ch: KrausChannel, a, b, variant: str, part: str) -> tuple[BoundReport, TurReport]:
+    """correlator_bound and the separable trade-off of the same interval evaluation."""
     if variant not in ("exact", "neumann1"):
         raise ContractError(f"unknown variant {variant!r}")
-    a = require_hermitian_unitary(a, "A")
-    b = require_hermitian_unitary(b, "B")
-    rho = require_density(rho)
-    c = exact_correlator(rho, ch, a, b)
+    rho, a, b = _require_inputs(rho, ch, a, b)
+    c = _exact_correlator(rho, ch, a, b)
     c_part = c.real if part == "real" else c.imag
     if variant == "exact":
         sigma_pb = _entry_state(rho, b)
         _, _, q = separable_baseline(sigma_pb, ch.v0, _ancilla_pullback(a, part))
-        xi_b = survival_activity(partial_trace(sigma_pb, SubsystemLayout((2, ch.dim)), keep=[1]), ch)
+        xi_b = _survival_activity(partial_trace(sigma_pb, SubsystemLayout((2, ch.dim)), keep=[1]), ch)
     else:
-        xi_b, q = approx_bound_quantities(rho, ch, a, b, part=part)
-    lower, upper, holds, _ = correlator_interval(c_part, q, xi_b)
+        xi_b, q = _approx_bound_quantities(rho, ch, a, b, part)
+    lower, upper, holds, tur = correlator_interval(c_part, q, xi_b)
     return BoundReport(
         correlator_real=c_part, q_ab=q, xi_b=xi_b, lower=lower, upper=upper,
         holds=holds, approx_variant=variant, part=part,
-    )
+    ), tur
 
 
 def separable_tur_protocol_check(
@@ -263,8 +272,7 @@ def separable_tur_protocol_check(
     part: str = "real",
 ) -> TurReport:
     """Separable trade-off for the protocol observable G (Var[G] = 1 - <G>^2)."""
-    bound = correlator_bound(rho, ch, a, b, variant="exact", part=part)
-    return correlator_interval(bound.correlator_real, bound.q_ab, bound.xi_b)[3]
+    return _bound_and_tradeoff(rho, ch, a, b, "exact", part)[1]
 
 
 @dataclass(frozen=True)
@@ -304,16 +312,6 @@ def nested_run(
     return NestedRun(value=estimate_nested_circuit(probs, e0), p_first=p_first, p_second=p_second)
 
 
-def nested_expectation(
-    rho: np.ndarray,
-    ch: KrausChannel,
-    a: np.ndarray,
-    b: np.ndarray,
-    part: str = "real",
-) -> float:
-    return nested_run(rho, ch, a, b, part=part).value
-
-
 def nested_premeasure_state(
     rho: np.ndarray,
     ch: KrausChannel,
@@ -326,9 +324,7 @@ def nested_premeasure_state(
     Register order S2' (x) S' (x) S (x) E1 (x) E2. The sampled estimator of the
     nested term is the mean of sign(S2') * [E2 = e0] over shots with E1 = e0.
     """
-    a = require_hermitian_unitary(a, "A")
-    b = require_hermitian_unitary(b, "B")
-    rho = require_density(rho)
+    rho, a, b = _require_inputs(rho, ch, a, b)
     ch = ensure_dilation(ch)
     dil = ch.dilation
     d_s, d_e, e0 = ch.dim, dil.env_dim, dil.env_initial

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, dv0_dtheta, ensure_dilation, heisenberg
+from .channels import KrausChannel, _heisenberg, dv0_dtheta, ensure_dilation
 from .errors import ContractError, DegenerateChannel, LayoutError, SingularOperator
 from .linalg import (
     SubsystemLayout,
+    _hermitian_inverse,
     basis_vector,
     dag,
-    hermitian_inverse,
     inverse,
     outer,
     partial_trace,
@@ -60,7 +60,10 @@ class PurifiedState:
 
 
 def purify(rho: np.ndarray) -> PurifiedState:
-    rho = require_density(rho)
+    return _purify(require_density(rho))
+
+
+def _purify(rho: np.ndarray) -> PurifiedState:
     w, v = np.linalg.eigh(rho)
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     w[w < 0.0] = 0.0
@@ -96,9 +99,12 @@ def tilde_initial_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
 
 def survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
     """Xi = Tr[rho (V_0^dag V_0)^-1] - 1 (>= 0 since V_0^dag V_0 <= I)."""
-    rho = require_density(rho)
+    return _survival_activity(require_density(rho), ch)
+
+
+def _survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
     w = dag(ch.v0) @ ch.v0
-    return float(np.trace(rho @ hermitian_inverse(w)).real) - 1.0
+    return float(np.trace(rho @ _hermitian_inverse(w)).real) - 1.0
 
 
 def survival_activity_moments(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
@@ -156,7 +162,10 @@ def survival_activity_protocol_sim(rho: np.ndarray, ch: KrausChannel, order: int
 
 def q_baseline_general(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> float:
     """Q_G = Re <tilde-Psi(0)| G |Psi_RSE(T)>."""
-    g = require_hermitian(g, name="observable G")
+    return _q_baseline_general(require_hermitian(g, name="observable G"), ps, ch)
+
+
+def _q_baseline_general(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> float:
     psi_t = final_joint_state(ps, ch)
     if g.shape[0] != psi_t.size:
         raise LayoutError(f"G has dimension {g.shape[0]}, joint state has {psi_t.size}")
@@ -176,7 +185,7 @@ def separable_baseline(sigma: np.ndarray, v0: np.ndarray, g0: np.ndarray) -> tup
     d_s = v0.shape[0]
     d_x = sigma.shape[0] // d_s
     try:
-        winv = np.kron(np.eye(d_x), hermitian_inverse(v0 @ dag(v0)))
+        winv = np.kron(np.eye(d_x), _hermitian_inverse(v0 @ dag(v0)))
     except SingularOperator as exc:
         raise SingularOperator("no-jump operator V_0 is singular", eigenvalue=exc.eigenvalue) from None
     sigma_s = partial_trace(sigma, SubsystemLayout((d_x, d_s)), keep=[1])
@@ -299,7 +308,7 @@ def check_general_tur(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> Tur
     mean, variance = mean_and_variance(g, psi_t)
     tilde = tilde_initial_state(ps, ch)
     q = float(np.vdot(tilde, g @ psi_t).real)
-    xi = survival_activity(ps.rho(), ch)
+    xi = _survival_activity(ps.rho(), ch)
     return _tur_report(mean, variance, q, xi)
 
 
@@ -349,11 +358,12 @@ def check_observable_evolution_bound(
     true_gmax = float(np.max(np.abs(eigs)))
     if abs(true_gmax - gmax) > EIGENVECTOR_ATOL:
         raise ContractError(f"gmax={gmax:g} does not match the spectrum (max |eig| = {true_gmax:g})")
-    ps = purify(rho)
+    rho = require_density(rho)
+    ps = _purify(rho)
     psi_t = final_joint_state(ps, ch)
     g_full = np.kron(np.eye(ps.dim_s * ch.dim), g_env)
     mean, variance = mean_and_variance(g_full, psi_t)
-    xi = survival_activity(rho, ch)
+    xi = _survival_activity(rho, ch)
     base = _tur_report(mean, variance, float(g0), xi)
     deviation = abs(mean - g0)
     cap = math.sqrt(max(gmax * gmax * xi, 0.0))
@@ -381,15 +391,15 @@ def classical_correlation_bound(
     g_r = require_hermitian(g_r, name="G_R")
     g_s = require_hermitian(g_s, name="G_S")
     rho = require_density(rho)
-    ps = purify(rho)
+    ps = _purify(rho)
     if g_r.shape[0] != ps.dim_s or g_s.shape[0] != ch.dim:
         raise LayoutError("G_R must act on R (copy of S) and G_S on S")
-    value = float(np.vdot(ps.joint_vector, np.kron(g_r, heisenberg(ch, g_s)) @ ps.joint_vector).real)
+    value = float(np.vdot(ps.joint_vector, np.kron(g_r, _heisenberg(ch, g_s)) @ ps.joint_vector).real)
     ch = ensure_dilation(ch)
     g_full = np.kron(np.kron(g_r, g_s), np.eye(ch.dilation.env_dim))
-    q = q_baseline_general(g_full, ps, ch)
+    q = _q_baseline_general(g_full, ps, ch)
     gmax_r = float(np.max(np.abs(np.linalg.eigvalsh(g_r))))
     gmax_s = float(np.max(np.abs(np.linalg.eigvalsh(g_s))))
-    xi = survival_activity(rho, ch)
+    xi = _survival_activity(rho, ch)
     half = math.sqrt(max((gmax_r * gmax_s) ** 2 * xi, 0.0))
     return (q - half, value, q + half)

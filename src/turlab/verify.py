@@ -20,7 +20,7 @@ from statistics import median
 import numpy as np
 
 from .channels import KrausChannel, dv0_dtheta, perturbed_kraus
-from .harness import ExperimentConfig, generate_trial
+from .harness import CHUNK_TRIALS, ExperimentConfig, _trial_setups
 from .random_ops import random_channel, random_density, random_hermitian
 from .tur import (
     PurifiedState,
@@ -49,17 +49,20 @@ class SuiteResult:
     note: str
 
 
-def _family_channel(seed: int, i: int, gamma_lo: float = 0.1, gamma_hi: float = 0.75):
-    cfg = ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, gamma_hi), variants=("exact",))
-    return generate_trial(cfg, i)
+def _family_setups(seed: int, trial_ids: range, gamma_lo: float = 0.1):
+    """Harness-family instances of the ids, CHUNK_TRIALS per stacked pass (their draws use no suite rng)."""
+    cfg = ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, 0.75), variants=("exact",))
+    for k in range(0, len(trial_ids), CHUNK_TRIALS):
+        yield from _trial_setups(cfg, trial_ids[k:k + CHUNK_TRIALS])
 
 
 def _instances(seed: int, n: int):
     """Alternate harness-family and generic random channels with mixed states."""
     rng = np.random.default_rng(seed)
+    family = _family_setups(seed, range(0, n, 2))
     for i in range(n):
         if i % 2 == 0:
-            setup = _family_channel(seed, i)
+            setup = next(family)
             yield setup.channel, random_density(setup.channel.dim, rng)
         else:
             dim_s = int(rng.choice([2, 3, 4]))
@@ -121,8 +124,7 @@ def suite_scaling(trials: int, seed: int, inject_fault: str | None = None) -> Su
 
 def suite_protocol(trials: int, seed: int) -> SuiteResult:
     worst = 0.0
-    for i in range(trials):
-        setup = _family_channel(seed + 2, i, gamma_lo=0.0)
+    for setup in _family_setups(seed + 2, range(trials), gamma_lo=0.0):
         c_direct = exact_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
         c_proto = protocol_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
         worst = max(worst, abs(c_direct - c_proto))
@@ -132,8 +134,7 @@ def suite_protocol(trials: int, seed: int) -> SuiteResult:
 def suite_saturation(trials: int, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed + 3)
     worst = 0.0
-    for i in range(trials):
-        setup = _family_channel(seed + 3, i, gamma_lo=0.2)
+    for setup in _family_setups(seed + 3, range(trials), gamma_lo=0.2):
         ps = purify(random_density(setup.channel.dim, rng))
         l = sld(ps, setup.channel).matrix
         scale = float(rng.uniform(0.5, 2.0))
@@ -148,8 +149,7 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed + 4)
     errors = {n: [] for n in range(1, 5)}
     worst_moment, worst_first = 0.0, 0.0
-    for i in range(trials):
-        setup = _family_channel(seed + 4, i)
+    for setup in _family_setups(seed + 4, range(trials)):
         rho = random_density(setup.channel.dim, rng)
         xi = survival_activity(rho, setup.channel)
         estimates = survival_activity_series(rho, setup.channel, order=4)

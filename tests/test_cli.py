@@ -54,6 +54,27 @@ class TestVerifyCommand:
         assert main(["experiment", "--seed", "-1", "--trials", "2", "--out-dir", str(tmp_path / "x")]) == 3
         assert not (tmp_path / "x").exists()
 
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        from turlab import __version__
+
+        report = tmp_path / "report.json"
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"turlab {__version__}\n"
+        assert main(["verify", "--suite", "qfi", "--trials", "2", "--json", str(report)]) == 0
+        assert [s["name"] for s in json.loads(report.read_text())["suites"]] == ["qfi"]
+        assert capsys.readouterr().out.startswith("[PASS] qfi")
+        report.unlink()
+        assert main(["verify", "--suite", "protocol", "--trials", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "protocol" in out and "qfi" not in out and not report.exists()
+        assert main(["verify", "--trials", "2", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 5
+        assert main(["verify", "--suite", "scaling", "--trials", "6", "--inject-fault", "dv0-sign"]) == 2
+        assert main(["verify", "--trials", "0"]) == 3
+        assert main(["verify", "--suite", "nope"]) == 3
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out.endswith(f"turlab {__version__}\n")
+
     def test_unknown_suite_is_input_error(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 3
 
@@ -213,3 +234,13 @@ class TestBoundCommand:
             "--rho", json.dumps(RHO1), "--a", json.dumps(SZ), "--b", json.dumps(SZ),
         ])
         assert code == 3
+
+    def test_operator_on_another_system_exits_3(self, tmp_path, capsys):
+        sz_4 = encode_matrix(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex))
+        for flag in ("--rho", "--b"):
+            args = {"--rho": json.dumps(RHO1), "--a": json.dumps(SZ), "--b": json.dumps(SZ)}
+            args[flag] = json.dumps(sz_4 if flag == "--b" else encode_matrix(np.eye(4) / 4))
+            code = main(["bound", "--channel", write_spec(tmp_path, "ch.json", ad_channel_spec(0.25)),
+                         *(x for item in args.items() for x in item)])
+            assert code == 3
+            assert "must act on the channel's system" in capsys.readouterr().err

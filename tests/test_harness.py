@@ -8,7 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from turlab import harness
+from turlab.channels import kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
+from turlab.gates import I2, KET0, P0, P1, PAULIS, kron_all, rx, ry
 from turlab.harness import (
     ExperimentConfig,
     evaluate_trial,
@@ -16,6 +18,24 @@ from turlab.harness import (
     run_experiment,
     summarize,
 )
+
+
+def kron_family_inputs(thetas, gamma):
+    """The family's preparation and dilation as Kronecker products of gates: the oracle of the stacked formula.
+
+    RY(t2) RX(t1) (x) RY(t4) RX(t3) on |00>, then on S1 (x) S2 (x) E a layer of
+    RY RX rotations on S, a controlled-RY(pi*gamma) from S1 onto E and a
+    second rotation layer; each product is taken in the stacked formula's order.
+    """
+    t = thetas
+    psi = np.kron(ry(t[1]) @ rx(t[0]) @ KET0, ry(t[3]) @ rx(t[2]) @ KET0)
+    layer1 = kron_all(ry(t[5]) @ rx(t[4]), ry(t[7]) @ rx(t[6]), I2)
+    coupling = kron_all(P0, I2, I2) + kron_all(P1, I2, ry(math.pi * gamma))
+    layer2 = kron_all(ry(t[9]) @ rx(t[8]), ry(t[11]) @ rx(t[10]), I2)
+    return np.outer(psi, psi.conj()), layer2 @ coupling @ layer1
+
+
+GAMMA_RANGES = [(0.0, 0.0), (0.0, 0.75), (0.5, 0.99)]
 
 
 def exact_config(**kw):
@@ -75,6 +95,50 @@ class TestGenerateTrial:
         assert abs(record.exact.xi_b) <= 1e-12
         # width is sqrt-amplified machine noise of xi
         assert abs(record.exact.upper - record.exact.lower) <= 1e-6
+
+    @pytest.mark.parametrize("gamma_range", GAMMA_RANGES)
+    def test_inputs_match_the_kronecker_oracle(self, gamma_range):
+        cfg = exact_config(seed=5, gamma_range=gamma_range)
+        layout = harness._SE_LAYOUT
+        for i in range(340):
+            s = generate_trial(cfg, i)
+            rho, u = kron_family_inputs(s.thetas, s.gamma)
+            assert np.array_equal(s.rho, rho)
+            assert np.array_equal(s.channel.dilation.unitary, u)
+            assert all(np.array_equal(x, y) for x, y in
+                       zip(s.channel.operators, kraus_from_unitary(u, layout).operators, strict=True))
+            assert np.array_equal(s.a_op, np.kron(PAULIS[s.a_idx[0]], PAULIS[s.a_idx[1]]))
+            assert np.array_equal(s.b_op, np.kron(PAULIS[s.b_idx[0]], PAULIS[s.b_idx[1]]))
+
+    @pytest.mark.parametrize("gamma_range", GAMMA_RANGES)
+    def test_stacked_builder_matches_generate_trial(self, gamma_range):
+        cfg = exact_config(seed=11, gamma_range=gamma_range)
+        ids = [3, 0, 7, 200, 1]
+        for i, s in zip(ids, harness._trial_setups(cfg, ids), strict=True):
+            one = generate_trial(cfg, i)
+            assert (s.trial_id, s.gamma, s.thetas, s.a_idx, s.b_idx) == (i, one.gamma, one.thetas, one.a_idx, one.b_idx)
+            for x, y in [(s.rho, one.rho), (s.a_op, one.a_op), (s.b_op, one.b_op),
+                         (s.channel.dilation.unitary, one.channel.dilation.unitary),
+                         *zip(s.channel.operators, one.channel.operators, strict=True)]:
+                assert np.array_equal(x, y)
+
+    def test_verify_family_spans_stacked_passes(self):
+        from turlab.verify import _family_setups
+
+        cfg = exact_config(seed=4, gamma_range=(0.1, 0.75))
+        ids = range(1, 2 * harness.CHUNK_TRIALS + 7, 2)
+        got = list(_family_setups(4, ids))
+        assert [s.trial_id for s in got] == list(ids)
+        for s in got[harness.CHUNK_TRIALS - 2:harness.CHUNK_TRIALS + 2]:
+            one = generate_trial(cfg, s.trial_id)
+            assert s.thetas == one.thetas and np.array_equal(s.channel.dilation.unitary, one.channel.dilation.unitary)
+
+    def test_pauli_operators_are_read_only(self):
+        s = generate_trial(exact_config(), 0)
+        for m in (s.a_op, s.b_op, harness._PAULI_PAIRS):
+            with pytest.raises(ValueError):
+                m[..., 0, 0] = 2.0
+        assert np.array_equal(generate_trial(exact_config(), 0).a_op, s.a_op)
 
     def test_all_angles_zero_prepares_ground_state(self):
         cfg = exact_config(theta_range=(0.0, 0.0), gamma_range=(0.0, 0.0))

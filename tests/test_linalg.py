@@ -3,12 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from turlab.errors import ContractError, LayoutError, SingularOperator
-from turlab.gates import SIGMA_X, SIGMA_Z
+from turlab.gates import SIGMA_X
 from turlab.linalg import (
     SubsystemLayout,
     dag,
     embed_operator,
-    hermitian_function,
     hermitian_inverse,
     hermitian_sqrt,
     outer,
@@ -16,7 +15,6 @@ from turlab.linalg import (
     polar_unitary,
     project_factor,
     spectral,
-    tensor_product,
 )
 
 
@@ -27,30 +25,6 @@ def random_complex(rng, *shape):
 def random_hermitian(rng, dim):
     a = random_complex(rng, dim, dim)
     return (a + dag(a)) / 2
-
-
-class TestTensorProduct:
-    def test_identity(self):
-        assert_allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_left_factor_is_slow(self):
-        assert_allclose(tensor_product(SIGMA_Z, np.eye(2)), np.diag([1, 1, -1, -1]).astype(complex))
-
-    def test_mixed_product_on_vectors(self, rng):
-        # oracle: (A (x) B)(x (x) y) = (Ax) (x) (By), computed on raw vectors
-        for _ in range(5):
-            a, b = random_complex(rng, 2, 2), random_complex(rng, 2, 2)
-            x, y = random_complex(rng, 2), random_complex(rng, 2)
-            lhs = tensor_product(a, b) @ np.kron(x, y)
-            assert_allclose(lhs, np.kron(a @ x, b @ y), atol=1e-12)
-
-    def test_associative(self, rng):
-        a, b, c = (random_complex(rng, 2, 2) for _ in range(3))
-        assert_allclose(
-            tensor_product(tensor_product(a, b), c),
-            tensor_product(a, tensor_product(b, c)),
-            atol=1e-12,
-        )
 
 
 class TestPartialTrace:
@@ -65,7 +39,7 @@ class TestPartialTrace:
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 3)
         layout = SubsystemLayout((2, 3))
-        got = partial_trace(tensor_product(a, b), layout, keep=[0])
+        got = partial_trace(np.kron(a, b), layout, keep=[0])
         assert_allclose(got, a * np.trace(b), atol=1e-12)
 
     def test_three_factor_composition(self, rng):
@@ -95,7 +69,7 @@ class TestProjectFactor:
         rho_a = np.diag([0.25, 0.75]).astype(complex)
         rho_b = random_hermitian(rng, 3)
         layout = SubsystemLayout((2, 3))
-        block = project_factor(tensor_product(rho_a, rho_b), layout, factor=0, index=1)
+        block = project_factor(np.kron(rho_a, rho_b), layout, factor=0, index=1)
         assert_allclose(block, 0.75 * rho_b, atol=1e-12)
 
 
@@ -170,7 +144,7 @@ class TestHermitianFunctions:
 
     def test_identity_function_is_identity_map(self, rng):
         m = random_hermitian(rng, 5)
-        assert np.max(np.abs(hermitian_function(m, lambda z: z) - m)) <= 1e-12
+        assert np.max(np.abs(spectral(m).apply(lambda z: z) - m)) <= 1e-12
 
     def test_singular_inverse_reports_eigenvalue(self):
         with pytest.raises(SingularOperator) as err:

@@ -17,7 +17,6 @@ from turlab.protocol import (
     estimate_main_circuit,
     estimate_nested_circuit,
     exact_correlator,
-    nested_expectation,
     nested_premeasure_state,
     nested_run,
     protocol_correlator,
@@ -175,7 +174,7 @@ class TestApproxBoundQuantities:
             exact = correlator_bound(s.rho, s.channel, s.a_op, s.b_op)
             xi_a, q1 = approx_bound_quantities(s.rho, s.channel, s.a_op, s.b_op)
             p0 = 1.0 - xi_a
-            t2 = nested_expectation(s.rho, s.channel, s.a_op, s.b_op)
+            t2 = nested_run(s.rho, s.channel, s.a_op, s.b_op).value
             q2 = q1 + p0 * (1.0 - p0) * t2   # 2 p0 T_1 - p0^2 T_2
             gaps_p0.append(abs(q1 - exact.q_ab))
             gaps_p0sq.append(abs(q2 - exact.q_ab))
@@ -185,7 +184,7 @@ class TestApproxBoundQuantities:
 class TestNestedExpectation:
     def test_identity_channel_reduces_to_plain_expectation(self, rng):
         rho = random_density(2, rng)
-        value = nested_expectation(rho, IDENTITY_CH, SIGMA_X, SIGMA_Z)
+        value = nested_run(rho, IDENTITY_CH, SIGMA_X, SIGMA_Z).value
         sigma_pb = _entry_state(rho, SIGMA_Z)
         want = np.trace(sigma_pb @ _ancilla_pullback(SIGMA_X, "real")).real
         assert abs(value - want) <= 1e-10
@@ -193,7 +192,7 @@ class TestNestedExpectation:
     def test_matches_direct_matrix_oracle(self):
         for i in range(10):
             s = family_setup(53, i, gamma_lo=0.1)
-            value = nested_expectation(s.rho, s.channel, s.a_op, s.b_op)
+            value = nested_run(s.rho, s.channel, s.a_op, s.b_op).value
             g_p = _ancilla_pullback(s.a_op, "real")
             _, rho_v0, _ = separable_baseline(_entry_state(s.rho, s.b_op), s.channel.v0, g_p)
             ww = np.kron(np.eye(2), s.channel.v0 @ dag(s.channel.v0))
@@ -355,4 +354,4 @@ class TestDegenerateChannelPaths:
         ch = amplitude_damping(1.0)
         rho = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises((DegenerateChannel, ContractError)):
-            nested_expectation(rho, ch, SIGMA_Z, SIGMA_Z)
+            nested_run(rho, ch, SIGMA_Z, SIGMA_Z).value
