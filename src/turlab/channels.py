@@ -12,18 +12,20 @@ outcome indexing stays aligned with circuit postselection.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AdmissibilityError, ContractError, LayoutError, SingularOperator
 from .linalg import (
+    SpectralDecomposition,
     SubsystemLayout,
     _hermitian_sqrt,
+    _polar_unitary,
+    _spectral,
     dag,
-    inverse,
     max_abs,
-    polar_unitary,
     require_density,
     require_hermitian,
     require_unitary,
@@ -102,9 +104,14 @@ class KrausChannel:
     def v0(self) -> np.ndarray:
         return self.operators[self.no_jump_index]
 
+    @functools.cached_property
+    def no_jump_spectrum(self) -> SpectralDecomposition:
+        """Spectral decomposition of V_0^dag V_0, computed once per channel (its operators are read-only)."""
+        return _spectral(dag(self.v0) @ self.v0)
+
     def jump_sum(self) -> np.ndarray:
-        """sum_{m != 0} V_m^dag V_m = I - V_0^dag V_0."""
-        return sum(dag(v) @ v for i, v in enumerate(self.operators) if i != self.no_jump_index)
+        """sum_{m != 0} V_m^dag V_m = I - V_0^dag V_0 (the zero matrix for a single operator)."""
+        return sum((dag(v) @ v for i, v in enumerate(self.operators) if i != self.no_jump_index), np.zeros_like(self.v0))
 
 
 def kraus_from_unitary(u: np.ndarray, layout: SubsystemLayout, env_initial: int = 0) -> KrausChannel:
@@ -191,7 +198,7 @@ def perturbed_kraus(ch: KrausChannel, theta: float) -> PerturbedChannel:
         raise AdmissibilityError(
             f"theta={theta:g} inadmissible: e^theta * max-eig(jump sum) = {np.exp(theta) * lam_max:.6g} > 1"
         )
-    u_v = polar_unitary(ch.v0)
+    u_v = _polar_unitary(ch.v0, ch.no_jump_spectrum)
     d = ch.dim
     v0_theta = u_v @ _hermitian_sqrt(np.eye(d) - np.exp(theta) * jump)
     scale = np.exp(theta / 2.0)
@@ -206,7 +213,7 @@ def dv0_dtheta(ch: KrausChannel) -> np.ndarray:
     """Derivative of the no-jump operator at theta = 0: (V_0 - (V_0^-1)^dag) / 2."""
     v0 = ch.v0
     try:
-        v0_inv = inverse(v0)
+        v0_inv = ch.no_jump_spectrum.inverse() @ dag(v0)
     except SingularOperator as exc:
         raise SingularOperator("V_0 must be invertible for dV_0/dtheta", eigenvalue=exc.eigenvalue) from exc
     return 0.5 * (v0 - dag(v0_inv))

@@ -178,7 +178,7 @@ def _cmd_bound(args) -> int:
         rho = decode_matrix(_load_json_arg(args.rho, "rho"), "rho")
         a = decode_matrix(_load_json_arg(args.a, "A"), "A")
         b = decode_matrix(_load_json_arg(args.b, "B"), "B")
-    except SpecParseError as exc:
+    except (SpecParseError, ContractError) as exc:   # ContractError: the spec builds no valid channel
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
+
+from .linalg import kron
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,13 +32,9 @@ def ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    return reduce(np.kron, ops)
-
-
 def pauli_pair(i: int, j: int) -> np.ndarray:
     """Two-qubit Pauli string sigma_i (x) sigma_j, indices in 0..3."""
-    return np.kron(PAULIS[i], PAULIS[j])
+    return kron(PAULIS[i], PAULIS[j])
 
 
 def controlled(u: np.ndarray) -> np.ndarray:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .channels import COMPLETENESS_ATOL, KrausChannel, kraus_from_unitary
 from .errors import ContractError, DegenerateChannel, SingularOperator
-from .gates import HADAMARD, I2, controlled, kron_all, pauli_pair
-from .linalg import EIGENVALUE_GROUP_TOL, HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, outer
+from .gates import HADAMARD, I2, controlled, pauli_pair
+from .linalg import EIGENVALUE_GROUP_TOL, HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, kron, outer
 from .protocol import (
     PARTS,
     _ancilla_pullback,
@@ -200,10 +200,10 @@ def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
     # General trade-off instance: the protocol observable embedded on R+P+E.
     sigma_pb = _entry_state(rho, b)
     lifted = KrausChannel(
-        tuple(np.kron(I2, v) for v in ch.operators),
+        tuple(kron(I2, v) for v in ch.operators),
         no_jump_index=ch.no_jump_index,
     )
-    g_emb = kron_all(np.eye(sigma_pb.shape[0]), _ancilla_pullback(a, "real"), np.eye(len(ch.operators)))
+    g_emb = kron(kron(np.eye(sigma_pb.shape[0]), _ancilla_pullback(a, "real")), np.eye(len(ch.operators)))
     general = check_general_tur(g_emb, purify(sigma_pb), lifted)
 
     p0 = 1.0 - approx_bound.xi_b
@@ -247,12 +247,6 @@ def _trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of (broadcast) stacks of matrices, ``a`` the slow factor."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
 def _qubit_gates(thetas: np.ndarray) -> np.ndarray:
     """RY(t_{2k+2}) RX(t_{2k+1}) for the six angle pairs of each trial: (N, 12) -> (N, 6, 2, 2)."""
     half = thetas.reshape(-1, 6, 2) / 2
@@ -270,7 +264,7 @@ def _qubit_gates(thetas: np.ndarray) -> np.ndarray:
 def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked preparation vectors (N, 4), their density matrices (N, 4, 4) and dilation unitaries (N, 8, 8)."""
     g = _qubit_gates(thetas)
-    psi = _kron(g[:, 0, :, :1], g[:, 1, :, :1])[..., 0]
+    psi = kron(g[:, 0, :, :1], g[:, 1, :, :1])[..., 0]
     rho = psi[:, :, None] * psi.conj()[:, None, :]
     half = np.pi * gammas / 2
     ry_e = np.empty((len(gammas), 2, 2), dtype=complex)
@@ -279,9 +273,9 @@ def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray,
     ry_e[:, 1, 0] = np.sin(half)
     coupling = np.zeros((len(gammas), 8, 8), dtype=complex)
     coupling[:, :4, :4] = np.eye(4)
-    coupling[:, 4:, 4:] = _kron(I2, ry_e)
-    layer1 = _kron(_kron(g[:, 2], g[:, 3]), I2)
-    layer2 = _kron(_kron(g[:, 4], g[:, 5]), I2)
+    coupling[:, 4:, 4:] = kron(I2, ry_e)
+    layer1 = kron(kron(g[:, 2], g[:, 3]), I2)
+    layer2 = kron(kron(g[:, 4], g[:, 5]), I2)
     return psi, rho, layer2 @ coupling @ layer1
 
 
@@ -409,7 +403,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     v0 = v[:, 0]
     w = _dag(v0) @ v0
     cb = _CONTROLLED_PAIRS[b_k]
-    sigma = cb @ _kron(_PLUS, rho) @ _dag(cb)          # entry state on P = S' (x) S
+    sigma = cb @ kron(_PLUS, rho) @ _dag(cb)          # entry state on P = S' (x) S
     rho_sb = sigma[:, :4, :4] + sigma[:, 4:, 4:]
     p0 = _trace(rho_sb @ _dag(v0) @ v0).real
     g_re, g_im = _PULLBACKS["real"][a_k], _PULLBACKS["imag"][a_k]
@@ -435,10 +429,10 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     c = _trace(rho @ (_dag(v) @ a[:, None] @ v).sum(axis=1) @ b)    # Tr[rho A(T) B]
     w_inv = _stacked_hermitian_inverse(w)
     xi = _trace(rho_sb @ w_inv).real - 1.0
-    lift = _kron(I2, v0)
+    lift = kron(I2, v0)
     rho_v0 = lift @ sigma @ _dag(lift) / p0[:, None, None]
-    ww = _kron(I2, v0 @ _dag(v0))
-    ww_inv = _kron(I2, _stacked_hermitian_inverse(v0 @ _dag(v0)))
+    ww = kron(I2, v0 @ _dag(v0))
+    ww_inv = kron(I2, _stacked_hermitian_inverse(v0 @ _dag(v0)))
     q_re, q_im = (p0 * _trace(rho_v0 @ (0.5 * (g @ ww_inv + ww_inv @ g))).real for g in (g_re, g_im))
     q_approx = 2.0 * p0 * _trace(rho_v0 @ g_re).real - p0 * _trace(rho_v0 @ g_re @ ww).real
     mean, var, q_g = _general_tur_terms(sigma, v, w_inv @ _dag(v0), g_re)

@@ -5,7 +5,8 @@ order convention is fixed globally: the first factor of a layout is the
 slowest-varying (leftmost) Kronecker factor. TUR computations use R (x) S (x) E;
 protocol circuits use S' (x) S (x) E with further environments appended.
 
-All operations are pure functions; nothing here mutates its arguments.
+All operations are pure functions; nothing here mutates its arguments. kron is
+the package's one Kronecker product, of vectors, matrices and stacks of them.
 """
 
 from __future__ import annotations
@@ -78,6 +79,18 @@ def basis_vector(dim: int, index: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product (``a`` slow) of two vectors or two (broadcast stacks of) matrices, bitwise numpy's kron."""
+    # The operands take numpy's kron shapes, of equal rank: numpy multiplies complex arrays in a
+    # SIMD (FMA) loop or a scalar one by operand layout, and the two can differ in the last bit.
+    if a.ndim == 1 and b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    if a.ndim != b.ndim:
+        a, b = (x.reshape((1,) * (max(a.ndim, b.ndim) - x.ndim) + x.shape) for x in (a, b))
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -177,7 +190,7 @@ def embed_operator(u: np.ndarray, dims: Sequence[int], positions: Sequence[int])
         raise LayoutError(f"operator dim {u.shape[0]} != product of target dims {dop}")
     rest = [i for i in range(n) if i not in positions]
     drest = prod(dims[r] for r in rest) if rest else 1
-    full = np.kron(u, np.eye(drest, dtype=complex))
+    full = kron(u, np.eye(drest, dtype=complex))
     # kron axis order: (targets..., rest...) on both row and column sides.
     tdims = [dims[p] for p in positions] + [dims[r] for r in rest]
     t = full.reshape(tdims + tdims)
@@ -201,6 +214,13 @@ class SpectralDecomposition:
     def apply(self, f: Callable[[float], float]) -> np.ndarray:
         return sum(f(z) * p for z, p in zip(self.eigenvalues, self.projectors))
 
+    def inverse(self) -> np.ndarray:
+        """Inverse of the decomposed matrix; SingularOperator if any eigenvalue is ~0."""
+        smallest = min(self.eigenvalues, key=abs)
+        if abs(smallest) <= SINGULAR_CUTOFF:
+            raise SingularOperator("matrix is singular, inverse undefined", eigenvalue=smallest)
+        return self.apply(lambda z: 1.0 / z)
+
 
 def spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
@@ -219,7 +239,7 @@ def _spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> Spectra
         while j < len(w) and abs(w[j] - w[j - 1]) <= group_tol:
             j += 1
         block = v[:, i:j]
-        values.append(float(np.mean(w[i:j])))
+        values.append(float(w[i:j].sum() / (j - i)))   # np.mean's bits, without its call
         projectors.append(block @ dag(block))
         i = j
     return SpectralDecomposition(tuple(values), tuple(projectors))
@@ -227,15 +247,7 @@ def _spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> Spectra
 
 def hermitian_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian matrix; SingularOperator if any eigenvalue is ~0."""
-    return _hermitian_inverse(require_hermitian(m))
-
-
-def _hermitian_inverse(m: np.ndarray) -> np.ndarray:
-    s = _spectral(m)
-    smallest = min(s.eigenvalues, key=abs)
-    if abs(smallest) <= SINGULAR_CUTOFF:
-        raise SingularOperator("matrix is singular, inverse undefined", eigenvalue=smallest)
-    return s.apply(lambda z: 1.0 / z)
+    return _spectral(require_hermitian(m)).inverse()
 
 
 def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
@@ -251,16 +263,13 @@ def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
     return s.apply(lambda z: np.sqrt(max(z, 0.0)))
 
 
-def inverse(v: np.ndarray) -> np.ndarray:
-    """Inverse of a general square matrix via (v^dag v)^-1 v^dag."""
-    v = require_square(v)
-    return _hermitian_inverse(dag(v) @ v) @ dag(v)
-
-
 def polar_unitary(v: np.ndarray) -> np.ndarray:
     """Unitary factor U of the polar decomposition v = U sqrt(v^dag v)."""
     v = require_square(v)
-    s = _spectral(dag(v) @ v)
+    return _polar_unitary(v, _spectral(dag(v) @ v))
+
+
+def _polar_unitary(v: np.ndarray, s: SpectralDecomposition) -> np.ndarray:   # s: the spectrum of v^dag v
     lo = min(s.eigenvalues)
     if lo <= SINGULAR_CUTOFF:
         raise SingularOperator("polar decomposition needs nonsingular v^dag v", eigenvalue=lo)

@@ -31,6 +31,7 @@ from .linalg import (
     SubsystemLayout,
     basis_vector,
     dag,
+    kron,
     max_abs,
     outer,
     partial_trace,
@@ -121,7 +122,7 @@ def protocol_state(
     dil = ch.dilation
     layout = SubsystemLayout((2, ch.dim, dil.env_dim), ("S'", "S", "E"))
     gates = _main_gates(controlled(b), dil.unitary, controlled(a), _readout_rotation(part))
-    sigma = np.kron(np.kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(dil.env_dim, dil.env_initial)))
+    sigma = kron(kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(dil.env_dim, dil.env_initial)))
     for u, targets in gates[:_STAGE_GATES[stage]]:
         sigma = _on_factors(u, sigma, layout.dims, targets)
     return ProtocolState(layout, sigma, stage)
@@ -153,14 +154,14 @@ def _ancilla_pullback(a: np.ndarray, part: str) -> np.ndarray:
     readout = SIGMA_X if part == "real" else SIGMA_Y
     if part not in PARTS:
         raise ContractError(f"part must be one of {PARTS}, got {part!r}")
-    return dag(uca) @ np.kron(readout, np.eye(a.shape[0])) @ uca
+    return dag(uca) @ kron(readout, np.eye(a.shape[0])) @ uca
 
 
 def _entry_state(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
     """State of S' (x) S entering the channel: U_B^c (|+><+| (x) rho) U_B^c-dag."""
     plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
     ucb = controlled(b)
-    return ucb @ np.kron(outer(plus), rho) @ dag(ucb)
+    return ucb @ kron(outer(plus), rho) @ dag(ucb)
 
 
 @dataclass(frozen=True)
@@ -220,7 +221,7 @@ def _approx_bound_quantities(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b
     g_p = _ancilla_pullback(a, part)
     p0, rho_v0, _ = separable_baseline(_entry_state(rho, b), ch.v0, g_p)
     t1 = float(np.trace(rho_v0 @ g_p).real)
-    ww = np.kron(np.eye(2), ch.v0 @ dag(ch.v0))
+    ww = kron(np.eye(2), ch.v0 @ dag(ch.v0))
     t2 = float(np.trace(rho_v0 @ g_p @ ww).real)
     return 1.0 - p0, 2.0 * p0 * t1 - p0 * t2
 
@@ -333,7 +334,7 @@ def nested_premeasure_state(
     gates = _nested_gates(dil.unitary, dag(dil.unitary), controlled(_ancilla_pullback(a, part)))
     plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
     env = outer(basis_vector(d_e, e0))
-    sigma = np.kron(np.kron(outer(plus), _entry_state(rho, b)), np.kron(env, env))
+    sigma = kron(kron(outer(plus), _entry_state(rho, b)), kron(env, env))
     for u, targets in gates:
         sigma = _on_factors(u, sigma, dims, targets)
     return ProtocolState(layout, sigma, "premeasure")

@@ -56,7 +56,8 @@ def decode_matrix(obj, path: str) -> np.ndarray:
             if (not isinstance(entry, list)) or len(entry) != 2:
                 raise SpecParseError(f"{path}[{i}][{j}]", "expected a [re, im] pair")
             re, im = entry
-            if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in (re, im)):
+            # type(), not isinstance: JSON true and false decode to bool, a subclass of int
+            if not all(type(x) in (int, float) and math.isfinite(x) for x in (re, im)):
                 raise SpecParseError(f"{path}[{i}][{j}]", "entries must be finite numbers")
             entries.append(complex(re, im))
         rows.append(entries)
@@ -74,10 +75,10 @@ def channel_from_spec(obj, path: str = "channel") -> KrausChannel:
     if "unitary" in obj:
         u = decode_matrix(obj["unitary"], f"{path}.unitary")
         dims = obj.get("dims")
-        if (not isinstance(dims, list)) or len(dims) != 2 or not all(isinstance(d, int) and d > 0 for d in dims):
+        if (not isinstance(dims, list)) or len(dims) != 2 or not all(type(d) is int and d > 0 for d in dims):
             raise SpecParseError(f"{path}.dims", "expected [dim_S, dim_E] positive integers")
         env_initial = obj.get("env_initial", 0)
-        if not isinstance(env_initial, int) or not 0 <= env_initial < dims[1]:
+        if type(env_initial) is not int or not 0 <= env_initial < dims[1]:
             raise SpecParseError(f"{path}.env_initial", f"expected an integer in [0, {dims[1]})")
         return kraus_from_unitary(u, SubsystemLayout(tuple(dims), ("S", "E")), env_initial)
     if "kraus" in obj:
@@ -86,7 +87,7 @@ def channel_from_spec(obj, path: str = "channel") -> KrausChannel:
             raise SpecParseError(f"{path}.kraus", "expected a non-empty list of matrices")
         ops = tuple(decode_matrix(m, f"{path}.kraus[{i}]") for i, m in enumerate(ops_obj))
         no_jump = obj.get("no_jump_index", 0)
-        if not isinstance(no_jump, int) or not 0 <= no_jump < len(ops):
+        if type(no_jump) is not int or not 0 <= no_jump < len(ops):
             raise SpecParseError(f"{path}.no_jump_index", f"expected an integer in [0, {len(ops)})")
         return KrausChannel(ops, no_jump_index=no_jump)
     raise SpecParseError(path, "expected either a 'unitary' or a 'kraus' entry")

@@ -21,10 +21,10 @@ from .channels import KrausChannel, _heisenberg, dv0_dtheta, ensure_dilation
 from .errors import ContractError, DegenerateChannel, LayoutError, SingularOperator
 from .linalg import (
     SubsystemLayout,
-    _hermitian_inverse,
+    _spectral,
     basis_vector,
     dag,
-    inverse,
+    kron,
     outer,
     partial_trace,
     project_factor,
@@ -72,11 +72,6 @@ def _purify(rho: np.ndarray) -> PurifiedState:
     return PurifiedState(probabilities=w, basis=v, joint_vector=joint)
 
 
-def _apply_on_s(v_rs: np.ndarray, dim_r: int, m: np.ndarray) -> np.ndarray:
-    """(I_R (x) M) acting on a vector of R (x) S."""
-    return (v_rs.reshape(dim_r, -1) @ m.T).reshape(-1)
-
-
 def final_joint_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
     """|Psi_RSE(T)> = (I_R (x) U_SE)(|Psi_RS(0)> (x) |e0>), synthesizing U if needed."""
     ch = ensure_dilation(ch)
@@ -84,17 +79,16 @@ def final_joint_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
     d_r = ps.joint_vector.size // ps.dim_s
     if ps.dim_s != ch.dim:
         raise LayoutError(f"purification on dim {ps.dim_s} but channel on dim {ch.dim}")
-    v = np.kron(ps.joint_vector, basis_vector(dil.env_dim, dil.env_initial))
+    v = kron(ps.joint_vector, basis_vector(dil.env_dim, dil.env_initial))
     return (v.reshape(d_r, -1) @ dil.unitary.T).reshape(-1)
 
 
 def tilde_initial_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
     """Unnormalized |tilde-Psi_RSE(0)>; requires V_0 invertible."""
-    n_env = ch.dilation.env_dim if ch.dilation is not None else len(ch.operators)
-    m = dag(inverse(ch.v0))
+    m = dag(ch.no_jump_spectrum.inverse() @ dag(ch.v0))
     d_r = ps.joint_vector.size // ps.dim_s
-    v_rs = _apply_on_s(ps.joint_vector, d_r, m)
-    return np.kron(v_rs, basis_vector(n_env, ch.no_jump_index))
+    v_rs = (ps.joint_vector.reshape(d_r, -1) @ m.T).reshape(-1)   # (I_R (x) M) on R (x) S
+    return kron(v_rs, basis_vector(len(ch.operators), ch.no_jump_index))   # a dilation has one E state per operator
 
 
 def survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
@@ -103,8 +97,7 @@ def survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
 
 
 def _survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
-    w = dag(ch.v0) @ ch.v0
-    return float(np.trace(rho @ _hermitian_inverse(w)).real) - 1.0
+    return float(np.trace(rho @ ch.no_jump_spectrum.inverse()).real) - 1.0
 
 
 def survival_activity_moments(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
@@ -127,7 +120,10 @@ def survival_activity_series(rho: np.ndarray, ch: KrausChannel, order: int) -> l
     """
     if order < 1:
         raise ContractError("series order must be >= 1")
-    rho = require_density(rho)
+    return _survival_activity_series(require_density(rho), ch, order)
+
+
+def _survival_activity_series(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
     t = survival_activity_moments(rho, ch, order)
     out = []
     for n_max in range(1, order + 1):
@@ -145,7 +141,10 @@ def survival_activity_protocol_sim(rho: np.ndarray, ch: KrausChannel, order: int
     """
     if order < 0:
         raise ContractError("order must be >= 0")
-    rho = require_density(rho)
+    return _survival_activity_protocol_sim(require_density(rho), ch, order)
+
+
+def _survival_activity_protocol_sim(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
     ch = ensure_dilation(ch)
     dil = ch.dilation
     layout = SubsystemLayout((ch.dim, dil.env_dim), ("S", "E"))
@@ -154,7 +153,7 @@ def survival_activity_protocol_sim(rho: np.ndarray, ch: KrausChannel, order: int
     sigma = rho
     for n in range(order):
         u = dil.unitary if n % 2 == 0 else dag(dil.unitary)
-        big = u @ np.kron(sigma, env) @ dag(u)
+        big = u @ kron(sigma, env) @ dag(u)
         sigma = project_factor(big, layout, factor=1, index=dil.env_initial)
         moments.append(float(np.trace(sigma).real))
     return moments
@@ -169,7 +168,7 @@ def _q_baseline_general(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> f
     psi_t = final_joint_state(ps, ch)
     if g.shape[0] != psi_t.size:
         raise LayoutError(f"G has dimension {g.shape[0]}, joint state has {psi_t.size}")
-    tilde = tilde_initial_state(ps, ensure_dilation(ch))
+    tilde = tilde_initial_state(ps, ch)
     return float(np.vdot(tilde, g @ psi_t).real)
 
 
@@ -185,14 +184,14 @@ def separable_baseline(sigma: np.ndarray, v0: np.ndarray, g0: np.ndarray) -> tup
     d_s = v0.shape[0]
     d_x = sigma.shape[0] // d_s
     try:
-        winv = np.kron(np.eye(d_x), _hermitian_inverse(v0 @ dag(v0)))
+        winv = kron(np.eye(d_x), _spectral(v0 @ dag(v0)).inverse())
     except SingularOperator as exc:
         raise SingularOperator("no-jump operator V_0 is singular", eigenvalue=exc.eigenvalue) from None
     sigma_s = partial_trace(sigma, SubsystemLayout((d_x, d_s)), keep=[1])
     p0 = float(np.trace(sigma_s @ dag(v0) @ v0).real)
     if p0 <= P0_CUTOFF:
         raise DegenerateChannel(f"no-jump probability {p0:.3e} is numerically zero")
-    lift = np.kron(np.eye(d_x), v0)
+    lift = kron(np.eye(d_x), v0)
     rho_v0 = lift @ sigma @ dag(lift) / p0
     h = 0.5 * (g0 @ winv + winv @ g0)
     return p0, rho_v0, p0 * float(np.trace(rho_v0 @ h).real)
@@ -361,7 +360,7 @@ def check_observable_evolution_bound(
     rho = require_density(rho)
     ps = _purify(rho)
     psi_t = final_joint_state(ps, ch)
-    g_full = np.kron(np.eye(ps.dim_s * ch.dim), g_env)
+    g_full = kron(np.eye(ps.dim_s * ch.dim), g_env)
     mean, variance = mean_and_variance(g_full, psi_t)
     xi = _survival_activity(rho, ch)
     base = _tur_report(mean, variance, float(g0), xi)
@@ -394,9 +393,9 @@ def classical_correlation_bound(
     ps = _purify(rho)
     if g_r.shape[0] != ps.dim_s or g_s.shape[0] != ch.dim:
         raise LayoutError("G_R must act on R (copy of S) and G_S on S")
-    value = float(np.vdot(ps.joint_vector, np.kron(g_r, _heisenberg(ch, g_s)) @ ps.joint_vector).real)
+    value = float(np.vdot(ps.joint_vector, kron(g_r, _heisenberg(ch, g_s)) @ ps.joint_vector).real)
     ch = ensure_dilation(ch)
-    g_full = np.kron(np.kron(g_r, g_s), np.eye(ch.dilation.env_dim))
+    g_full = kron(kron(g_r, g_s), np.eye(ch.dilation.env_dim))
     q = _q_baseline_general(g_full, ps, ch)
     gmax_r = float(np.max(np.abs(np.linalg.eigvalsh(g_r))))
     gmax_s = float(np.max(np.abs(np.linalg.eigvalsh(g_s))))

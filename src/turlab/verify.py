@@ -24,6 +24,9 @@ from .harness import CHUNK_TRIALS, ExperimentConfig, _trial_setups
 from .random_ops import random_channel, random_density, random_hermitian
 from .tur import (
     PurifiedState,
+    _purify,
+    _survival_activity,
+    _survival_activity_protocol_sim,
     check_general_tur,
     final_joint_state,
     purify,
@@ -31,10 +34,9 @@ from .tur import (
     sld,
     survival_activity,
     survival_activity_moments,
-    survival_activity_protocol_sim,
     survival_activity_series,
 )
-from .protocol import exact_correlator, protocol_correlator
+from .protocol import _exact_correlator, protocol_correlator
 
 SUITES = ("qfi", "scaling", "protocol", "saturation", "series")
 FD_STEP = 1e-5
@@ -92,18 +94,18 @@ def analytic_scaling(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, flip_dv
     return 2.0 * float(np.vdot(dpsi, g @ psi_t).real)
 
 
-def suite_qfi(trials: int, seed: int) -> SuiteResult:
+def suite_qfi(trials: int, seed: int, instances=None) -> SuiteResult:
     worst = 0.0
-    for ch, rho in _instances(seed, trials):
-        ps = purify(rho)
-        worst = max(worst, abs(qfi(ch, ps) - survival_activity(rho, ch)))
+    for ch, rho in _instances(seed, trials) if instances is None else instances:
+        xi = survival_activity(rho, ch)
+        worst = max(worst, abs(qfi(ch, _purify(rho)) - xi))
     return SuiteResult("qfi", worst <= 1e-8, trials, worst, "max |J(0) - Xi|")
 
 
-def suite_scaling(trials: int, seed: int, inject_fault: str | None = None) -> SuiteResult:
+def suite_scaling(trials: int, seed: int, inject_fault: str | None = None, instances=None) -> SuiteResult:
     rng = np.random.default_rng(seed + 1)
     worst_fd, worst_an = 0.0, 0.0
-    for ch, rho in _instances(seed, trials):
+    for ch, rho in _instances(seed, trials) if instances is None else instances:
         ps = purify(rho)
         n_env = len(ch.operators)
         dim = ps.dim_s * ps.dim_s * n_env
@@ -125,8 +127,8 @@ def suite_scaling(trials: int, seed: int, inject_fault: str | None = None) -> Su
 def suite_protocol(trials: int, seed: int) -> SuiteResult:
     worst = 0.0
     for setup in _family_setups(seed + 2, range(trials), gamma_lo=0.0):
-        c_direct = exact_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
-        c_proto = protocol_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
+        c_proto = protocol_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)   # checks the inputs
+        c_direct = _exact_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
         worst = max(worst, abs(c_direct - c_proto))
     return SuiteResult("protocol", worst <= 1e-10, trials, worst, "max |protocol - direct|")
 
@@ -151,12 +153,12 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
     worst_moment, worst_first = 0.0, 0.0
     for setup in _family_setups(seed + 4, range(trials)):
         rho = random_density(setup.channel.dim, rng)
-        xi = survival_activity(rho, setup.channel)
-        estimates = survival_activity_series(rho, setup.channel, order=4)
+        estimates = survival_activity_series(rho, setup.channel, order=4)   # checks rho
+        xi = _survival_activity(rho, setup.channel)
         for n, est in enumerate(estimates, start=1):
             errors[n].append(abs(est - xi))
         moments = survival_activity_moments(rho, setup.channel, 4)
-        sim = survival_activity_protocol_sim(rho, setup.channel, 4)
+        sim = _survival_activity_protocol_sim(rho, setup.channel, 4)
         worst_moment = max(worst_moment, max(abs(a - b) for a, b in zip(moments, sim)))
         worst_first = max(worst_first, abs(estimates[0] - (1.0 - moments[1])))
     medians = [median(errors[n]) for n in range(1, 5)]
@@ -171,12 +173,14 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
 
 def run_suites(names=None, trials: int = 100, seed: int = 2024, inject_fault: str | None = None):
     names = tuple(names) if names else SUITES
+    # qfi and scaling check the same instances: drawn once (~11 kB each), scaling reuses qfi's cached spectra.
+    shared = list(_instances(seed, trials)) if {"qfi", "scaling"} <= set(names) else None
     results = []
     for name in names:
         if name == "qfi":
-            results.append(suite_qfi(trials, seed))
+            results.append(suite_qfi(trials, seed, instances=shared))
         elif name == "scaling":
-            results.append(suite_scaling(trials, seed, inject_fault=inject_fault))
+            results.append(suite_scaling(trials, seed, inject_fault=inject_fault, instances=shared))
         elif name == "protocol":
             results.append(suite_protocol(trials, seed))
         elif name == "saturation":

@@ -16,9 +16,10 @@ from turlab.channels import (
     synthesize_dilation,
 )
 from turlab.errors import AdmissibilityError, ContractError, SingularOperator
-from turlab.gates import P0, P1, SIGMA_Z, kron_all
+from turlab.gates import P0, P1, SIGMA_Z
 from turlab.linalg import SubsystemLayout, dag, outer, partial_trace
-from turlab.random_ops import random_channel, random_density
+from turlab.random_ops import random_channel, random_density, random_unitary
+from turlab.tur import purify, survival_activity, tilde_initial_state
 
 
 SE = SubsystemLayout((2, 2), ("S", "E"))
@@ -33,7 +34,7 @@ class TestKrausFromUnitary:
 
     def test_cnot_gives_projectors(self):
         flip = np.array([[0, 1], [1, 0]], dtype=complex)
-        cnot_se = kron_all(P0, np.eye(2)) + kron_all(P1, flip)  # control S, target E
+        cnot_se = np.kron(P0, np.eye(2)) + np.kron(P1, flip)  # control S, target E
         ch = kraus_from_unitary(cnot_se, SE)
         assert_allclose(ch.operators[0], P0, atol=1e-12)
         assert_allclose(ch.operators[1], P1, atol=1e-12)
@@ -145,6 +146,12 @@ class TestPerturbedKraus:
         with pytest.raises(SingularOperator):
             perturbed_kraus(amplitude_damping(1.0), -0.5)
 
+    @pytest.mark.parametrize("theta", [-0.1, 0.1])
+    def test_single_operator_channel_stays_unitary(self, theta, rng):
+        u = random_unitary(3, rng)
+        pert = perturbed_kraus(KrausChannel((u,)), theta)
+        assert_allclose(pert.operators[0], u, rtol=0, atol=1e-12)
+
 
 class TestDv0Dtheta:
     def test_unitary_v0_gives_zero(self, rng):
@@ -167,6 +174,31 @@ class TestDv0Dtheta:
     def test_singular(self):
         with pytest.raises(SingularOperator):
             dv0_dtheta(amplitude_damping(1.0))
+
+
+class TestNoJumpCache:
+    """W = V_0^dag V_0 is decomposed once per channel; a singular V_0 raises on every access."""
+
+    RHO = np.diag([0.25, 0.75]).astype(complex)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda ch: survival_activity(TestNoJumpCache.RHO, ch), "matrix is singular, inverse undefined"),
+        (lambda ch: tilde_initial_state(purify(TestNoJumpCache.RHO), ch), "matrix is singular, inverse undefined"),
+        (dv0_dtheta, "V_0 must be invertible for dV_0/dtheta"),
+        (lambda ch: perturbed_kraus(ch, -0.1), "polar decomposition needs nonsingular v^dag v"),
+    ], ids=["survival_activity", "tilde_initial_state", "dv0_dtheta", "perturbed_kraus"])
+    def test_singular_v0_raises_on_every_call(self, call, message):
+        ch = amplitude_damping(1.0 - 1e-13)
+        for _ in range(2):
+            with pytest.raises(SingularOperator) as err:
+                call(ch)
+            assert str(err.value) == f"{message} (offending eigenvalue 1.001e-13)"
+            assert err.value.eigenvalue == pytest.approx(1.0014e-13, rel=1e-4)
+
+    def test_spectrum_is_cached_per_channel(self, rng):
+        ch = random_channel(3, 2, rng)
+        assert ch.no_jump_spectrum is ch.no_jump_spectrum
+        assert_allclose(ch.no_jump_spectrum.inverse() @ (dag(ch.v0) @ ch.v0), np.eye(3), atol=1e-12)
 
 
 class TestDilationSynthesis:

@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from turlab.cli import main
 from turlab.serialize import CSV_COLUMNS, encode_matrix
@@ -244,3 +245,18 @@ class TestBoundCommand:
                          *(x for item in args.items() for x in item)])
             assert code == 3
             assert "must act on the channel's system" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channel, rho, message", [
+        ({"unitary": encode_matrix(np.diag([1.0, 1.0, 2.0, 1.0])), "dims": [2, 2]}, RHO1,
+         "dilation unitary is not unitary"),
+        ({"kraus": [encode_matrix(np.eye(2)), encode_matrix(np.diag([1.0, 0.0]))]}, RHO1,
+         "completeness violated"),
+        ({**ad_channel_spec(0.25), "env_initial": False}, RHO1, "channel.env_initial: expected an integer"),
+        (ad_channel_spec(0.25), [[[0, 0], [0, 0]], [[0, 0], [True, False]]], "rho[1][1]: entries must be finite numbers"),
+    ], ids=["not-unitary", "incomplete-kraus", "boolean-env-initial", "boolean-entry"])
+    def test_invalid_channel_or_boolean_is_input_error(self, channel, rho, message, capsys):
+        code = main(["bound", "--channel", json.dumps(channel), "--rho", json.dumps(rho),
+                     "--a", json.dumps(SZ), "--b", json.dumps(SZ)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err

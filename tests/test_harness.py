@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 from turlab import harness
 from turlab.channels import kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
-from turlab.gates import I2, KET0, P0, P1, PAULIS, kron_all, rx, ry
+from turlab.gates import I2, KET0, P0, P1, PAULIS, rx, ry
 from turlab.harness import (
     ExperimentConfig,
     evaluate_trial,
@@ -29,9 +30,9 @@ def kron_family_inputs(thetas, gamma):
     """
     t = thetas
     psi = np.kron(ry(t[1]) @ rx(t[0]) @ KET0, ry(t[3]) @ rx(t[2]) @ KET0)
-    layer1 = kron_all(ry(t[5]) @ rx(t[4]), ry(t[7]) @ rx(t[6]), I2)
-    coupling = kron_all(P0, I2, I2) + kron_all(P1, I2, ry(math.pi * gamma))
-    layer2 = kron_all(ry(t[9]) @ rx(t[8]), ry(t[11]) @ rx(t[10]), I2)
+    layer1 = reduce(np.kron, (ry(t[5]) @ rx(t[4]), ry(t[7]) @ rx(t[6]), I2))
+    coupling = reduce(np.kron, (P0, I2, I2)) + reduce(np.kron, (P1, I2, ry(math.pi * gamma)))
+    layer2 = reduce(np.kron, (ry(t[9]) @ rx(t[8]), ry(t[11]) @ rx(t[10]), I2))
     return np.outer(psi, psi.conj()), layer2 @ coupling @ layer1
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from turlab.errors import ContractError, LayoutError, SingularOperator
@@ -10,6 +12,7 @@ from turlab.linalg import (
     embed_operator,
     hermitian_inverse,
     hermitian_sqrt,
+    kron,
     outer,
     partial_trace,
     polar_unitary,
@@ -172,3 +175,42 @@ class TestPolarUnitary:
     def test_singular_rejected(self):
         with pytest.raises(SingularOperator):
             polar_unitary(np.array([[1, 0], [0, 0]], dtype=complex))
+
+
+class TestKron:
+    @staticmethod
+    def operand(rng, shape, dtype):
+        """Normal entries with signed zeros mixed in, so that a changed product shows in the bits."""
+        x = rng.normal(size=shape)
+        if dtype is complex:
+            x = x + 1j * rng.normal(size=shape)
+        return np.where(rng.random(shape) < 0.2, rng.choice([0.0, -0.0], size=shape), x).astype(dtype)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(kind=st.sampled_from(["vectors", "matrices", "stacks", "stack-and-matrix", "matrix-and-stack"]),
+           shape_a=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           shape_b=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           dtypes=st.tuples(st.sampled_from([float, complex]), st.sampled_from([float, complex])),
+           n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    # 1x1 complex operands: numpy picks its multiply loop by operand layout, and these two cases
+    # differ in the last bit unless the operands have numpy kron's shapes and equal rank
+    @example(kind="vectors", shape_a=(1, 1), shape_b=(1, 1), dtypes=(complex, complex), n=1, seed=4)
+    @example(kind="stack-and-matrix", shape_a=(1, 1), shape_b=(1, 1), dtypes=(complex, complex), n=1, seed=2493451694)
+    def test_bitwise_equal_to_np_kron(self, kind, shape_a, shape_b, dtypes, n, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "vectors":
+            shape_a, shape_b = shape_a[:1], shape_b[:1]
+        if kind in ("stacks", "stack-and-matrix"):
+            shape_a = (n,) + shape_a
+        if kind in ("stacks", "matrix-and-stack"):
+            shape_b = (n,) + shape_b
+        a, b = self.operand(rng, shape_a, dtypes[0]), self.operand(rng, shape_b, dtypes[1])
+        got = kron(a, b)
+        if kind in ("vectors", "matrices"):
+            want = np.kron(a, b)
+        else:   # per slice, the unstacked operand broadcast over the stack
+            a_s, b_s = np.broadcast_to(a, (n,) + a.shape[-2:]), np.broadcast_to(b, (n,) + b.shape[-2:])
+            want = np.stack([np.kron(x, y) for x, y in zip(a_s, b_s)])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()   # signed zeros too
