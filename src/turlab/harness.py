@@ -10,9 +10,10 @@ Each trial draws twelve rotation angles and an interaction strength gamma:
   * observables A = sigma_i (x) sigma_j and B = sigma_k (x) sigma_l drawn
     uniformly from the fifteen non-identity Pauli pairs.
 
-Every trial is a deterministic function of (seed, trial_id); shot sampling uses
-independent counter-based substreams so repeated runs are bit-identical. The
-inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view.
+Every trial is a deterministic function of (seed, trial_id): its inputs come from numpy's SeedSequence -> Philox
+stream keyed by (seed, trial_id), its main and nested circuits' shots from those keyed by (seed, trial_id, 0) and
+(seed, trial_id, 1). A chunk's streams are keyed in one vectorized pass, numpy's SeedSequence kept as the test oracle.
+The inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view.
 """
 
 from __future__ import annotations
@@ -33,9 +34,12 @@ from .protocol import (
     _ancilla_pullback,
     _bound_and_tradeoff,
     _entry_state,
+    _entropy_words,
     _main_gates,
     _multinomial_counts,
     _nested_gates,
+    _spawned_words,
+    _streams,
     correlator_bound,
     correlator_interval,
     estimate_main_circuit,
@@ -81,12 +85,6 @@ class ExperimentConfig:
         object.__setattr__(self, "theta_range", (float(tlo), float(thi)))
 
 
-def trial_rng(seed: int, trial_id: int, *stream: int) -> np.random.Generator:
-    """Counter-based generator for one trial (optionally one purpose substream)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial_id),) + tuple(stream))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 @dataclass(frozen=True)
 class TrialSetup:
     trial_id: int
@@ -98,19 +96,6 @@ class TrialSetup:
     channel: KrausChannel
     a_op: np.ndarray
     b_op: np.ndarray
-
-
-def _draw_pauli_pair(rng: np.random.Generator) -> tuple[int, int]:
-    k = int(rng.integers(1, 16))  # 1..15 skips the identity pair
-    return k // 4, k % 4
-
-
-def _draw_inputs(config: ExperimentConfig, trial_id: int):
-    """(thetas, gamma, a_idx, b_idx) of one trial, drawn from its own stream."""
-    rng = trial_rng(config.seed, trial_id)
-    thetas = tuple(float(x) for x in rng.uniform(*config.theta_range, size=12))
-    gamma = float(rng.uniform(*config.gamma_range))
-    return thetas, gamma, _draw_pauli_pair(rng), _draw_pauli_pair(rng)
 
 
 def generate_trial(config: ExperimentConfig, trial_id: int) -> TrialSetup:
@@ -161,29 +146,24 @@ def _variant_values(c_part, xi, q) -> tuple[list[VariantValues], list[float]]:
     return [VariantValues(*row) for row in rows], report.margin.tolist()
 
 
-def _sampled_estimates(main_counts: np.ndarray, nested_counts: np.ndarray) -> tuple[float, float, float]:
-    """(c, xi, q) of the sampled variant from the shot counts of the main and the nested circuit.
-
-    Raises DegenerateChannel when a postselection kept no shot.
-    """
-    c_hat, p0_hat, t1_hat = estimate_main_circuit(main_counts)
-    t2_hat = estimate_nested_circuit(nested_counts)
-    return c_hat, 1.0 - p0_hat, 2.0 * p0_hat * t1_hat - p0_hat * t2_hat
+def _sampled_variants(main_counts: np.ndarray, nested_counts: np.ndarray) -> tuple[list, list]:
+    """Sampled variants of stacked shot counts, and why a trial has none: the empty postselection, main one first."""
+    with np.errstate(invalid="ignore"):   # nan marks an empty postselection
+        (c, p0, t1), t2 = estimate_main_circuit(main_counts), estimate_nested_circuit(nested_counts)
+    failures = np.where(np.isnan(t1), "no shots survived the E = e0 postselection",
+                        np.where(np.isnan(t2), "no shots survived the E1 = e0 postselection", None)).tolist()
+    values, _ = _variant_values(c, 1.0 - p0, 2.0 * p0 * t1 - p0 * t2)
+    return [v if f is None else None for v, f in zip(values, failures)], failures
 
 
 def _sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial_id: int):
     """(sampled variant, None), (None, reason its postselection came up empty), or (None, None) if off."""
     if "sampled" not in config.variants or config.shots == 0:
         return None, None
-    try:
-        pm_main = protocol_state(rho, ch, a, b, stage="premeasure", part="real")
-        res_main = sample_shots(pm_main, config.shots, (config.seed, trial_id, 0))
-        pm_nested = nested_premeasure_state(rho, ch, a, b, part="real")
-        res_nested = sample_shots(pm_nested, config.shots, (config.seed, trial_id, 1))
-        c, xi, q = _sampled_estimates(res_main.counts, res_nested.counts)
-        return _variant_values([c], [xi], [q])[0][0], None
-    except DegenerateChannel as exc:
-        return None, str(exc)
+    main = sample_shots(protocol_state(rho, ch, a, b, stage="premeasure"), config.shots, (config.seed, trial_id, 0))
+    nested = sample_shots(nested_premeasure_state(rho, ch, a, b), config.shots, (config.seed, trial_id, 1))
+    (sampled,), (failure,) = _sampled_variants(main.counts[None], nested.counts[None])
+    return sampled, failure
 
 
 def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
@@ -279,12 +259,18 @@ def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray,
     return psi, rho, layer2 @ coupling @ layer1
 
 
-def _draw_stacked(config: ExperimentConfig, trial_ids):
-    """The draws of each id, the Pauli-pair rows of A and B, and _stacked_inputs of the draws."""
-    draws = [_draw_inputs(config, i) for i in trial_ids]
-    a_k = np.array([4 * i + j for _, _, (i, j), _ in draws])
-    b_k = np.array([4 * i + j for _, _, _, (i, j) in draws])
-    return (draws, a_k, b_k) + _stacked_inputs(np.array([d[0] for d in draws]), np.array([d[1] for d in draws]))
+def _draw_stacked(config: ExperimentConfig, trial_ids, rng: np.random.Generator | None = None):
+    """Each id's (thetas, gamma, a_idx, b_idx) from stream (seed, id), the Pauli-pair rows of A, B, _stacked_inputs."""
+    n = len(trial_ids)
+    thetas, gammas, pairs = np.empty((n, 12)), np.empty(n), np.empty((n, 2), dtype=np.int64)
+    seed = _spawned_words(config.seed)
+    for k, stream in enumerate(_streams([seed + _entropy_words(i) for i in trial_ids], rng)):
+        thetas[k] = stream.uniform(*config.theta_range, size=12)
+        gammas[k] = stream.uniform(*config.gamma_range)
+        pairs[k] = stream.integers(1, 16), stream.integers(1, 16)   # row 4 i + j of _PAULI_PAIRS; 1..15 skip I (x) I
+    draws = [(tuple(t), g, divmod(a, 4), divmod(b, 4))
+             for t, g, (a, b) in zip(thetas.tolist(), gammas.tolist(), pairs.tolist())]
+    return (draws, pairs[:, 0], pairs[:, 1]) + _stacked_inputs(thetas, gammas)
 
 
 def _trial_setups(config: ExperimentConfig, trial_ids) -> list[TrialSetup]:
@@ -398,7 +384,8 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     operation, so the records match evaluate_trial's to the last bit, not
     just within a tolerance.
     """
-    draws, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids)
+    rng = np.random.Generator(np.random.Philox(0))   # re-keyed to each stream of the chunk
+    draws, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
     v = np.ascontiguousarray(u.reshape(-1, 4, 2, 4, 2)[..., 0].transpose(0, 2, 1, 3))   # [m, S, S]
     v0 = v[:, 0]
     w = _dag(v0) @ v0
@@ -444,17 +431,11 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     general_holds = _tur_report(mean, var, q_g, xi).holds.tolist()
     sampled, failures = [None] * len(draws), [None] * len(draws)
     if "sampled" in config.variants and config.shots > 0:
-        main_probs, nested_probs = _premeasure_probabilities(psi, u, a_k, b_k)
-        estimates = {}
-        for n, trial_id in enumerate(trial_ids):
-            try:
-                estimates[n] = _sampled_estimates(
-                    _multinomial_counts(main_probs[n], config.shots, (config.seed, trial_id, 0)),
-                    _multinomial_counts(nested_probs[n], config.shots, (config.seed, trial_id, 1)))
-            except DegenerateChannel as exc:
-                failures[n] = str(exc)
-        for n, values in zip(estimates, _variant_values(*np.reshape(list(estimates.values()), (-1, 3)).T)[0]):
-            sampled[n] = values
+        # trial i draws its main circuit's shots from stream (seed, i, 0), its nested circuit's from (seed, i, 1)
+        seed = _entropy_words(config.seed)
+        counts = [_multinomial_counts(p, config.shots, _streams([seed + _entropy_words(i, k) for i in trial_ids], rng))
+                  for k, p in enumerate(_premeasure_probabilities(psi, u, a_k, b_k))]
+        sampled, failures = _sampled_variants(*counts)
     return [
         TrialRecord(
             trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx,

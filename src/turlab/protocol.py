@@ -310,7 +310,7 @@ def nested_run(
     p_second = float(probs[:, :, :, e0, e0].sum()) / p_first
     if p_second <= P0_CUTOFF:
         raise DegenerateChannel(f"second postselection probability {p_second:.3e} is numerically zero")
-    return NestedRun(value=estimate_nested_circuit(probs, e0), p_first=p_first, p_second=p_second)
+    return NestedRun(value=float(estimate_nested_circuit(probs, e0)), p_first=p_first, p_second=p_second)
 
 
 def nested_premeasure_state(
@@ -353,17 +353,83 @@ class ShotResult:
     seed: tuple[int, ...]
 
 
-def _seed_entropy(seed) -> tuple[int, ...]:
-    """Entropy tuple of an integer seed (numpy integers included) or a sequence of them."""
-    try:
-        return (operator.index(seed),)
-    except TypeError:
-        return tuple(int(s) for s in seed)
+# Random streams: numpy's Generator(Philox(SeedSequence(words))) of rows of uint32 entropy words. A Philox stream is
+# its 128-bit key and a zero counter, so _stream_keys replays SeedSequence's hash for many rows at once and one Philox
+# is re-keyed per stream; numpy's SeedSequence stays the test oracle.
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_OTHER_WORDS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
+
+
+def _entropy_words(*values) -> list[int]:
+    """SeedSequence's entropy words of non-negative integers: 32 bits each, least significant first."""
+    values = [operator.index(v) for v in values]
+    if any(v < 0 for v in values):
+        raise ValueError("expected non-negative integer")
+    return [(v >> s) & 0xFFFFFFFF for v in values for s in range(0, max(v.bit_length(), 1), 32)]
+
+
+def _spawned_words(seed: int, *spawn_key: int) -> list[int]:
+    """The words of SeedSequence(entropy=seed, spawn_key=spawn_key): the seed's, padded with 0 to 4, then the key's."""
+    words = _entropy_words(seed)
+    return words + [0] * (4 - len(words)) + _entropy_words(*spawn_key)
+
+
+def _hashmix(v: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of v[..., j] as the call that moves the multiplier from before[j] to after[j]."""
+    v = (v ^ before) * after
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ (r >> 16)
+
+
+def _multipliers(state: int, factor: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplier states before and after each of n successive hash calls (uint32 products wrap mod 2^32)."""
+    m = np.cumprod(np.array([state] + [factor] * n, dtype=np.uint32), dtype=np.uint32)
+    return m[:-1], m[1:]
+
+
+def _stream_keys(words: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(2, np.uint64) of each row of words (N, L) uint32, all rows in one pass.
+
+    numpy's pool of four words: each filled by one hashmix, then every word
+    mixed into every other, then each word past the fourth into all four. The
+    multiplier states do not depend on the data, so the rows share them.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    n_rows, n_words = words.shape
+    before, after = _multipliers(0x43B0D7E5, 0x931E8875, 16 + 4 * max(n_words - 4, 0))
+    pool = np.zeros((n_rows, 4), dtype=np.uint32)   # a pool word without an entropy word hashes 0
+    pool[:, :n_words] = words[:, :4]
+    pool = _hashmix(pool, before[:4], after[:4])
+    for src, dst in enumerate(_OTHER_WORDS):
+        calls = slice(4 + 3 * src, 7 + 3 * src)
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], before[calls], after[calls]))
+    for j in range(4, n_words):
+        calls = slice(4 * j, 4 * j + 4)
+        pool = _mix(pool, _hashmix(words[:, j, None], before[calls], after[calls]))
+    state = _hashmix(pool, *_multipliers(0x8B51F9DD, 0x58F38DED, 4))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _streams(rows, rng: np.random.Generator | None = None):
+    """rng (or a new one) at the start of the stream of each row of entropy words (all of one length) in turn.
+
+    Re-keying gives the Philox a fresh one's state: zero counter, empty buffer, no buffered 32-bit half.
+    """
+    rng = np.random.Generator(np.random.Philox(0)) if rng is None else rng
+    for key in _stream_keys(np.array(rows, dtype=np.uint32)):
+        rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
+                                   "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def shot_rng(seed) -> np.random.Generator:
-    """Counter-based (Philox) generator keyed by an integer or a tuple of them."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed_entropy(seed))))
+    """numpy's Generator(Philox(SeedSequence(seed))) for an integer seed or a sequence of them."""
+    return next(_streams([_entropy_words(*np.ravel(seed).tolist())]))
 
 
 def sample_shots(state: ProtocolState, shots: int, seed) -> ShotResult:
@@ -372,39 +438,36 @@ def sample_shots(state: ProtocolState, shots: int, seed) -> ShotResult:
         raise ContractError(f"sampling requires a premeasure state, got stage {state.stage!r}")
     if shots < 1:
         raise ContractError("shots must be >= 1")
-    entropy = _seed_entropy(seed)
-    counts = _multinomial_counts(np.diag(state.matrix).real.reshape(state.layout.dims), shots, entropy)
-    return ShotResult(counts=counts, shots=int(shots), seed=entropy)
+    entropy = tuple(map(operator.index, np.ravel(seed).tolist()))
+    probs = np.diag(state.matrix).real.reshape((1,) + state.layout.dims)
+    return ShotResult(counts=_multinomial_counts(probs, shots, [shot_rng(entropy)])[0], shots=int(shots), seed=entropy)
 
 
-def _multinomial_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Counts of ``shots`` draws from outcome probabilities (any shape, clipped at 0 and renormalised)."""
-    p = np.clip(probs, 0.0, None).ravel()
-    return shot_rng(seed).multinomial(shots, p / p.sum()).reshape(probs.shape)
+def _multinomial_counts(probs: np.ndarray, shots: int, rngs) -> np.ndarray:
+    """Counts of ``shots`` draws from each row of probs (N, ...), clipped at 0 and renormalised, by the n-th of rngs."""
+    p = np.clip(probs, 0.0, None).reshape(len(probs), -1)
+    p = p / p.sum(axis=1, keepdims=True)
+    return np.array([rng.multinomial(shots, row) for rng, row in zip(rngs, p)]).reshape(probs.shape)
 
 
-# The estimators take outcome weights over a premeasure layout: shot counts,
-# or exact outcome probabilities. Each sums the raw weights and divides once.
+# The estimators take outcome weights over a premeasure layout, or over a stack
+# of them on leading axes: shot counts, or exact outcome probabilities. Each sums
+# the raw weights and divides once; over an empty postselection it is 0 / 0 = nan.
 
-def estimate_main_circuit(weights: np.ndarray, e0: int = 0) -> tuple[float, float, float]:
+def estimate_main_circuit(weights: np.ndarray, e0: int = 0):
     """(c_hat, p0_hat, t1_hat) from weights over S' (x) S (x) E.
 
     c_hat: mean sign of S'; p0_hat: share of E = e0; t1_hat: mean sign of
     S' over the E = e0 outcomes.
     """
-    signed = weights[0] - weights[1]
-    n_e0 = weights[:, :, e0].sum()
-    if n_e0 == 0:
-        raise DegenerateChannel("no shots survived the E = e0 postselection")
-    n = weights.sum()
-    return float(signed.sum() / n), float(n_e0 / n), float(signed[:, e0].sum() / n_e0)
+    signed = weights[..., 0, :, :] - weights[..., 1, :, :]
+    n_e0 = weights[..., e0].sum(axis=(-2, -1))
+    n = weights.sum(axis=(-3, -2, -1))
+    return signed.sum(axis=(-2, -1)) / n, n_e0 / n, signed[..., e0].sum(axis=-1) / n_e0
 
 
-def estimate_nested_circuit(weights: np.ndarray, e0: int = 0) -> float:
+def estimate_nested_circuit(weights: np.ndarray, e0: int = 0):
     """Mean of sign(S2') * [E2 = e0] over the E1 = e0 outcomes of S2' (x) S' (x) S (x) E1 (x) E2."""
-    kept = weights[:, :, :, e0]
-    n_e1 = kept.sum()
-    if n_e1 == 0:
-        raise DegenerateChannel("no shots survived the E1 = e0 postselection")
-    both = kept[..., e0]
-    return float((both[0].sum() - both[1].sum()) / n_e1)
+    kept = weights[..., e0, :]
+    both = kept[..., e0].sum(axis=-1)   # over S, one entry per (S2', S')
+    return (both[..., 0, :].sum(axis=-1) - both[..., 1, :].sum(axis=-1)) / kept.sum(axis=(-4, -3, -2, -1))

@@ -103,10 +103,11 @@ def suite_qfi(trials: int, seed: int, instances=None) -> SuiteResult:
 
 
 def suite_scaling(trials: int, seed: int, inject_fault: str | None = None, instances=None) -> SuiteResult:
+    """Given instances are suite_qfi's, whose rho it validated; drawn ones are validated here."""
     rng = np.random.default_rng(seed + 1)
     worst_fd, worst_an = 0.0, 0.0
     for ch, rho in _instances(seed, trials) if instances is None else instances:
-        ps = purify(rho)
+        ps = purify(rho) if instances is None else _purify(rho)
         n_env = len(ch.operators)
         dim = ps.dim_s * ps.dim_s * n_env
         g = random_hermitian(dim, rng)

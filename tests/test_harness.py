@@ -2,10 +2,13 @@ import dataclasses
 import itertools
 import math
 import sys
+from collections import Counter
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from turlab import harness
@@ -280,6 +283,66 @@ class TestBatchedPath:
             oracle(cfg, 0)
         with pytest.raises(SingularOperator, match="trial 0"):
             run_experiment(cfg)
+
+
+class TestKeyedStreams:
+    def test_run_builds_no_seed_sequence_and_one_philox_per_chunk(self, monkeypatch):
+        built = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("SeedSequence", "Philox"):
+            monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
+        cfg = ExperimentConfig(seed=3, n_trials=300, shots=1000)
+        records, _ = run_experiment(cfg)
+        assert len(records) == 300
+        assert built["SeedSequence"] == 0
+        assert built["Philox"] <= math.ceil(cfg.n_trials / harness.CHUNK_TRIALS)
+
+    def test_empty_postselections_are_reported_main_circuit_first(self):
+        main = np.zeros((3, 2, 4, 2), dtype=np.int64)
+        nested = np.zeros((3, 2, 2, 4, 2, 2), dtype=np.int64)
+        main[:, 0, 0, 1] = 5           # trial 0 has no E = e0 shot
+        main[1:, 1, 2, 0] = 5
+        nested[:, 0, 0, 0, 1, 0] = 5   # E1 = 1: trials 0 and 1 have no E1 = e0 shot
+        nested[2, 1, 0, 3, 0, 1] = 5
+        sampled, failures = harness._sampled_variants(main, nested)
+        assert failures == ["no shots survived the E = e0 postselection",
+                            "no shots survived the E1 = e0 postselection", None]
+        assert sampled[:2] == [None, None]
+        # c = (5 - 5) / 10, p0 = 5 / 10, t1 = -5 / 5, t2 = 0 / 5 and q = 2 p0 t1 - p0 t2
+        assert (sampled[2].c_real, sampled[2].xi_b, sampled[2].q_ab) == (0.0, 0.5, -1.0)
+
+
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))
+GAMMAS = st.lists(st.floats(0.0, 0.95), min_size=2, max_size=2).map(lambda g: tuple(sorted(g)))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=SEEDS, gamma_range=GAMMAS, shots=st.sampled_from([1, 20, 1000]), n_trials=st.integers(1, 40))
+def test_run_equals_scalar_oracle(seed, gamma_range, shots, n_trials):
+    cfg = ExperimentConfig(seed=seed, n_trials=n_trials, shots=shots, gamma_range=gamma_range)
+    records, _ = run_experiment(cfg)
+    assert [r.trial_id for r in records] == list(range(n_trials))
+    for r in records:
+        o = oracle(cfg, r.trial_id)
+        assert (r.gamma, r.thetas, r.a_idx, r.b_idx) == (o.gamma, o.thetas, o.a_idx, o.b_idx)
+        for got, want in ((r.exact, o.exact), (r.approx, o.approx)):
+            for f in ("c_real", "xi_b", "q_ab", "lower", "upper"):
+                assert abs(getattr(got, f) - getattr(want, f)) <= 1e-12, (r.trial_id, f)
+            assert (got.contained, got.tur_violated, got.degenerate) == \
+                (want.contained, want.tur_violated, want.degenerate), r.trial_id
+            assert got.tur_lhs == pytest.approx(want.tur_lhs, rel=1e-6), r.trial_id
+        assert r.tur_margin == pytest.approx(o.tur_margin, rel=1e-6), r.trial_id
+        assert abs(r.postselect_p0 - o.postselect_p0) <= 1e-12
+        assert abs(r.bound_gap - o.bound_gap) <= 1e-12
+        flags = ("general_tur_holds", "contained_imag", "sep_tur_holds_imag")
+        assert [getattr(r, f) for f in flags] == [getattr(o, f) for f in flags], r.trial_id
+        assert (r.sampled, r.shots, r.failure) == (o.sampled, o.shots, o.failure), r.trial_id
 
 
 class TestSummarize:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import amplitude_damping
 
@@ -11,7 +13,11 @@ from turlab.linalg import SubsystemLayout, dag
 from turlab.protocol import (
     PARTS,
     _ancilla_pullback,
+    _entropy_words,
     _entry_state,
+    _spawned_words,
+    _stream_keys,
+    _streams,
     approx_bound_quantities,
     correlator_bound,
     estimate_main_circuit,
@@ -355,3 +361,58 @@ class TestDegenerateChannelPaths:
         rho = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises((DegenerateChannel, ContractError)):
             nested_run(rho, ch, SIGMA_Z, SIGMA_Z).value
+
+
+# Seeds of one word, and of several: at and above 2^32 and 2^64.
+SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**140))
+TRIAL_IDS = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+def seed_sequence_keys(*args, **kwargs):
+    return np.random.SeedSequence(*args, **kwargs).generate_state(2, np.uint64)
+
+
+class TestStreamKeys:
+    """_stream_keys and the re-keyed Philox against numpy's SeedSequence -> Philox streams."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(seed=SEEDS, trial_ids=st.lists(TRIAL_IDS, min_size=1, max_size=6), k=st.integers(0, 1))
+    @example(seed=0, trial_ids=[0, 2**32 - 1], k=0)
+    @example(seed=2**64 + 5, trial_ids=[0, 2**32 - 1], k=1)
+    def test_keys_equal_seed_sequence_state(self, seed, trial_ids, k):
+        spawned = _stream_keys(np.array([_spawned_words(seed, i) for i in trial_ids], dtype=np.uint32))
+        flat = _stream_keys(np.array([_entropy_words(seed, i, k) for i in trial_ids], dtype=np.uint32))
+        for i, got_spawned, got_flat in zip(trial_ids, spawned, flat, strict=True):
+            assert np.array_equal(got_spawned, seed_sequence_keys(entropy=seed, spawn_key=(i,)))
+            assert np.array_equal(got_flat, seed_sequence_keys((seed, i, k)))
+        assert spawned.dtype == flat.dtype == np.uint64
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=SEEDS, trial_id=TRIAL_IDS, first=st.integers(0, 5))
+    def test_rekeyed_generator_draws_like_a_fresh_one(self, seed, trial_id, first):
+        rng = np.random.Generator(np.random.Philox(first))
+        rng.integers(1, 16)   # a 64-bit output drawn, half of it buffered
+        assert rng.bit_generator.state["has_uint32"] == 1
+        rows = [_spawned_words(seed, trial_id), _entropy_words(seed, trial_id, 1)]
+        entropies = [dict(entropy=seed, spawn_key=(trial_id,)), dict(entropy=(seed, trial_id, 1))]
+        def draws(g):
+            return g.integers(1, 16, size=3), g.uniform(size=3), g.integers(1, 16), g.multinomial(50, [0.2, 0.3, 0.5])
+
+        for row, entropy in zip(rows, entropies, strict=True):
+            stream = next(_streams([row], rng))
+            assert stream is rng
+            fresh = np.random.Generator(np.random.Philox(np.random.SeedSequence(**entropy)))
+            for got, want in zip(draws(stream), draws(fresh), strict=True):
+                assert np.array_equal(got, want)
+            stream.integers(1, 16)   # leave a buffered half for the next re-key
+
+    @pytest.mark.parametrize("call", [
+        lambda: _entropy_words(-1),
+        lambda: _spawned_words(0, -1),
+        lambda: _spawned_words(-1, 0),
+        lambda: generate_trial(ExperimentConfig(shots=0), -1),
+        lambda: sample_shots(nested_premeasure_state(KET1, IDENTITY_CH, SIGMA_Z, SIGMA_Z), 10, seed=(1, -2)),
+    ])
+    def test_negative_entropy_raises_value_error(self, call):
+        with pytest.raises(ValueError, match="non-negative"):
+            call()

@@ -29,4 +29,19 @@ def test_default_verify_decomposes_and_validates_each_input_once(monkeypatch):
     results = run_suites(trials=100, seed=2024)
     assert all(r.passed for r in results)
     assert len(seen) == 370 and set(seen.values()) == {1}
-    assert (validated["require_density"], validated["require_hermitian"]) == (370, 690)
+    assert (validated["require_density"], validated["require_hermitian"]) == (270, 590)
+
+
+def test_scaling_alone_validates_its_own_inputs(monkeypatch):
+    calls = Counter()
+    original = linalg.require_density
+
+    def counting(m, *args, **kwargs):
+        calls["require_density"] += 1
+        return original(m, *args, **kwargs)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("turlab")]:
+        if getattr(module, "require_density", None) is original:
+            monkeypatch.setattr(module, "require_density", counting)
+    (result,) = run_suites(names=["scaling"], trials=10, seed=2024)
+    assert result.passed and calls["require_density"] == 10
