@@ -166,11 +166,12 @@ def heisenberg(ch: KrausChannel, a: np.ndarray) -> np.ndarray:
     a = require_hermitian(a, name="observable")
     if a.shape[0] != ch.dim:
         raise LayoutError(f"observable dimension {a.shape[0]} != channel dimension {ch.dim}")
-    return _heisenberg(ch, a)
+    return _heisenberg(ch.operators, a)
 
 
-def _heisenberg(ch: KrausChannel, a: np.ndarray) -> np.ndarray:
-    return sum(dag(v) @ a @ v for v in ch.operators)
+def _heisenberg(ops, a: np.ndarray) -> np.ndarray:
+    """sum_m V_m^dag A V_m; or of each row, for stacks A and ops[m] (N, d, d)."""
+    return sum(dag(v) @ a @ v for v in ops)
 
 
 @dataclass(frozen=True)

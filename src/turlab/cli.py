@@ -17,7 +17,7 @@ from pathlib import Path
 from ._version import __version__
 from .errors import ContractError, DegenerateChannel, SingularOperator
 from .harness import ExperimentConfig, run_experiment
-from .protocol import _bound_and_tradeoff, separable_tur_protocol_check
+from .protocol import _bound_and_tradeoff
 from .serialize import (
     SpecParseError,
     channel_from_spec,
@@ -182,9 +182,8 @@ def _cmd_bound(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        bound, tur = _bound_and_tradeoff(rho, channel, a, b, args.variant, args.part)
-        if args.variant != "exact":   # the trade-off reported is always the exact interval's
-            tur = separable_tur_protocol_check(rho, channel, a, b, part=args.part)
+        reports = _bound_and_tradeoff(rho, channel, a, b, dict.fromkeys((args.variant, "exact")), args.part)
+        bound, tur = reports[0][0], reports[-1][1]   # the trade-off reported is always the exact interval's
     except (SingularOperator, DegenerateChannel) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -38,12 +38,12 @@ def pauli_pair(i: int, j: int) -> np.ndarray:
 
 
 def controlled(u: np.ndarray) -> np.ndarray:
-    """Controlled-U with the control as the first (slow) tensor factor.
+    """Controlled-U with the control as the first (slow) tensor factor, of one U or of each of a stack.
 
     Applies U to the remaining factors when the control qubit is |1>.
     """
-    d = u.shape[0]
-    out = np.zeros((2 * d, 2 * d), dtype=complex)
-    out[:d, :d] = np.eye(d)
-    out[d:, d:] = u
+    d = u.shape[-1]
+    out = np.zeros(u.shape[:-2] + (2 * d, 2 * d), dtype=complex)
+    out[..., :d, :d] = np.eye(d)
+    out[..., d:, d:] = u
     return out

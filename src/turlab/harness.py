@@ -28,7 +28,16 @@ import numpy as np
 from .channels import COMPLETENESS_ATOL, KrausChannel, kraus_from_unitary
 from .errors import ContractError, DegenerateChannel, SingularOperator
 from .gates import HADAMARD, I2, controlled, pauli_pair
-from .linalg import EIGENVALUE_GROUP_TOL, HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, kron, outer
+from .linalg import (
+    EIGENVALUE_GROUP_TOL,
+    HERMITIAN_ATOL,
+    UNITARY_ATOL,
+    SubsystemLayout,
+    _raise_first_failure,
+    dag,
+    kron,
+    outer,
+)
 from .protocol import (
     PARTS,
     _ancilla_pullback,
@@ -172,7 +181,7 @@ def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
     bound = correlator_bound(rho, ch, a, b, variant="exact", part="real")
     (exact,), (margin,) = _variant_values([bound.correlator_real], [bound.xi_b], [bound.q_ab])
 
-    bound_i, sep_i = _bound_and_tradeoff(rho, ch, a, b, "exact", "imag")
+    (bound_i, sep_i), = _bound_and_tradeoff(rho, ch, a, b, ("exact",), "imag")
 
     approx_bound = correlator_bound(rho, ch, a, b, variant="neumann1", part="real")
     (approx,), _ = _variant_values([approx_bound.correlator_real], [approx_bound.xi_b], [approx_bound.q_ab])
@@ -217,10 +226,6 @@ _CONTROLLED_PAIRS = np.stack([controlled(p) for p in _PAULI_PAIRS])
 _PULLBACKS = {part: np.stack([_ancilla_pullback(p, part) for p in _PAULI_PAIRS]) for part in PARTS}
 _CONTROLLED_PULLBACKS = np.stack([controlled(g) for g in _PULLBACKS["real"]])
 _PLUS = outer(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
-
-
-def _dag(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def _trace(m: np.ndarray) -> np.ndarray:
@@ -295,7 +300,7 @@ def _stacked_hermitian_inverse(m: np.ndarray) -> np.ndarray:
     because the interval half-width sqrt(Xi) turns an ulp of Xi near zero into
     ~1e-8. Singular input is the caller's check.
     """
-    w, v = np.linalg.eigh((m + _dag(m)) / 2.0)
+    w, v = np.linalg.eigh((m + dag(m)) / 2.0)
     splits = np.abs(w[:, -2::-1] - w[:, :0:-1]) > EIGENVALUE_GROUP_TOL   # descending neighbours
     out = np.empty_like(m)
     patterns, which = np.unique(splits, axis=0, return_inverse=True)
@@ -306,23 +311,9 @@ def _stacked_hermitian_inverse(m: np.ndarray) -> np.ndarray:
         acc = 0
         for i, j in zip(edges, edges[1:]):
             block = v_k[:, :, i:j]
-            acc = acc + (1.0 / np.mean(w_k[:, i:j], axis=1))[:, None, None] * (block @ _dag(block))
+            acc = acc + (1.0 / np.mean(w_k[:, i:j], axis=1))[:, None, None] * (block @ dag(block))
         out[rows] = acc
     return out
-
-
-def _raise_first_failure(trial_ids, checks) -> None:
-    """Raise what the scalar path raises first: the lowest failing trial, its first failing check.
-
-    ``checks`` lists (failed mask, error factory taking a chunk index) in the
-    scalar path's order.
-    """
-    hits = [(int(np.argmax(failed)), k) for k, (failed, _) in enumerate(checks) if failed.any()]
-    if hits:
-        n, k = min(hits)
-        exc = checks[k][1](n)
-        exc.args = (f"trial {trial_ids[n]}: {exc.args[0]}",)
-        raise exc
 
 
 def _general_tur_terms(sigma, v, v0_inv, g):
@@ -372,7 +363,7 @@ def _premeasure_probabilities(psi: np.ndarray, u: np.ndarray, a_k: np.ndarray, b
     nested = np.zeros((n, 2, 8, 2, 2), dtype=complex)
     nested[:, :, :, 0, 0] = entry[:, None, :, 0]
     nested = nested.reshape(n, 64)
-    for g, targets in _nested_gates(u, _dag(u), _CONTROLLED_PULLBACKS[a_k]):
+    for g, targets in _nested_gates(u, dag(u), _CONTROLLED_PULLBACKS[a_k]):
         nested = _on_factors_stacked(g, nested, (2, 2, 4, 2, 2), targets)
     return np.abs(main.reshape(n, 2, 4, 2)) ** 2, np.abs(nested.reshape(n, 2, 2, 4, 2, 2)) ** 2
 
@@ -388,18 +379,18 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     draws, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
     v = np.ascontiguousarray(u.reshape(-1, 4, 2, 4, 2)[..., 0].transpose(0, 2, 1, 3))   # [m, S, S]
     v0 = v[:, 0]
-    w = _dag(v0) @ v0
+    w = dag(v0) @ v0
     cb = _CONTROLLED_PAIRS[b_k]
-    sigma = cb @ kron(_PLUS, rho) @ _dag(cb)          # entry state on P = S' (x) S
+    sigma = cb @ kron(_PLUS, rho) @ dag(cb)          # entry state on P = S' (x) S
     rho_sb = sigma[:, :4, :4] + sigma[:, 4:, 4:]
-    p0 = _trace(rho_sb @ _dag(v0) @ v0).real
+    p0 = _trace(rho_sb @ dag(v0) @ v0).real
     g_re, g_im = _PULLBACKS["real"][a_k], _PULLBACKS["imag"][a_k]
 
-    unitary_err = np.abs(_dag(u) @ u - np.eye(8)).max(axis=(1, 2))
-    complete_err = np.abs((_dag(v) @ v).sum(axis=1) - np.eye(4)).max(axis=(1, 2))
+    unitary_err = np.abs(dag(u) @ u - np.eye(8)).max(axis=(1, 2))
+    complete_err = np.abs((dag(v) @ v).sum(axis=1) - np.eye(4)).max(axis=(1, 2))
     w_min = np.linalg.eigvalsh(w)[:, 0]
-    g_err = np.abs(g_re - _dag(g_re)).max(axis=(1, 2))
-    _raise_first_failure(trial_ids, [
+    g_err = np.abs(g_re - dag(g_re)).max(axis=(1, 2))
+    _raise_first_failure([
         (unitary_err > UNITARY_ATOL, lambda n: ContractError(
             f"dilation unitary is not unitary: max |M^dag M - I| = {unitary_err[n]:.3e}")),
         (complete_err > COMPLETENESS_ATOL, lambda n: ContractError(
@@ -410,19 +401,19 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
             f"no-jump probability {p0[n]:.3e} is numerically zero")),
         (g_err > HERMITIAN_ATOL, lambda n: ContractError(
             f"observable G is not Hermitian: max |M - M^dag| = {g_err[n]:.3e}")),
-    ])
+    ], lambda n: f"trial {trial_ids[n]}")
 
     a, b = _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
-    c = _trace(rho @ (_dag(v) @ a[:, None] @ v).sum(axis=1) @ b)    # Tr[rho A(T) B]
+    c = _trace(rho @ (dag(v) @ a[:, None] @ v).sum(axis=1) @ b)    # Tr[rho A(T) B]
     w_inv = _stacked_hermitian_inverse(w)
     xi = _trace(rho_sb @ w_inv).real - 1.0
     lift = kron(I2, v0)
-    rho_v0 = lift @ sigma @ _dag(lift) / p0[:, None, None]
-    ww = kron(I2, v0 @ _dag(v0))
-    ww_inv = kron(I2, _stacked_hermitian_inverse(v0 @ _dag(v0)))
+    rho_v0 = lift @ sigma @ dag(lift) / p0[:, None, None]
+    ww = kron(I2, v0 @ dag(v0))
+    ww_inv = kron(I2, _stacked_hermitian_inverse(v0 @ dag(v0)))
     q_re, q_im = (p0 * _trace(rho_v0 @ (0.5 * (g @ ww_inv + ww_inv @ g))).real for g in (g_re, g_im))
     q_approx = 2.0 * p0 * _trace(rho_v0 @ g_re).real - p0 * _trace(rho_v0 @ g_re @ ww).real
-    mean, var, q_g = _general_tur_terms(sigma, v, w_inv @ _dag(v0), g_re)
+    mean, var, q_g = _general_tur_terms(sigma, v, w_inv @ dag(v0), g_re)
 
     exact, margins = _variant_values(c.real, xi, q_re)
     approx, _ = _variant_values(c.real, 1.0 - p0, q_approx)

@@ -30,8 +30,8 @@ TRACE_ATOL = 1e-10
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose, of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -47,31 +47,59 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _raise_first_failure(checks, label=None) -> None:
+    """Raise the error of the lowest failing row at its first failing check. ``checks`` lists (failed mask over the
+    rows, error factory taking a row index) in check order; label(row), if given, prefixes the message."""
+    # as lists: numpy's any and argmax cost more than the check itself on the one-row masks of scalar calls
+    hits = [(rows.index(True), k) for k, rows in enumerate(failed.tolist() for failed, _ in checks) if True in rows]
+    if hits:
+        n, k = min(hits)
+        exc = checks[k][1](n)
+        if label is not None:
+            exc.args = (f"{label(n)}: {exc.args[0]}",)
+        raise exc
+
+
+def _square_rows(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, Callable | None]:
+    """(m, m as a stack, the row label of its failures): m is a square matrix or a stack (N, d, d) of them."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim == 3 and m.shape[1] == m.shape[2]:
+        return m, m, lambda n: f"row {n}"
+    return m, require_square(m, name)[None], None
+
+
+def _hermitian_check(rows: np.ndarray, atol: float, name: str):
+    err = np.abs(rows - dag(rows)).max(axis=(1, 2), initial=0.0)
+    return err > atol, lambda n: ContractError(f"{name} is not Hermitian: max |M - M^dag| = {err[n]:.3e} > {atol:.1e}")
+
+
 def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
-    m = require_square(m, name)
-    err = max_abs(m - dag(m))
-    if err > atol:
-        raise ContractError(f"{name} is not Hermitian: max |M - M^dag| = {err:.3e} > {atol:.1e}")
+    """m checked Hermitian; a stack (N, d, d) raises the message of its first failing row, with the row index."""
+    m, rows, label = _square_rows(m, name)
+    _raise_first_failure([_hermitian_check(rows, atol, name)], label)
     return m
 
 
 def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matrix") -> np.ndarray:
-    m = require_square(m, name)
-    err = max_abs(dag(m) @ m - np.eye(m.shape[0]))
-    if err > atol:
-        raise ContractError(f"{name} is not unitary: max |M^dag M - I| = {err:.3e} > {atol:.1e}")
+    """m checked unitary, or each matrix of a stack as require_hermitian."""
+    m, rows, label = _square_rows(m, name)
+    err = np.abs(dag(rows) @ rows - np.eye(m.shape[-1])).max(axis=(1, 2), initial=0.0)
+    _raise_first_failure([(err > atol, lambda n: ContractError(
+        f"{name} is not unitary: max |M^dag M - I| = {err[n]:.3e} > {atol:.1e}"))], label)
     return m
 
 
 def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD and trace one within tolerance."""
-    rho = require_hermitian(rho, name=name)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ContractError(f"{name} must have unit trace, got {tr:.12g}")
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -PSD_ATOL:
-        raise ContractError(f"{name} is not positive semidefinite: min eigenvalue {lo:.3e}")
+    """Validate a density matrix, or each of a stack as require_hermitian: Hermitian, PSD and trace one."""
+    rho, rows, label = _square_rows(rho, name)
+    tr = np.trace(rows, axis1=1, axis2=2)
+    lo = np.linalg.eigvalsh(rows)[:, 0]
+    _raise_first_failure([
+        _hermitian_check(rows, HERMITIAN_ATOL, name),
+        (np.abs(tr - 1.0) > TRACE_ATOL,
+         lambda n: ContractError(f"{name} must have unit trace, got {complex(tr[n]):.12g}")),
+        (lo < -PSD_ATOL, lambda n: ContractError(f"{name} is not positive semidefinite: min eigenvalue {lo[n]:.3e}")),
+    ], label)
     return rho
 
 

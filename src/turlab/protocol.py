@@ -29,14 +29,16 @@ from .errors import ContractError, DegenerateChannel, LayoutError
 from .gates import HADAMARD, S_GATE, SIGMA_X, SIGMA_Y, controlled
 from .linalg import (
     SubsystemLayout,
+    _raise_first_failure,
+    _square_rows,
     basis_vector,
     dag,
     kron,
-    max_abs,
     outer,
     partial_trace,
     require_density,
     require_hermitian,
+    require_unitary,
 )
 from .tur import P0_CUTOFF, TUR_SLACK, TurReport, _survival_activity, _tur_report, separable_baseline
 
@@ -45,23 +47,18 @@ _STAGE_GATES = dict(zip(STAGES, (0, 2, 3, 4, 5)))   # gates of protocol_state's 
 PARTS = ("real", "imag")
 
 
-def _require_inputs(rho, ch: KrausChannel, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rho, A, B) checked as a density matrix and two Hermitian unitaries on the channel's system."""
+def _require_inputs(rho, dim: int, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, A, B), or stacks (N, d, d) of them, checked as density matrices and Hermitian unitaries on dim."""
     checked = [require_density(rho)]
-    for m, name in ((a, "A"), (b, "B")):
-        m = require_hermitian(m, name=name)
-        err = max_abs(dag(m) @ m - np.eye(m.shape[0]))
-        if err > 1e-10:
-            raise ContractError(f"{name} must be unitary (Pauli-string class): |M^dag M - I| = {err:.3e}")
-        checked.append(m)
-    if any(m.shape[0] != ch.dim for m in checked):
+    checked += [require_unitary(require_hermitian(m, name=name), name=name) for m, name in ((a, "A"), (b, "B"))]
+    if any(m.shape[-1] != dim for m in checked):
         raise LayoutError("rho, A, B must act on the channel's system")
     return tuple(checked)
 
 
 @dataclass(frozen=True)
 class ProtocolState:
-    """Density matrix of the protocol register at a named stage."""
+    """Density matrix of the protocol register at a named stage, or a stack (N, D, D) of them."""
 
     layout: SubsystemLayout
     matrix: np.ndarray
@@ -70,20 +67,22 @@ class ProtocolState:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ContractError(f"unknown stage {self.stage!r}")
-        self.layout.require_matches(self.matrix)
-        tr = float(np.trace(self.matrix).real)
-        if abs(tr - 1.0) > 1e-10:
-            raise ContractError(f"protocol state trace {tr:.12g} != 1")
+        _, rows, label = _square_rows(self.matrix, "protocol state")
+        self.layout.require_matches(rows[0])
+        tr = np.trace(rows, axis1=1, axis2=2).real
+        _raise_first_failure([(np.abs(tr - 1.0) > 1e-10, lambda n: ContractError(
+            f"protocol state trace {tr[n]:.12g} != 1"))], label)
 
 
 def _on_factors(u: np.ndarray, sigma: np.ndarray, dims: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
-    """u sigma u^dag for u acting on the register factors ``targets`` (in u's factor order)."""
+    """u sigma u^dag for each matrix of sigma (N, D, D), u (one gate or a stack of N) acting on the register
+    factors ``targets`` (in u's factor order)."""
     n = len(dims)
-    order = list(targets) + [k for k in range(n) if k not in targets]
-    back = list(np.argsort(order)) + [n]
+    order = [0] + [k + 1 for k in targets] + [k + 1 for k in range(n) if k not in targets] + [n + 1]
+    back = list(np.argsort(order))
     for _ in range(2):   # targets of the row index first, one matmul, then the adjoint: u (u sigma)^dag
-        t = sigma.reshape(dims + (-1,)).transpose(order + [n])
-        sigma = dag((u @ t.reshape(u.shape[0], -1)).reshape(t.shape).transpose(back).reshape(sigma.shape))
+        t = sigma.reshape((len(sigma),) + dims + (-1,)).transpose(order)
+        sigma = dag((u @ t.reshape(len(t), u.shape[-1], -1)).reshape(t.shape).transpose(back).reshape(sigma.shape))
     return sigma
 
 
@@ -106,6 +105,16 @@ def _nested_gates(unitary, unitary_dag, g_gate) -> list:
     return [(unitary, (2, 3)), (g_gate, (0, 1, 2)), (unitary_dag, (2, 4)), (HADAMARD, (0,))]
 
 
+def _main_states(rho, unitary, env_initial: int, a, b, stage: str = "after_UA", part: str = "real") -> ProtocolState:
+    """protocol_state of each row of stacks rho, A, B (N, d, d) and dilation unitaries (N, d d_E, d d_E); A, B or the
+    unitary may also be one matrix for all rows. protocol_state is its one-row view."""
+    d, d_e = rho.shape[-1], unitary.shape[-1] // rho.shape[-1]
+    sigma = kron(kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(d_e, env_initial)))
+    for u, targets in _main_gates(controlled(b), unitary, controlled(a), _readout_rotation(part))[:_STAGE_GATES[stage]]:
+        sigma = _on_factors(u, sigma, (2, d, d_e), targets)
+    return ProtocolState(SubsystemLayout((2, d, d_e), ("S'", "S", "E")), sigma, stage)
+
+
 def protocol_state(
     rho: np.ndarray,
     ch: KrausChannel,
@@ -117,44 +126,47 @@ def protocol_state(
     """Evolve the protocol register up to the requested stage."""
     if stage not in STAGES:
         raise ContractError(f"unknown stage {stage!r}")
-    rho, a, b = _require_inputs(rho, ch, a, b)
-    ch = ensure_dilation(ch)
-    dil = ch.dilation
-    layout = SubsystemLayout((2, ch.dim, dil.env_dim), ("S'", "S", "E"))
-    gates = _main_gates(controlled(b), dil.unitary, controlled(a), _readout_rotation(part))
-    sigma = kron(kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(dil.env_dim, dil.env_initial)))
-    for u, targets in gates[:_STAGE_GATES[stage]]:
-        sigma = _on_factors(u, sigma, layout.dims, targets)
-    return ProtocolState(layout, sigma, stage)
+    rho, a, b = _require_inputs(rho, ch.dim, a, b)
+    dil = ensure_dilation(ch).dilation
+    state = _main_states(rho[None], dil.unitary, dil.env_initial, a, b, stage, part)
+    return ProtocolState(state.layout, state.matrix[0], stage)
 
 
 def exact_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
     """C(T) = Tr[rho A(T) B] with A(T) the Heisenberg-evolved observable."""
-    rho, a, b = _require_inputs(rho, ch, a, b)
-    return _exact_correlator(rho, ch, a, b)
+    rho, a, b = _require_inputs(rho, ch.dim, a, b)
+    return _exact_correlator(rho, ch.operators, a, b)
 
 
-def _exact_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.trace(rho @ _heisenberg(ch, a) @ b))
+def _exact_correlator(rho, ops, a, b):
+    """C(T) of one instance, or of each row of stacks rho, A, B and Kraus operators ops[m] (N, d, d)."""
+    c = np.trace(rho @ _heisenberg(ops, a) @ b, axis1=-2, axis2=-1)
+    return complex(c) if c.ndim == 0 else c
+
+
+def _protocol_correlators(state: ProtocolState) -> np.ndarray:
+    """C(T) of each after_UA register of a stack: the mean sign of S' after the real and the imaginary readout."""
+    # Not estimate_main_circuit: C(T) stays defined when the E = e0 outcome has probability 0.
+    n, dims = len(state.matrix), state.layout.dims
+    re, im = (np.diagonal(_on_factors(_readout_rotation(p), state.matrix, dims, (0,)), axis1=1, axis2=2).real
+              .reshape(n, 2, -1).sum(axis=2) for p in PARTS)
+    return (re[:, 0] - re[:, 1]) + 1j * (im[:, 0] - im[:, 1])
 
 
 def protocol_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
     """C(T) from the ancilla protocol: the mean sign of S' after the real and the imaginary readout."""
-    state = protocol_state(rho, ch, a, b, stage="after_UA")
-    dims = state.layout.dims
-    # Not estimate_main_circuit: C(T) stays defined when the E = e0 outcome has probability 0.
-    probs = (np.diag(_on_factors(_readout_rotation(p), state.matrix, dims, (0,))).real.reshape(2, -1) for p in PARTS)
-    re, im = (float(p[0].sum() - p[1].sum()) for p in probs)
-    return complex(re, im)
+    rho, a, b = _require_inputs(rho, ch.dim, a, b)
+    dil = ensure_dilation(ch).dilation
+    return complex(_protocol_correlators(_main_states(rho[None], dil.unitary, dil.env_initial, a, b))[0])
 
 
 def _ancilla_pullback(a: np.ndarray, part: str) -> np.ndarray:
-    """G = U_A^c-dag (sigma_readout (x) I_S) U_A^c on S' (x) S."""
+    """G = U_A^c-dag (sigma_readout (x) I_S) U_A^c on S' (x) S, of one A or of each of a stack."""
     uca = controlled(a)
     readout = SIGMA_X if part == "real" else SIGMA_Y
     if part not in PARTS:
         raise ContractError(f"part must be one of {PARTS}, got {part!r}")
-    return dag(uca) @ kron(readout, np.eye(a.shape[0])) @ uca
+    return dag(uca) @ kron(readout, np.eye(a.shape[-1])) @ uca
 
 
 def _entry_state(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -213,7 +225,7 @@ def approx_bound_quantities(
     Q ~ 2 p_0 T_1 - p_0 T_2 with T_1 = Tr[rho^V0 G] and
     T_2 = Re Tr[rho^V0 G V_0 V_0^dag].
     """
-    rho, a, b = _require_inputs(rho, ch, a, b)
+    rho, a, b = _require_inputs(rho, ch.dim, a, b)
     return _approx_bound_quantities(rho, ch, a, b, part)
 
 
@@ -242,27 +254,30 @@ def correlator_bound(
     first-order surrogates of approx_bound_quantities. The interval half-width
     is sqrt(Xi_B) (variance of the unitary-Hermitian G capped at 1).
     """
-    return _bound_and_tradeoff(rho, ch, a, b, variant, part)[0]
+    return _bound_and_tradeoff(rho, ch, a, b, (variant,), part)[0][0]
 
 
-def _bound_and_tradeoff(rho, ch: KrausChannel, a, b, variant: str, part: str) -> tuple[BoundReport, TurReport]:
-    """correlator_bound and the separable trade-off of the same interval evaluation."""
-    if variant not in ("exact", "neumann1"):
-        raise ContractError(f"unknown variant {variant!r}")
-    rho, a, b = _require_inputs(rho, ch, a, b)
-    c = _exact_correlator(rho, ch, a, b)
+def _bound_and_tradeoff(rho, ch: KrausChannel, a, b, variants, part: str) -> list[tuple[BoundReport, TurReport]]:
+    """correlator_bound and the separable trade-off of each variant, the inputs validated and C(T) evaluated once."""
+    if unknown := set(variants) - {"exact", "neumann1"}:
+        raise ContractError(f"unknown variant {min(unknown)!r}")
+    rho, a, b = _require_inputs(rho, ch.dim, a, b)
+    c = _exact_correlator(rho, ch.operators, a, b)
     c_part = c.real if part == "real" else c.imag
-    if variant == "exact":
-        sigma_pb = _entry_state(rho, b)
-        _, _, q = separable_baseline(sigma_pb, ch.v0, _ancilla_pullback(a, part))
-        xi_b = _survival_activity(partial_trace(sigma_pb, SubsystemLayout((2, ch.dim)), keep=[1]), ch)
-    else:
-        xi_b, q = _approx_bound_quantities(rho, ch, a, b, part)
-    lower, upper, holds, tur = correlator_interval(c_part, q, xi_b)
-    return BoundReport(
-        correlator_real=c_part, q_ab=q, xi_b=xi_b, lower=lower, upper=upper,
-        holds=holds, approx_variant=variant, part=part,
-    ), tur
+    reports = []
+    for variant in variants:
+        if variant == "exact":
+            sigma_pb = _entry_state(rho, b)
+            _, _, q = separable_baseline(sigma_pb, ch.v0, _ancilla_pullback(a, part))
+            xi_b = _survival_activity(partial_trace(sigma_pb, SubsystemLayout((2, ch.dim)), keep=[1]), ch)
+        else:
+            xi_b, q = _approx_bound_quantities(rho, ch, a, b, part)
+        lower, upper, holds, tur = correlator_interval(c_part, q, xi_b)
+        reports.append((BoundReport(
+            correlator_real=c_part, q_ab=q, xi_b=xi_b, lower=lower, upper=upper,
+            holds=holds, approx_variant=variant, part=part,
+        ), tur))
+    return reports
 
 
 def separable_tur_protocol_check(
@@ -273,7 +288,7 @@ def separable_tur_protocol_check(
     part: str = "real",
 ) -> TurReport:
     """Separable trade-off for the protocol observable G (Var[G] = 1 - <G>^2)."""
-    return _bound_and_tradeoff(rho, ch, a, b, "exact", part)[1]
+    return _bound_and_tradeoff(rho, ch, a, b, ("exact",), part)[0][1]
 
 
 @dataclass(frozen=True)
@@ -325,19 +340,22 @@ def nested_premeasure_state(
     Register order S2' (x) S' (x) S (x) E1 (x) E2. The sampled estimator of the
     nested term is the mean of sign(S2') * [E2 = e0] over shots with E1 = e0.
     """
-    rho, a, b = _require_inputs(rho, ch, a, b)
-    ch = ensure_dilation(ch)
-    dil = ch.dilation
-    d_s, d_e, e0 = ch.dim, dil.env_dim, dil.env_initial
-    dims = (2, 2, d_s, d_e, d_e)
-    layout = SubsystemLayout(dims, ("S2'", "S'", "S", "E1", "E2"))
-    gates = _nested_gates(dil.unitary, dag(dil.unitary), controlled(_ancilla_pullback(a, part)))
+    rho, a, b = _require_inputs(rho, ch.dim, a, b)
+    dil = ensure_dilation(ch).dilation
+    state = _nested_states(rho[None], dil.unitary, dil.env_initial, a, b, part)
+    return ProtocolState(state.layout, state.matrix[0], "premeasure")
+
+
+def _nested_states(rho, unitary, env_initial: int, a, b, part: str = "real") -> ProtocolState:
+    """nested_premeasure_state of each row of the stacks (as _main_states)."""
+    d, d_e = rho.shape[-1], unitary.shape[-1] // rho.shape[-1]
+    dims = (2, 2, d, d_e, d_e)
     plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
-    env = outer(basis_vector(d_e, e0))
+    env = outer(basis_vector(d_e, env_initial))
     sigma = kron(kron(outer(plus), _entry_state(rho, b)), kron(env, env))
-    for u, targets in gates:
+    for u, targets in _nested_gates(unitary, dag(unitary), controlled(_ancilla_pullback(a, part))):
         sigma = _on_factors(u, sigma, dims, targets)
-    return ProtocolState(layout, sigma, "premeasure")
+    return ProtocolState(SubsystemLayout(dims, ("S2'", "S'", "S", "E1", "E2")), sigma, "premeasure")
 
 
 @dataclass(frozen=True)
@@ -429,7 +447,7 @@ def _streams(rows, rng: np.random.Generator | None = None):
 
 def shot_rng(seed) -> np.random.Generator:
     """numpy's Generator(Philox(SeedSequence(seed))) for an integer seed or a sequence of them."""
-    return next(_streams([_entropy_words(*np.ravel(seed).tolist())]))
+    return next(_streams([_entropy_words(*np.ravel(np.array(seed, dtype=object)).tolist())]))
 
 
 def sample_shots(state: ProtocolState, shots: int, seed) -> ShotResult:
@@ -438,7 +456,7 @@ def sample_shots(state: ProtocolState, shots: int, seed) -> ShotResult:
         raise ContractError(f"sampling requires a premeasure state, got stage {state.stage!r}")
     if shots < 1:
         raise ContractError("shots must be >= 1")
-    entropy = tuple(map(operator.index, np.ravel(seed).tolist()))
+    entropy = tuple(map(operator.index, np.ravel(np.array(seed, dtype=object)).tolist()))
     probs = np.diag(state.matrix).real.reshape((1,) + state.layout.dims)
     return ShotResult(counts=_multinomial_counts(probs, shots, [shot_rng(entropy)])[0], shots=int(shots), seed=entropy)
 

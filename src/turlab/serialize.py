@@ -104,60 +104,49 @@ CSV_COLUMNS = (
 )
 
 
-def _variant_cells(v: VariantValues | None) -> list:
-    if v is None:
-        return [None] * 6
+def _variant_cells(v: VariantValues) -> list[float]:
     return [v.c_real, v.xi_b, v.q_ab, v.lower, v.upper, v.tur_lhs]
 
 
-def _record_cells(r: TrialRecord) -> list:
-    """The cells of one record in CSV_COLUMNS order: floats, ints, bools or None."""
-    return [
-        r.trial_id, r.gamma, *r.thetas, *r.a_idx, *r.b_idx,
-        *_variant_cells(r.exact), *_variant_cells(r.approx), *_variant_cells(r.sampled),
-        r.postselect_p0, r.exact.tur_violated, None if r.sampled is None else r.sampled.tur_violated,
-    ]
+_TEXT = {True: "true", False: "false"}
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return str(x)
+def _record_cells(r: TrialRecord) -> tuple:
+    """The cells of one record that its row template leaves open, in CSV_COLUMNS order: ints, Python floats
+    and bools as text. The sampled cells are left out when the record has no sampled variant."""
+    sampled, violated = ((), ()) if r.sampled is None else (_variant_cells(r.sampled), (_TEXT[r.sampled.tur_violated],))
+    return (r.trial_id, r.gamma, *r.thetas, *r.a_idx, *r.b_idx, *_variant_cells(r.exact), *_variant_cells(r.approx),
+            *sampled, r.postselect_p0, _TEXT[r.exact.tur_violated], *violated)
 
 
-_JSON_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+def _row_templates(kinds: str) -> tuple[str, str]:
+    """The CSV and JSON %-templates of a row whose columns are of the kinds i(nt), f(loat), b(ool) or -(empty):
+    floats as %.17g in CSV and float.__repr__ (%r of a Python float) in JSON, an empty cell as "" or null."""
+    formats = {"i": ("%d", "%d"), "f": ("%.17g", "%r"), "b": ("%s", "%s"), "-": ("", "null")}
+    lines = ",\n".join(f"      {json.dumps(c)}: {formats[k][1]}" for c, k in zip(CSV_COLUMNS, kinds))
+    return ",".join(formats[k][0] for k in kinds), "    {\n" + lines + "\n    }"
 
 
-def _json_cell(x) -> str:
-    if isinstance(x, float):
-        text = float.__repr__(x)
-        return _JSON_NON_FINITE.get(text, text)
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return int.__repr__(x)
+_KINDS = "if" + "f" * 12 + "i" * 4 + "f" * 18 + "fbb"   # of CSV_COLUMNS in a record with a sampled variant
+_TEMPLATES = {True: _row_templates(_KINDS),   # keyed by whether the record has a sampled variant
+              False: _row_templates("".join("-" if c.endswith("_sampled") else k for c, k in zip(CSV_COLUMNS, _KINDS)))}
 
 
 def trials_csv_text(records: list[TrialRecord]) -> str:
     # No cell holds a comma, quote or newline, so no cell needs quoting.
-    rows = [",".join(CSV_COLUMNS)] + [",".join(map(_csv_cell, _record_cells(r))) for r in records]
-    return "\n".join(rows) + "\n"
-
-
-_JSON_KEYS = tuple(f'      {json.dumps(c)}: ' for c in CSV_COLUMNS)
+    rows = [_TEMPLATES[r.sampled is not None][0] % _record_cells(r) for r in records]
+    return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
 
 
 def trials_json_text(records: list[TrialRecord]) -> str:
     """dumps_json({"trials": [row, ...]}) of the records, without building the row dicts."""
     if not records:
         return dumps_json({"trials": []})
-    rows = (",\n".join(map(str.__add__, _JSON_KEYS, map(_json_cell, _record_cells(r)))) for r in records)
-    return '{\n  "trials": [\n    {\n' + "\n    },\n    {\n".join(rows) + "\n    }\n  ]\n}\n"
+    rows = [_TEMPLATES[r.sampled is not None][1] % _record_cells(r) for r in records]
+    text = '{\n  "trials": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+    for value in ("inf", "-inf", "nan"):   # non-finite floats are strings, as _sanitize writes them
+        text = text.replace(f'": {value}', f'": "{value}"')
+    return text
 
 
 def _json_default(o):

@@ -27,7 +27,6 @@ from .linalg import (
     kron,
     outer,
     partial_trace,
-    project_factor,
     require_density,
     require_hermitian,
 )
@@ -102,11 +101,16 @@ def _survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
 
 def survival_activity_moments(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
     """Moments Tr[rho (V_0^dag V_0)^n] for n = 0..order, by direct matrix powers."""
-    w = dag(ch.v0) @ ch.v0
+    return [float(t[0]) for t in _survival_activity_moments(rho[None], ch.v0, order)]
+
+
+def _survival_activity_moments(rho: np.ndarray, v0: np.ndarray, order: int) -> list[np.ndarray]:
+    """The moments of each row of the stacks rho and v0 (N, d, d) (or one v0 for all rows), one array per n."""
+    w = dag(v0) @ v0
     moments = []
-    acc = np.eye(ch.dim, dtype=complex)
+    acc = np.eye(rho.shape[-1], dtype=complex)
     for _ in range(order + 1):
-        moments.append(float(np.trace(rho @ acc).real))
+        moments.append(np.trace(rho @ acc, axis1=1, axis2=2).real)
         acc = acc @ w
     return moments
 
@@ -120,16 +124,13 @@ def survival_activity_series(rho: np.ndarray, ch: KrausChannel, order: int) -> l
     """
     if order < 1:
         raise ContractError("series order must be >= 1")
-    return _survival_activity_series(require_density(rho), ch, order)
+    return _series_estimates(survival_activity_moments(require_density(rho), ch, order))
 
 
-def _survival_activity_series(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
-    t = survival_activity_moments(rho, ch, order)
-    out = []
-    for n_max in range(1, order + 1):
-        est = sum((-1) ** n * math.comb(n_max + 1, n + 1) * t[n] for n in range(n_max + 1))
-        out.append(est - 1.0)
-    return out
+def _series_estimates(t: list) -> list:
+    """Xi_N for N = 1..len(t) - 1 from the moments t[n] (floats, or arrays over a stack)."""
+    return [sum((-1) ** n * math.comb(n_max + 1, n + 1) * t[n] for n in range(n_max + 1)) - 1.0
+            for n_max in range(1, len(t))]
 
 
 def survival_activity_protocol_sim(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
@@ -141,21 +142,22 @@ def survival_activity_protocol_sim(rho: np.ndarray, ch: KrausChannel, order: int
     """
     if order < 0:
         raise ContractError("order must be >= 0")
-    return _survival_activity_protocol_sim(require_density(rho), ch, order)
+    rho = require_density(rho)
+    dil = ensure_dilation(ch).dilation
+    return [float(t[0]) for t in _survival_activity_protocol_sim(rho[None], dil.unitary, dil.env_initial, order)]
 
 
-def _survival_activity_protocol_sim(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
-    ch = ensure_dilation(ch)
-    dil = ch.dilation
-    layout = SubsystemLayout((ch.dim, dil.env_dim), ("S", "E"))
-    env = outer(basis_vector(dil.env_dim, dil.env_initial))
-    moments = [float(np.trace(rho).real)]
+def _survival_activity_protocol_sim(rho: np.ndarray, unitary: np.ndarray, e0: int, order: int) -> list[np.ndarray]:
+    """The protocol's moments of each row of the stacks rho (N, d, d) and dilation unitaries (or one for all rows)."""
+    d, d_e = rho.shape[-1], unitary.shape[-1] // rho.shape[-1]
+    env = outer(basis_vector(d_e, e0))
+    moments = [np.trace(rho, axis1=1, axis2=2).real]
     sigma = rho
     for n in range(order):
-        u = dil.unitary if n % 2 == 0 else dag(dil.unitary)
+        u = unitary if n % 2 == 0 else dag(unitary)
         big = u @ kron(sigma, env) @ dag(u)
-        sigma = project_factor(big, layout, factor=1, index=dil.env_initial)
-        moments.append(float(np.trace(sigma).real))
+        sigma = big.reshape(-1, d, d_e, d, d_e)[:, :, e0, :, e0]   # project E onto |e0> (unnormalized)
+        moments.append(np.trace(sigma, axis1=1, axis2=2).real)
     return moments
 
 
@@ -393,7 +395,7 @@ def classical_correlation_bound(
     ps = _purify(rho)
     if g_r.shape[0] != ps.dim_s or g_s.shape[0] != ch.dim:
         raise LayoutError("G_R must act on R (copy of S) and G_S on S")
-    value = float(np.vdot(ps.joint_vector, kron(g_r, _heisenberg(ch, g_s)) @ ps.joint_vector).real)
+    value = float(np.vdot(ps.joint_vector, kron(g_r, _heisenberg(ch.operators, g_s)) @ ps.joint_vector).real)
     ch = ensure_dilation(ch)
     g_full = kron(kron(g_r, g_s), np.eye(ch.dilation.env_dim))
     q = _q_baseline_general(g_full, ps, ch)

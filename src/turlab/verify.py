@@ -10,22 +10,29 @@ random dilations) and checks one identity or invariant at its pinned tolerance:
   saturation  observables affine in the SLD give TUR ratio 1 within 1e-6
   series      truncated-series error decreases with order; first order equals
               1 - p0 exactly; protocol moments match matrix powers at 1e-10
+
+protocol and series run each CHUNK_TRIALS pass of their harness-family instances as one stacked call of the kernels
+whose one-row views are the scalar functions, after validating the pass's inputs once, row by row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from statistics import median
 
 import numpy as np
 
 from .channels import KrausChannel, dv0_dtheta, perturbed_kraus
-from .harness import CHUNK_TRIALS, ExperimentConfig, _trial_setups
+from .harness import CHUNK_TRIALS, ExperimentConfig, _stacked_hermitian_inverse, _trial_setups
+from .linalg import dag, require_density
+from .protocol import _exact_correlator, _main_states, _protocol_correlators, _require_inputs
 from .random_ops import random_channel, random_density, random_hermitian
 from .tur import (
     PurifiedState,
     _purify,
-    _survival_activity,
+    _series_estimates,
+    _survival_activity_moments,
     _survival_activity_protocol_sim,
     check_general_tur,
     final_joint_state,
@@ -33,10 +40,7 @@ from .tur import (
     qfi,
     sld,
     survival_activity,
-    survival_activity_moments,
-    survival_activity_series,
 )
-from .protocol import _exact_correlator, protocol_correlator
 
 SUITES = ("qfi", "scaling", "protocol", "saturation", "series")
 FD_STEP = 1e-5
@@ -51,11 +55,16 @@ class SuiteResult:
     note: str
 
 
-def _family_setups(seed: int, trial_ids: range, gamma_lo: float = 0.1):
-    """Harness-family instances of the ids, CHUNK_TRIALS per stacked pass (their draws use no suite rng)."""
+def _family_passes(seed: int, trial_ids: range, gamma_lo: float = 0.1):
+    """Harness-family instances of the ids, one list per CHUNK_TRIALS stacked pass (their draws use no suite rng)."""
     cfg = ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, 0.75), variants=("exact",))
     for k in range(0, len(trial_ids), CHUNK_TRIALS):
-        yield from _trial_setups(cfg, trial_ids[k:k + CHUNK_TRIALS])
+        yield _trial_setups(cfg, trial_ids[k:k + CHUNK_TRIALS])
+
+
+def _family_setups(seed: int, trial_ids: range, gamma_lo: float = 0.1):
+    """The instances of _family_passes one at a time."""
+    return chain.from_iterable(_family_passes(seed, trial_ids, gamma_lo))
 
 
 def _instances(seed: int, n: int):
@@ -127,10 +136,13 @@ def suite_scaling(trials: int, seed: int, inject_fault: str | None = None, insta
 
 def suite_protocol(trials: int, seed: int) -> SuiteResult:
     worst = 0.0
-    for setup in _family_setups(seed + 2, range(trials), gamma_lo=0.0):
-        c_proto = protocol_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)   # checks the inputs
-        c_direct = _exact_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
-        worst = max(worst, abs(c_direct - c_proto))
+    for setups in _family_passes(seed + 2, range(trials), gamma_lo=0.0):
+        channels = [s.channel for s in setups]   # built by kraus_from_unitary, so of dim 4 with env_initial 0
+        rho, a, b = (np.stack([getattr(s, f) for s in setups]) for f in ("rho", "a_op", "b_op"))
+        rho, a, b = _require_inputs(rho, 4, a, b)
+        c_proto = _protocol_correlators(_main_states(rho, np.stack([c.dilation.unitary for c in channels]), 0, a, b))
+        c_direct = _exact_correlator(rho, np.stack([c.operators for c in channels], axis=1), a, b)
+        worst = max(worst, *map(abs, (c_direct - c_proto).tolist()))   # Python's complex abs, not numpy's hypot
     return SuiteResult("protocol", worst <= 1e-10, trials, worst, "max |protocol - direct|")
 
 
@@ -150,19 +162,19 @@ def suite_saturation(trials: int, seed: int) -> SuiteResult:
 
 def suite_series(trials: int, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed + 4)
-    errors = {n: [] for n in range(1, 5)}
+    errors = []   # |Xi_N - Xi| of each pass, (4, N)
     worst_moment, worst_first = 0.0, 0.0
-    for setup in _family_setups(seed + 4, range(trials)):
-        rho = random_density(setup.channel.dim, rng)
-        estimates = survival_activity_series(rho, setup.channel, order=4)   # checks rho
-        xi = _survival_activity(rho, setup.channel)
-        for n, est in enumerate(estimates, start=1):
-            errors[n].append(abs(est - xi))
-        moments = survival_activity_moments(rho, setup.channel, 4)
-        sim = _survival_activity_protocol_sim(rho, setup.channel, 4)
-        worst_moment = max(worst_moment, max(abs(a - b) for a, b in zip(moments, sim)))
-        worst_first = max(worst_first, abs(estimates[0] - (1.0 - moments[1])))
-    medians = [median(errors[n]) for n in range(1, 5)]
+    for setups in _family_passes(seed + 4, range(trials)):
+        rho = require_density(np.stack([random_density(s.channel.dim, rng) for s in setups]))
+        v0 = np.stack([s.channel.v0 for s in setups])
+        moments = np.array(_survival_activity_moments(rho, v0, 4))
+        estimates = np.array(_series_estimates(moments))
+        xi = np.trace(rho @ _stacked_hermitian_inverse(dag(v0) @ v0), axis1=1, axis2=2).real - 1.0
+        errors.append(np.abs(estimates - xi))
+        sim = _survival_activity_protocol_sim(rho, np.stack([s.channel.dilation.unitary for s in setups]), 0, 4)
+        worst_moment = max(worst_moment, float(np.abs(moments - sim).max()))
+        worst_first = max(worst_first, float(np.abs(estimates[0] - (1.0 - moments[1])).max()))
+    medians = [median(row) for row in np.concatenate(errors, axis=1).tolist()]
     decreasing = all(medians[k + 1] < medians[k] for k in range(3))
     passed = decreasing and worst_moment <= 1e-10 and worst_first <= 1e-12
     note = (

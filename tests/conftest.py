@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from turlab.channels import kraus_from_unitary
+from turlab.channels import KrausChannel, kraus_from_unitary
 from turlab.gates import I2, P0, P1, ry
 from turlab.linalg import SubsystemLayout
+from turlab.random_ops import random_density, random_unitary
 
 
 def amplitude_damping_unitary(gamma: float) -> np.ndarray:
@@ -17,6 +18,28 @@ def amplitude_damping_unitary(gamma: float) -> np.ndarray:
 
 def amplitude_damping(gamma: float):
     return kraus_from_unitary(amplitude_damping_unitary(gamma), SubsystemLayout((2, 2), ("S", "E")))
+
+
+def hermitian_unitary(dim: int, rng) -> np.ndarray:
+    """A random Hermitian unitary U diag(+-1) U^dag."""
+    u = random_unitary(dim, rng)
+    return (u * rng.choice([-1.0, 1.0], size=dim)) @ u.conj().T
+
+
+def stacked_groups(seed: int = 41, n: int = 3):
+    """Lists of n generic instances (rho, channel, A, B) sharing dim_S, dim_E and the initial environment state,
+    so that they stack: dim_S 2-4, dim_E 2-3, mixed and rank-deficient rho, and in each list one channel given
+    by its Kraus operators only (the protocol synthesizes its dilation)."""
+    rng = np.random.default_rng(seed)
+    for d_s, d_e, e0 in [(2, 2, 0), (3, 2, 0), (4, 2, 0), (2, 3, 0), (3, 3, 0), (4, 3, 0), (3, 2, 1)]:
+        group = []
+        for k in range(n):
+            ch = kraus_from_unitary(random_unitary(d_s * d_e, rng), SubsystemLayout((d_s, d_e)), env_initial=e0)
+            if k == 1:
+                ch = KrausChannel(ch.operators, no_jump_index=e0)
+            rho = random_density(d_s, rng, rank=1 + k % d_s)
+            group.append((rho, ch, hermitian_unitary(d_s, rng), hermitian_unitary(d_s, rng)))
+        yield group
 
 
 @pytest.fixture

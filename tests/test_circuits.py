@@ -1,5 +1,6 @@
-"""Circuit simulation on register factors against full-register embedded operators, and the
-stacked state-vector premeasure circuits against the density-matrix ones."""
+"""Circuit simulation on register factors against full-register embedded operators, the stacked
+density-matrix circuits against their one-row views, and the stacked state-vector premeasure circuits
+against the density-matrix ones."""
 
 import math
 
@@ -13,16 +14,26 @@ from turlab.channels import ensure_dilation, kraus_from_unitary
 from turlab.gates import HADAMARD, S_GATE, controlled, pauli_pair
 from turlab.harness import ExperimentConfig, _premeasure_probabilities, generate_trial
 from turlab.linalg import SubsystemLayout, basis_vector, dag, embed_operator, outer
+from turlab.errors import ContractError
 from turlab.protocol import (
     PARTS,
     STAGES,
+    ProtocolState,
     _ancilla_pullback,
     _entry_state,
+    _exact_correlator,
+    _main_states,
+    _nested_states,
     _on_factors,
+    _protocol_correlators,
+    exact_correlator,
     nested_premeasure_state,
+    protocol_correlator,
     protocol_state,
 )
 from turlab.random_ops import random_channel, random_density, random_unitary
+
+from conftest import stacked_groups
 
 
 @st.composite
@@ -34,18 +45,21 @@ def factor_sets(draw):
 
 
 @settings(max_examples=80, deadline=None, database=None)
-@given(case=factor_sets(), seed=st.integers(0, 2**32 - 1))
-@example(case=((2, 3, 2), (1, 2)), seed=1)        # adjacent
-@example(case=((2, 3, 2), (0, 2)), seed=2)        # non-adjacent
-@example(case=((2, 3, 2), (0, 1, 2)), seed=3)     # whole register
-def test_on_factors_matches_embedded_operator(case, seed):
+@given(case=factor_sets(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), gate_stack=st.booleans())
+@example(case=((2, 3, 2), (1, 2)), seed=1, n=1, gate_stack=False)        # adjacent
+@example(case=((2, 3, 2), (0, 2)), seed=2, n=2, gate_stack=True)         # non-adjacent
+@example(case=((2, 3, 2), (0, 1, 2)), seed=3, n=3, gate_stack=False)     # whole register
+def test_on_factors_matches_embedded_operator(case, seed, n, gate_stack):
+    """Each matrix of a stack sigma (n, D, D), under one gate or a stack of n."""
     dims, targets = case
     rng = np.random.default_rng(seed)
     d, d_t = math.prod(dims), math.prod(dims[k] for k in targets)
-    u = rng.normal(size=(d_t, d_t)) + 1j * rng.normal(size=(d_t, d_t))
-    sigma = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    full = embed_operator(u, dims, targets)
-    assert_allclose(_on_factors(u, sigma, dims, targets), full @ sigma @ dag(full), rtol=0, atol=1e-12)
+    u = rng.normal(size=(n, d_t, d_t)) + 1j * rng.normal(size=(n, d_t, d_t))
+    sigma = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    got = _on_factors(u if gate_stack else u[0], sigma, dims, targets)
+    for k in range(n):
+        full = embed_operator(u[k] if gate_stack else u[0], dims, targets)
+        assert_allclose(got[k], full @ sigma[k] @ dag(full), rtol=0, atol=1e-12)
 
 
 def embedded_circuit(sigma, dims, gates):
@@ -66,22 +80,43 @@ def instances():
     yield random_density(3, rng), random_channel(3, 2, rng), a, b
 
 
+def embedded_stages(rho, ch, a, b, part):
+    """The register of the main circuit at each stage, from full-register embedded gates."""
+    readout = HADAMARD if part == "real" else HADAMARD @ dag(S_GATE)
+    dil = ensure_dilation(ch).dilation
+    dims = (2, ch.dim, dil.env_dim)
+    gates = [
+        [(HADAMARD, (0,)), (controlled(b), (0, 1))],   # after_UB
+        [(dil.unitary, (1, 2))],                       # after_channel
+        [(controlled(a), (0, 1))],                     # after_UA
+        [(readout, (0,))],                             # premeasure
+    ]
+    want = {STAGES[0]: np.kron(np.kron(outer(basis_vector(2, 0)), rho),
+                               outer(basis_vector(dil.env_dim, dil.env_initial)))}
+    for prev, stage, stage_gates in zip(STAGES, STAGES[1:], gates):
+        want[stage] = embedded_circuit(want[prev], dims, stage_gates)
+    return want
+
+
+def embedded_nested(rho, ch, a, b, part):
+    """The register of the nested circuit before measurement, from full-register embedded gates."""
+    dil = ensure_dilation(ch).dilation
+    dims = (2, 2, ch.dim, dil.env_dim, dil.env_dim)
+    plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
+    env = outer(basis_vector(dil.env_dim, dil.env_initial))
+    sigma = np.kron(np.kron(outer(plus), _entry_state(rho, b)), np.kron(env, env))
+    return embedded_circuit(sigma, dims, [
+        (dil.unitary, (2, 3)),
+        (controlled(_ancilla_pullback(a, part)), (0, 1, 2)),
+        (dag(dil.unitary), (2, 4)),
+        (HADAMARD, (0,)),
+    ])
+
+
 @pytest.mark.parametrize("part", PARTS)
 def test_protocol_stages_match_embedded_construction(part):
-    readout = HADAMARD if part == "real" else HADAMARD @ dag(S_GATE)
     for rho, ch, a, b in instances():
-        dil = ensure_dilation(ch).dilation
-        dims = (2, ch.dim, dil.env_dim)
-        gates = [
-            [(HADAMARD, (0,)), (controlled(b), (0, 1))],   # after_UB
-            [(dil.unitary, (1, 2))],                       # after_channel
-            [(controlled(a), (0, 1))],                     # after_UA
-            [(readout, (0,))],                             # premeasure
-        ]
-        want = np.kron(np.kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(dil.env_dim, dil.env_initial)))
-        assert_allclose(protocol_state(rho, ch, a, b, stage=STAGES[0], part=part).matrix, want, rtol=0, atol=1e-12)
-        for stage, stage_gates in zip(STAGES[1:], gates):
-            want = embedded_circuit(want, dims, stage_gates)
+        for stage, want in embedded_stages(rho, ch, a, b, part).items():
             got = protocol_state(rho, ch, a, b, stage=stage, part=part).matrix
             assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -89,18 +124,51 @@ def test_protocol_stages_match_embedded_construction(part):
 @pytest.mark.parametrize("part", PARTS)
 def test_nested_premeasure_matches_embedded_construction(part):
     for rho, ch, a, b in instances():
-        dil = ensure_dilation(ch).dilation
-        dims = (2, 2, ch.dim, dil.env_dim, dil.env_dim)
-        plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
-        env = outer(basis_vector(dil.env_dim, dil.env_initial))
-        sigma = np.kron(np.kron(outer(plus), _entry_state(rho, b)), np.kron(env, env))
-        want = embedded_circuit(sigma, dims, [
-            (dil.unitary, (2, 3)),
-            (controlled(_ancilla_pullback(a, part)), (0, 1, 2)),
-            (dag(dil.unitary), (2, 4)),
-            (HADAMARD, (0,)),
-        ])
+        want = embedded_nested(rho, ch, a, b, part)
         assert_allclose(nested_premeasure_state(rho, ch, a, b, part=part).matrix, want, rtol=0, atol=1e-12)
+
+
+def stacks(group):
+    """rho, A, B, the dilation unitaries and the Kraus operators ops[m] of a group of instances, stacked."""
+    rho, a, b = (np.stack(m) for m in zip(*[(r, a, b) for r, _, a, b in group]))
+    dils = [ensure_dilation(ch).dilation for _, ch, _, _ in group]
+    ops = np.stack([ch.operators for _, ch, _, _ in group], axis=1)
+    return rho, a, b, np.stack([d.unitary for d in dils]), dils[0].env_initial, ops
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_stacked_circuits_rows_equal_one_row_views_and_embedded_oracle(part):
+    for group in stacked_groups():
+        rho, a, b, u, e0, _ = stacks(group)
+        wants = [embedded_stages(*row, part) for row in group]
+        for stage in STAGES:
+            got = _main_states(rho, u, e0, a, b, stage, part).matrix
+            for k, row in enumerate(group):
+                assert np.array_equal(got[k], protocol_state(*row, stage=stage, part=part).matrix), (stage, k)
+                assert_allclose(got[k], wants[k][stage], rtol=0, atol=1e-12)
+        got = _nested_states(rho, u, e0, a, b, part).matrix
+        for k, row in enumerate(group):
+            assert np.array_equal(got[k], nested_premeasure_state(*row, part=part).matrix), k
+            assert_allclose(got[k], embedded_nested(*row, part), rtol=0, atol=1e-12)
+
+
+def test_stacked_correlators_rows_equal_one_row_views():
+    for group in stacked_groups():
+        rho, a, b, u, e0, ops = stacks(group)
+        proto = _protocol_correlators(_main_states(rho, u, e0, a, b))
+        direct = _exact_correlator(rho, ops, a, b)
+        assert proto.tolist() == [protocol_correlator(*row) for row in group]
+        assert direct.tolist() == [exact_correlator(*row) for row in group]
+        assert_allclose(proto, direct, rtol=0, atol=1e-12)
+
+
+def test_stacked_protocol_state_checks_the_trace_of_each_row():
+    rho, a, b, u, e0, _ = stacks(next(stacked_groups()))
+    state = _main_states(rho, u, e0, a, b, "premeasure")
+    sigma = state.matrix.copy()
+    sigma[1] *= 1.5
+    with pytest.raises(ContractError, match=r"^row 1: protocol state trace 1\.5 != 1$"):
+        ProtocolState(state.layout, sigma, "premeasure")
 
 
 @settings(max_examples=40, deadline=None, database=None)

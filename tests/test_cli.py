@@ -260,3 +260,39 @@ class TestBoundCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and message in err
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_neumann1_validates_and_evaluates_once(self, part, monkeypatch, capsys):
+        """bound --variant neumann1 reports its own bound and the exact interval's trade-off, from one
+        validation of rho, A, B and one evaluation of C(T)."""
+        import dataclasses
+        import sys
+
+        from turlab import linalg, protocol
+        from turlab.harness import ExperimentConfig, generate_trial
+
+        s = generate_trial(ExperimentConfig(seed=5, shots=0), 3)
+        want = {"bound": dataclasses.asdict(protocol.correlator_bound(s.rho, s.channel, s.a_op, s.b_op,
+                                                                      variant="neumann1", part=part)),
+                "tur": dataclasses.asdict(protocol.separable_tur_protocol_check(s.rho, s.channel, s.a_op, s.b_op,
+                                                                                 part=part))}
+        calls = {"require_density": 0, "_exact_correlator": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name, original in (("require_density", linalg.require_density),
+                               ("_exact_correlator", protocol._exact_correlator)):
+            for module in [m for n, m in sys.modules.items() if n.startswith("turlab")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name, original))
+        spec = {"unitary": encode_matrix(s.channel.dilation.unitary), "dims": [4, 2], "env_initial": 0}
+        code = main(["bound", "--channel", json.dumps(spec), "--rho", json.dumps(encode_matrix(s.rho)),
+                     "--a", json.dumps(encode_matrix(s.a_op)), "--b", json.dumps(encode_matrix(s.b_op)),
+                     "--variant", "neumann1", "--part", part])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(want))
+        assert calls == {"require_density": 1, "_exact_correlator": 1}

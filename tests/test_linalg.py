@@ -17,8 +17,11 @@ from turlab.linalg import (
     partial_trace,
     polar_unitary,
     project_factor,
+    require_density,
+    require_hermitian,
     spectral,
 )
+from turlab.random_ops import random_density
 
 
 def random_complex(rng, *shape):
@@ -214,3 +217,32 @@ class TestKron:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()   # signed zeros too
+
+
+class TestStackedValidators:
+    CORRUPT = {
+        "asymmetric": lambda m: m + np.triu(np.full(m.shape, 1e-3), 1),
+        "trace": lambda m: 1.5 * m,
+        "negative": lambda m: np.diag([1.2, -0.2, 0.0]).astype(complex),
+    }
+
+    def test_valid_stack_is_returned(self, rng):
+        rhos = np.stack([random_density(3, rng, rank=1 + k % 3) for k in range(5)])
+        assert require_density(rhos) is rhos and require_hermitian(rhos) is rhos
+
+    @pytest.mark.parametrize("validator, corrupt", [
+        (require_hermitian, {2: "asymmetric", 4: "asymmetric"}),
+        (require_density, {3: "trace", 4: "asymmetric"}),
+        (require_density, {1: "negative", 3: "asymmetric"}),   # the lowest row first, whatever its check
+        (require_density, {0: "asymmetric", 2: "negative"}),
+    ])
+    def test_first_failing_row_raises_its_scalar_message(self, rng, validator, corrupt):
+        rows = [random_density(3, rng) for _ in range(5)]
+        for k, how in corrupt.items():
+            rows[k] = self.CORRUPT[how](rows[k])
+        first = min(corrupt)
+        with pytest.raises(ContractError) as scalar:
+            validator(rows[first])
+        with pytest.raises(ContractError) as stacked:
+            validator(np.stack(rows))
+        assert str(stacked.value) == f"row {first}: {scalar.value}"

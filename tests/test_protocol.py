@@ -29,6 +29,7 @@ from turlab.protocol import (
     protocol_state,
     sample_shots,
     separable_tur_protocol_check,
+    shot_rng,
 )
 from turlab.random_ops import random_channel, random_density
 from turlab.tur import purify, separable_baseline
@@ -405,6 +406,14 @@ class TestStreamKeys:
             for got, want in zip(draws(stream), draws(fresh), strict=True):
                 assert np.array_equal(got, want)
             stream.integers(1, 16)   # leave a buffered half for the next re-key
+
+    @pytest.mark.parametrize("seed", [(2**63, 0, 0), (2**64 - 1, 7), 2**63])
+    def test_seed_words_at_and_above_2_63(self, seed):
+        """numpy makes float64 of a tuple holding an integer in [2^63, 2^64); the seed's words must stay exact."""
+        want = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))).integers(0, 2**32, size=4)
+        assert np.array_equal(shot_rng(seed).integers(0, 2**32, size=4), want)
+        state = protocol_state(KET1, IDENTITY_CH, SIGMA_Z, SIGMA_Z, stage="premeasure")
+        assert sample_shots(state, 10, seed).seed == (seed if isinstance(seed, tuple) else (seed,))
 
     @pytest.mark.parametrize("call", [
         lambda: _entropy_words(-1),

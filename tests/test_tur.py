@@ -7,18 +7,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import amplitude_damping
+from conftest import amplitude_damping, stacked_groups
 
-from turlab.channels import KrausChannel, apply, kraus_from_unitary
+from turlab.channels import KrausChannel, apply, ensure_dilation, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
 from turlab.gates import SIGMA_Z
 from turlab.linalg import SubsystemLayout, dag, outer, partial_trace
 from turlab.protocol import correlator_interval
 from turlab.random_ops import random_channel, random_density, random_hermitian
+from turlab.harness import _stacked_hermitian_inverse
 from turlab.tur import (
     DEGENERATE_MEAN_ATOL,
     P0_CUTOFF,
     TUR_SLACK,
+    _series_estimates,
+    _survival_activity_moments,
+    _survival_activity_protocol_sim,
     _tur_report,
     check_general_tur,
     check_observable_evolution_bound,
@@ -30,6 +34,7 @@ from turlab.tur import (
     qfi,
     sld,
     survival_activity,
+    survival_activity_moments,
     survival_activity_protocol_sim,
     survival_activity_series,
 )
@@ -157,6 +162,24 @@ class TestProtocolSim:
             for n in range(5):
                 assert abs(sim[n] - np.trace(rho @ acc).real) <= 1e-10
                 acc = acc @ w
+
+
+def test_stacked_moments_series_and_xi_rows_equal_the_scalar_values():
+    for group in stacked_groups():
+        rho = np.stack([r for r, *_ in group])
+        channels = [ensure_dilation(ch) for _, ch, _, _ in group]
+        v0 = np.stack([c.v0 for c in channels])
+        moments = _survival_activity_moments(rho, v0, 4)
+        sim = _survival_activity_protocol_sim(rho, np.stack([c.dilation.unitary for c in channels]),
+                                              channels[0].dilation.env_initial, 4)
+        series = _series_estimates(moments)
+        xi = np.trace(rho @ _stacked_hermitian_inverse(dag(v0) @ v0), axis1=1, axis2=2).real - 1.0
+        for k, (r, ch, _, _) in enumerate(group):
+            assert [t[k] for t in moments] == survival_activity_moments(r, ch, 4)
+            assert [t[k] for t in sim] == survival_activity_protocol_sim(r, ch, 4)
+            assert [x[k] for x in series] == survival_activity_series(r, ch, 4)
+            assert xi[k] == survival_activity(r, ch)
+        assert_allclose(moments, sim, rtol=0, atol=1e-10)
 
 
 class TestQBaselineGeneral:
