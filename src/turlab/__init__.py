@@ -43,7 +43,6 @@ from .tur import (
     final_joint_state,
     purify,
     q_baseline_general,
-    q_baseline_separable,
     qfi,
     sld,
     survival_activity,
@@ -54,7 +53,6 @@ from .protocol import (
     BoundReport,
     ProtocolState,
     ShotResult,
-    approx_bound_quantities,
     correlator_bound,
     exact_correlator,
     protocol_correlator,

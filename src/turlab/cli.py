@@ -125,14 +125,18 @@ def _cmd_experiment(args) -> int:
     except ContractError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    out_dir = args.out_dir
+    try:   # before the run, so that an unusable --out-dir costs no trials
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"input error: cannot create --out-dir: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     start = time.perf_counter()
     try:
         records, summary = run_experiment(config)
     except (SingularOperator, DegenerateChannel) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    out_dir = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_echo = {
         "seed": config.seed, "n_trials": config.n_trials, "shots": config.shots,
         "gamma_range": list(config.gamma_range), "theta_range": list(config.theta_range),
@@ -165,7 +169,10 @@ def _load_json_arg(raw: str, name: str):
         path = Path(raw)
         if not path.exists():
             raise SpecParseError(name, f"file not found: {raw}")
-        source = path.read_text()
+        try:
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:   # a directory, an unreadable or a non-UTF-8 file
+            raise SpecParseError(name, f"cannot read {raw}: {exc}") from exc
     try:
         return json.loads(source)
     except json.JSONDecodeError as exc:

@@ -13,7 +13,9 @@ Each trial draws twelve rotation angles and an interaction strength gamma:
 Every trial is a deterministic function of (seed, trial_id): its inputs come from numpy's SeedSequence -> Philox
 stream keyed by (seed, trial_id), its main and nested circuits' shots from those keyed by (seed, trial_id, 0) and
 (seed, trial_id, 1). A chunk's streams are keyed in one vectorized pass, numpy's SeedSequence kept as the test oracle.
-The inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view.
+The inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view. A record has
+one evaluation path too: _evaluate_chunk composes the stacked kernels of tur and protocol, and evaluate_trial, the
+replay of one trial of a run, is its one-row view.
 """
 
 from __future__ import annotations
@@ -26,38 +28,36 @@ from statistics import median
 import numpy as np
 
 from .channels import COMPLETENESS_ATOL, KrausChannel, kraus_from_unitary
-from .errors import ContractError, DegenerateChannel, SingularOperator
-from .gates import HADAMARD, I2, controlled, pauli_pair
-from .linalg import (
-    EIGENVALUE_GROUP_TOL,
-    HERMITIAN_ATOL,
-    UNITARY_ATOL,
-    SubsystemLayout,
-    _raise_first_failure,
-    dag,
-    kron,
-    outer,
-)
+from .errors import ContractError
+from .gates import HADAMARD, I2, PAULIS, controlled, pauli_pair
+from .linalg import HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, _hermitian_inverses, _raise_first_failure, dag, kron
 from .protocol import (
     PARTS,
     _ancilla_pullback,
-    _bound_and_tradeoff,
-    _entry_state,
+    _approx_bound_quantities,
     _entropy_words,
+    _entry_state,
+    _exact_correlator,
     _main_gates,
     _multinomial_counts,
     _nested_gates,
+    _on_factors,
     _spawned_words,
     _streams,
-    correlator_bound,
     correlator_interval,
     estimate_main_circuit,
     estimate_nested_circuit,
-    nested_premeasure_state,
-    protocol_state,
-    sample_shots,
 )
-from .tur import P0_CUTOFF, _tur_report, check_general_tur, purify
+from .tur import (
+    _branches,
+    _general_tur_terms,
+    _marginal,
+    _purifications,
+    _survival_activity,
+    _tilde_operators,
+    _tur_report,
+    separable_baseline,
+)
 
 VARIANTS = ("exact", "neumann1", "sampled")
 _SE_LAYOUT = SubsystemLayout((4, 2), ("S", "E"))
@@ -165,71 +165,24 @@ def _sampled_variants(main_counts: np.ndarray, nested_counts: np.ndarray) -> tup
     return [v if f is None else None for v, f in zip(values, failures)], failures
 
 
-def _sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial_id: int):
-    """(sampled variant, None), (None, reason its postselection came up empty), or (None, None) if off."""
-    if "sampled" not in config.variants or config.shots == 0:
-        return None, None
-    main = sample_shots(protocol_state(rho, ch, a, b, stage="premeasure"), config.shots, (config.seed, trial_id, 0))
-    nested = sample_shots(nested_premeasure_state(rho, ch, a, b), config.shots, (config.seed, trial_id, 1))
-    (sampled,), (failure,) = _sampled_variants(main.counts[None], nested.counts[None])
-    return sampled, failure
+def evaluate_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
+    """The record of trial (config.seed, trial_id), as run_experiment writes it: the one-row view of _evaluate_chunk."""
+    return _evaluate_chunk(config, [trial_id])[0]
 
 
-def evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
-    rho, ch, a, b = setup.rho, setup.channel, setup.a_op, setup.b_op
-
-    bound = correlator_bound(rho, ch, a, b, variant="exact", part="real")
-    (exact,), (margin,) = _variant_values([bound.correlator_real], [bound.xi_b], [bound.q_ab])
-
-    (bound_i, sep_i), = _bound_and_tradeoff(rho, ch, a, b, ("exact",), "imag")
-
-    approx_bound = correlator_bound(rho, ch, a, b, variant="neumann1", part="real")
-    (approx,), _ = _variant_values([approx_bound.correlator_real], [approx_bound.xi_b], [approx_bound.q_ab])
-
-    # General trade-off instance: the protocol observable embedded on R+P+E.
-    sigma_pb = _entry_state(rho, b)
-    lifted = KrausChannel(
-        tuple(kron(I2, v) for v in ch.operators),
-        no_jump_index=ch.no_jump_index,
-    )
-    g_emb = kron(kron(np.eye(sigma_pb.shape[0]), _ancilla_pullback(a, "real")), np.eye(len(ch.operators)))
-    general = check_general_tur(g_emb, purify(sigma_pb), lifted)
-
-    p0 = 1.0 - approx_bound.xi_b
-    sampled, failure = _sampled_values(rho, ch, a, b, config, setup.trial_id)
-
-    return TrialRecord(
-        trial_id=setup.trial_id, gamma=setup.gamma, thetas=setup.thetas,
-        a_idx=setup.a_idx, b_idx=setup.b_idx,
-        exact=exact, approx=approx, sampled=sampled,
-        shots=config.shots if sampled is not None else 0, postselect_p0=p0,
-        general_tur_holds=general.holds,
-        contained_imag=bound_i.holds,
-        sep_tur_holds_imag=sep_i.holds,
-        tur_margin=margin,
-        bound_gap=abs(bound.upper - approx_bound.upper),
-        failure=failure,
-    )
-
-
-# Batched evaluation. run_experiment evaluates trials in chunks of CHUNK_TRIALS
-# ids: a chunk's inputs are built as stacked arrays and every exact quantity of
-# evaluate_trial is computed once per chunk with batched matmul and eigh.
-# evaluate_trial and the bound functions it calls stay the reference that the
-# batched values are tested against, and the path of `verify` and `bound`.
+# run_experiment evaluates trials in chunks of CHUNK_TRIALS ids. A chunk builds
+# its inputs as stacked arrays and passes them once through the stacked kernels
+# of tur and protocol, whose one-row views are the scalar functions that
+# `bound` and `verify` call. A kernel's row equals its one-row call to the last
+# bit, so a record does not depend on the chunk, and evaluate_trial replays it.
+# The scalar composition of those functions is kept in tests/ as the oracle.
 
 CHUNK_TRIALS = 128   # fixed so that peak memory does not grow with --trials
 
-_PAULI_PAIRS = np.stack([pauli_pair(k // 4, k % 4) for k in range(16)])   # row 4 i + j
-_PAULI_PAIRS.setflags(write=False)   # TrialSetup.a_op and b_op are views of its rows
-_CONTROLLED_PAIRS = np.stack([controlled(p) for p in _PAULI_PAIRS])
-_PULLBACKS = {part: np.stack([_ancilla_pullback(p, part) for p in _PAULI_PAIRS]) for part in PARTS}
-_CONTROLLED_PULLBACKS = np.stack([controlled(g) for g in _PULLBACKS["real"]])
-_PLUS = outer(np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0))
-
-
-def _trace(m: np.ndarray) -> np.ndarray:
-    return np.trace(m, axis1=-2, axis2=-1)
+# sigma_i (x) sigma_j at row len(PAULIS) i + j; TrialSetup.a_op and b_op are views of its read-only rows
+_PAULI_PAIRS = np.stack([pauli_pair(i, j) for i in range(len(PAULIS)) for j in range(len(PAULIS))])
+_PAULI_PAIRS.setflags(write=False)
+_PULLBACKS = {part: _ancilla_pullback(_PAULI_PAIRS, part) for part in PARTS}
 
 
 def _qubit_gates(thetas: np.ndarray) -> np.ndarray:
@@ -247,7 +200,7 @@ def _qubit_gates(thetas: np.ndarray) -> np.ndarray:
 
 
 def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked preparation vectors (N, 4), their density matrices (N, 4, 4) and dilation unitaries (N, 8, 8)."""
+    """Stacked preparation vectors (N, d), their density matrices (N, d, d) and dilation unitaries (N, d d_E, d d_E)."""
     g = _qubit_gates(thetas)
     psi = kron(g[:, 0, :, :1], g[:, 1, :, :1])[..., 0]
     rho = psi[:, :, None] * psi.conj()[:, None, :]
@@ -256,12 +209,9 @@ def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray,
     ry_e[:, 0, 0] = ry_e[:, 1, 1] = np.cos(half)
     ry_e[:, 0, 1] = -np.sin(half)
     ry_e[:, 1, 0] = np.sin(half)
-    coupling = np.zeros((len(gammas), 8, 8), dtype=complex)
-    coupling[:, :4, :4] = np.eye(4)
-    coupling[:, 4:, 4:] = kron(I2, ry_e)
     layer1 = kron(kron(g[:, 2], g[:, 3]), I2)
     layer2 = kron(kron(g[:, 4], g[:, 5]), I2)
-    return psi, rho, layer2 @ coupling @ layer1
+    return psi, rho, layer2 @ controlled(kron(I2, ry_e)) @ layer1
 
 
 def _draw_stacked(config: ExperimentConfig, trial_ids, rng: np.random.Generator | None = None):
@@ -272,8 +222,8 @@ def _draw_stacked(config: ExperimentConfig, trial_ids, rng: np.random.Generator 
     for k, stream in enumerate(_streams([seed + _entropy_words(i) for i in trial_ids], rng)):
         thetas[k] = stream.uniform(*config.theta_range, size=12)
         gammas[k] = stream.uniform(*config.gamma_range)
-        pairs[k] = stream.integers(1, 16), stream.integers(1, 16)   # row 4 i + j of _PAULI_PAIRS; 1..15 skip I (x) I
-    draws = [(tuple(t), g, divmod(a, 4), divmod(b, 4))
+        pairs[k] = stream.integers(1, len(_PAULI_PAIRS)), stream.integers(1, len(_PAULI_PAIRS))   # row 0 is I (x) I
+    draws = [(tuple(t), g, divmod(a, len(PAULIS)), divmod(b, len(PAULIS)))
              for t, g, (a, b) in zip(thetas.tolist(), gammas.tolist(), pairs.tolist())]
     return (draws, pairs[:, 0], pairs[:, 1]) + _stacked_inputs(thetas, gammas)
 
@@ -291,135 +241,77 @@ def _trial_setups(config: ExperimentConfig, trial_ids) -> list[TrialSetup]:
     ]
 
 
-def _stacked_hermitian_inverse(m: np.ndarray) -> np.ndarray:
-    """linalg.hermitian_inverse over a stack, operation for operation.
-
-    Eigenvalues closer than EIGENVALUE_GROUP_TOL share their mean, as in
-    linalg.spectral. Repeating the scalar arithmetic makes Xi come out as the
-    scalar path computes it, to the last bit on one numpy build; that matters
-    because the interval half-width sqrt(Xi) turns an ulp of Xi near zero into
-    ~1e-8. Singular input is the caller's check.
-    """
-    w, v = np.linalg.eigh((m + dag(m)) / 2.0)
-    splits = np.abs(w[:, -2::-1] - w[:, :0:-1]) > EIGENVALUE_GROUP_TOL   # descending neighbours
-    out = np.empty_like(m)
-    patterns, which = np.unique(splits, axis=0, return_inverse=True)
-    for k, pattern in enumerate(patterns):
-        rows = np.flatnonzero(which.ravel() == k)
-        w_k, v_k = w[rows][:, ::-1], v[rows][:, :, ::-1]
-        edges = [0, *(np.flatnonzero(pattern) + 1), m.shape[-1]]
-        acc = 0
-        for i, j in zip(edges, edges[1:]):
-            block = v_k[:, :, i:j]
-            acc = acc + (1.0 / np.mean(w_k[:, i:j], axis=1))[:, None, None] * (block @ dag(block))
-        out[rows] = acc
-    return out
-
-
-def _general_tur_terms(sigma, v, v0_inv, g):
-    """<G>, Var[G] and Q_G over the joint state for G = I_R (x) G_P (x) I_E.
-
-    The purification of each entry state comes from a batched eigh; G is
-    applied by contraction over the P index, so no R+P+E matrix is built.
-    """
-    w, e = np.linalg.eigh(sigma)
-    w, e = np.maximum(w[:, ::-1], 0.0), e[:, :, ::-1]
-    w = w / w.sum(axis=1, keepdims=True)
-    joint = ((e * np.sqrt(w)[:, None, :]) @ e.swapaxes(1, 2)).reshape(-1, 16, 4)   # [(R, S'), S]
-    psi = (joint[:, None] @ v.swapaxes(-1, -2)).reshape(-1, 2, 8, 8)             # [E, R, P]
-    g_psi = psi @ g.swapaxes(-1, -2)[:, None]
-    tilde = (joint @ v0_inv.conj()).reshape(-1, 8, 8)                            # E = e0 block
-    mean = np.sum(psi.conj() * g_psi, axis=(1, 2, 3)).real
-    second = np.sum(np.abs(g_psi) ** 2, axis=(1, 2, 3))
-    q = np.sum(tilde.conj() * g_psi[:, 0], axis=(1, 2)).real
-    return mean, second - mean * mean, q
-
-
-def _on_factors_stacked(u: np.ndarray, psi: np.ndarray, dims: tuple[int, ...], targets: tuple[int, ...]):
-    """u (one gate or a stack of N) on the register factors ``targets`` of each vector of psi (N, prod(dims))."""
-    order = [0] + [k + 1 for k in targets] + [k + 1 for k in range(len(dims)) if k not in targets]
-    t = psi.reshape((-1,) + dims).transpose(order)
-    t = (u @ t.reshape(len(psi), u.shape[-1], -1)).reshape(t.shape)
-    return t.transpose(np.argsort(order)).reshape(psi.shape)
-
-
 def _premeasure_probabilities(psi: np.ndarray, u: np.ndarray, a_k: np.ndarray, b_k: np.ndarray):
-    """Outcome probabilities of the real-part main (N, 2, 4, 2) and nested (N, 2, 2, 4, 2, 2) circuits.
+    """Outcome probabilities of the real-part main and nested circuits of each trial, A and B rows of _PAULI_PAIRS.
 
     The gate lists of protocol_state(stage="premeasure") and
     nested_premeasure_state run on stacked state vectors: every preparation
     of the family is pure, so |amp|^2 is the diagonal the scalar path reads
     off its density matrices.
     """
-    n = len(psi)
-    cb = _CONTROLLED_PAIRS[b_k]
-    main = np.zeros((n, 2, 4, 2), dtype=complex)
+    n, (d, d_e) = len(psi), _SE_LAYOUT.dims
+    cb = controlled(_PAULI_PAIRS[b_k])
+    main = np.zeros((n, 2, d, d_e), dtype=complex)
     main[:, 0, :, 0] = psi
-    main = main.reshape(n, 16)
-    for g, targets in _main_gates(cb, u, _CONTROLLED_PAIRS[a_k], HADAMARD):
-        main = _on_factors_stacked(g, main, (2, 4, 2), targets)
+    main = main.reshape(n, -1)
+    for gate, targets in _main_gates(cb, u, controlled(_PAULI_PAIRS[a_k]), HADAMARD):
+        main = _on_factors(gate, main, (2, d, d_e), targets, both_sides=False)
     # |+> (x) U_B^c (|+> (x) psi) (x) |e0 e0>, the two 1/sqrt(2) in one division
     entry = cb @ np.concatenate([psi, psi], axis=1)[..., None] / 2.0
-    nested = np.zeros((n, 2, 8, 2, 2), dtype=complex)
+    nested = np.zeros((n, 2, 2 * d, d_e, d_e), dtype=complex)
     nested[:, :, :, 0, 0] = entry[:, None, :, 0]
-    nested = nested.reshape(n, 64)
-    for g, targets in _nested_gates(u, dag(u), _CONTROLLED_PULLBACKS[a_k]):
-        nested = _on_factors_stacked(g, nested, (2, 2, 4, 2, 2), targets)
-    return np.abs(main.reshape(n, 2, 4, 2)) ** 2, np.abs(nested.reshape(n, 2, 2, 4, 2, 2)) ** 2
+    nested = nested.reshape(n, -1)
+    for gate, targets in _nested_gates(u, dag(u), controlled(_PULLBACKS["real"][a_k])):
+        nested = _on_factors(gate, nested, (2, 2, d, d_e, d_e), targets, both_sides=False)
+    return np.abs(main.reshape(n, 2, d, d_e)) ** 2, np.abs(nested.reshape(n, 2, 2, d, d_e, d_e)) ** 2
 
 
 def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
-    """evaluate_trial(generate_trial(config, i), config) for each id, in one stacked pass.
+    """The record of each id, from one pass of the stacked kernels over the chunk's trials.
 
-    Xi, p0 and the baselines follow the scalar formulas operation for
-    operation, so the records match evaluate_trial's to the last bit, not
-    just within a tolerance.
+    C(T), Xi, p0 and the baselines are those of correlator_bound, exact and
+    neumann1, real and imaginary part; the general trade-off is that of
+    G = I_R (x) G_P (x) I_E over the purification of the state entering the
+    channel, G_P the real pullback of A on P = S' (x) S.
     """
     rng = np.random.Generator(np.random.Philox(0))   # re-keyed to each stream of the chunk
     draws, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
-    v = np.ascontiguousarray(u.reshape(-1, 4, 2, 4, 2)[..., 0].transpose(0, 2, 1, 3))   # [m, S, S]
-    v0 = v[:, 0]
-    w = dag(v0) @ v0
-    cb = _CONTROLLED_PAIRS[b_k]
-    sigma = cb @ kron(_PLUS, rho) @ dag(cb)          # entry state on P = S' (x) S
-    rho_sb = sigma[:, :4, :4] + sigma[:, 4:, 4:]
-    p0 = _trace(rho_sb @ dag(v0) @ v0).real
+    d, d_e = _SE_LAYOUT.dims
+    v = np.ascontiguousarray(u.reshape(-1, d, d_e, d, d_e)[..., 0].transpose(0, 2, 1, 3))   # [m, S, S], E from e0 = 0
+    v0, a, b = v[:, 0], _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
     g_re, g_im = _PULLBACKS["real"][a_k], _PULLBACKS["imag"][a_k]
 
-    unitary_err = np.abs(dag(u) @ u - np.eye(8)).max(axis=(1, 2))
-    complete_err = np.abs((dag(v) @ v).sum(axis=1) - np.eye(4)).max(axis=(1, 2))
-    w_min = np.linalg.eigvalsh(w)[:, 0]
+    def label(n):
+        return f"trial {trial_ids[n]}"
+
+    unitary_err = np.abs(dag(u) @ u - np.eye(d * d_e)).max(axis=(1, 2))
+    complete_err = np.abs((dag(v) @ v).sum(axis=1) - np.eye(d)).max(axis=(1, 2))
     g_err = np.abs(g_re - dag(g_re)).max(axis=(1, 2))
     _raise_first_failure([
         (unitary_err > UNITARY_ATOL, lambda n: ContractError(
             f"dilation unitary is not unitary: max |M^dag M - I| = {unitary_err[n]:.3e}")),
         (complete_err > COMPLETENESS_ATOL, lambda n: ContractError(
             f"completeness violated: max |sum V^dag V - I| = {complete_err[n]:.3e}")),
-        (w_min <= P0_CUTOFF, lambda n: SingularOperator(
-            "no-jump operator V_0 is singular", eigenvalue=float(w_min[n]))),
-        (p0 <= P0_CUTOFF, lambda n: DegenerateChannel(
-            f"no-jump probability {p0[n]:.3e} is numerically zero")),
         (g_err > HERMITIAN_ATOL, lambda n: ContractError(
             f"observable G is not Hermitian: max |M - M^dag| = {g_err[n]:.3e}")),
-    ], lambda n: f"trial {trial_ids[n]}")
+    ], label)
 
-    a, b = _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
-    c = _trace(rho @ (dag(v) @ a[:, None] @ v).sum(axis=1) @ b)    # Tr[rho A(T) B]
-    w_inv = _stacked_hermitian_inverse(w)
-    xi = _trace(rho_sb @ w_inv).real - 1.0
-    lift = kron(I2, v0)
-    rho_v0 = lift @ sigma @ dag(lift) / p0[:, None, None]
-    ww = kron(I2, v0 @ dag(v0))
-    ww_inv = kron(I2, _stacked_hermitian_inverse(v0 @ dag(v0)))
-    q_re, q_im = (p0 * _trace(rho_v0 @ (0.5 * (g @ ww_inv + ww_inv @ g))).real for g in (g_re, g_im))
-    q_approx = 2.0 * p0 * _trace(rho_v0 @ g_re).real - p0 * _trace(rho_v0 @ g_re @ ww).real
-    mean, var, q_g = _general_tur_terms(sigma, v, w_inv @ dag(v0), g_re)
+    c = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
+    sigma = _entry_state(rho, b)
+    p0, rho_v0, (q_re, q_im) = separable_baseline(sigma, v0, (g_re, g_im), label)
+    w_inv = _hermitian_inverses(dag(v0) @ v0, label)
+    xi = _survival_activity(_marginal(sigma, d), w_inv)
+    xi_approx, q_approx = _approx_bound_quantities(p0, rho_v0, g_re, v0)
+    joint = _purifications(sigma)[2]
+    psi_t = _branches(joint, kron(I2, v))   # on R (x) P (x) E, the channel lifted to act on S of P
+    tilde = _branches(joint, _tilde_operators(kron(I2, w_inv @ dag(v0)), d_e, 0))
+    g_psi = _on_factors(g_re, psi_t, (sigma.shape[-1],) * 2 + (d_e,), (1,), both_sides=False)
+    general_holds = _tur_report(*_general_tur_terms(psi_t, g_psi, tilde), xi).holds.tolist()
 
     exact, margins = _variant_values(c.real, xi, q_re)
-    approx, _ = _variant_values(c.real, 1.0 - p0, q_approx)
+    approx, _ = _variant_values(c.real, xi_approx, q_approx)
     _, _, contained_imag, sep_imag = correlator_interval(c.imag, q_im, xi)
     contained_imag, sep_holds_imag = contained_imag.tolist(), sep_imag.holds.tolist()
-    general_holds = _tur_report(mean, var, q_g, xi).holds.tolist()
     sampled, failures = [None] * len(draws), [None] * len(draws)
     if "sampled" in config.variants and config.shots > 0:
         # trial i draws its main circuit's shots from stream (seed, i, 0), its nested circuit's from (seed, i, 1)
@@ -431,7 +323,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
         TrialRecord(
             trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx,
             exact=exact[n], approx=approx[n], sampled=sampled[n],
-            shots=config.shots if sampled[n] is not None else 0, postselect_p0=1.0 - approx[n].xi_b,
+            shots=config.shots if sampled[n] is not None else 0, postselect_p0=p0_n,
             general_tur_holds=general_holds[n],
             contained_imag=contained_imag[n],
             sep_tur_holds_imag=sep_holds_imag[n],
@@ -439,7 +331,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
             bound_gap=abs(exact[n].upper - approx[n].upper),
             failure=failures[n],
         )
-        for n, (trial_id, (thetas, gamma, a_idx, b_idx)) in enumerate(zip(trial_ids, draws))
+        for n, (trial_id, (thetas, gamma, a_idx, b_idx), p0_n) in enumerate(zip(trial_ids, draws, p0.tolist()))
     ]
 
 

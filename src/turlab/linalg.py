@@ -49,7 +49,8 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def _raise_first_failure(checks, label=None) -> None:
     """Raise the error of the lowest failing row at its first failing check. ``checks`` lists (failed mask over the
-    rows, error factory taking a row index) in check order; label(row), if given, prefixes the message."""
+    rows, error factory taking a row index) in check order; label(row), if given, prefixes the message, and by
+    default the row index does if there are several rows."""
     # as lists: numpy's any and argmax cost more than the check itself on the one-row masks of scalar calls
     hits = [(rows.index(True), k) for k, rows in enumerate(failed.tolist() for failed, _ in checks) if True in rows]
     if hits:
@@ -57,6 +58,8 @@ def _raise_first_failure(checks, label=None) -> None:
         exc = checks[k][1](n)
         if label is not None:
             exc.args = (f"{label(n)}: {exc.args[0]}",)
+        elif len(checks[k][0]) > 1:
+            exc.args = (f"row {n}: {exc.args[0]}",)
         raise exc
 
 
@@ -256,21 +259,56 @@ def spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> Spectral
 
 
 def _spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> SpectralDecomposition:
-    """spectral of a complex matrix known to be Hermitian up to rounding (it is symmetrised)."""
+    """spectral of a complex matrix known to be Hermitian up to rounding: _spectra of the one matrix."""
+    ((_, values, projectors),) = _spectra(m, group_tol)
+    return SpectralDecomposition(tuple(float(z) for z in values), tuple(projectors))
+
+
+def _spectra(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL):
+    """Spectral decompositions of a matrix or of each matrix of a stack (N, d, d), Hermitian up to rounding (it is
+    symmetrised).
+
+    Eigenvalues run descending, and neighbours closer than group_tol share one
+    projector and their mean. Yields each pattern of groups that occurs with
+    its rows, the group means (one (n,) array per group, or one number) and
+    the projectors (one (n, d, d) array per group, or one matrix).
+    """
     w, v = np.linalg.eigh((m + dag(m)) / 2.0)
-    w, v = w[::-1], v[:, ::-1]
-    values: list[float] = []
-    projectors: list[np.ndarray] = []
-    i = 0
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and abs(w[j] - w[j - 1]) <= group_tol:
-            j += 1
-        block = v[:, i:j]
-        values.append(float(w[i:j].sum() / (j - i)))   # np.mean's bits, without its call
-        projectors.append(block @ dag(block))
-        i = j
-    return SpectralDecomposition(tuple(values), tuple(projectors))
+    w, v = w[..., ::-1], v[..., ::-1]
+    rows_of: dict[tuple, list[int]] = {}
+    for n, splits in enumerate(np.atleast_2d(w[..., :-1] - w[..., 1:] > group_tol).tolist()):
+        rows_of.setdefault(tuple(splits), []).append(n)
+    for splits, rows in rows_of.items():
+        edges = [0, *(k + 1 for k, split in enumerate(splits) if split), m.shape[-1]]
+        w_k, v_k = (w, v) if len(rows_of) == 1 else (w[rows], v[rows])
+        groups = list(zip(edges, edges[1:]))
+        # sum / count: np.mean's bits, without its call; the sum of one eigenvalue is that eigenvalue
+        means = [w_k[..., i] if j == i + 1 else w_k[..., i:j].sum(axis=-1) / (j - i) for i, j in groups]
+        yield rows, means, [v_k[..., i:j] @ dag(v_k[..., i:j]) for i, j in groups]
+
+
+def _hermitian_inverses(m: np.ndarray, label=None, message: str = "matrix is singular, inverse undefined"):
+    """The inverse of each matrix of a stack (N, d, d), Hermitian up to rounding, from its _spectra.
+
+    A row whose eigenvalue nearest zero is within SINGULAR_CUTOFF of it raises
+    SingularOperator(message), labelled as by _raise_first_failure. Each row
+    equals its one-row call and _spectral(row).inverse() to the last bit only
+    because all of them hand numpy the same operand layouts: numpy multiplies
+    complex arrays in a SIMD (FMA) loop or in a scalar one by layout, and the
+    two can differ in the last bit. The interval half-width sqrt(Xi) turns an
+    ulp of Xi near zero into ~1e-8.
+    """
+    spectra = list(_spectra(m))
+    smallest = np.empty(len(m))   # each row's eigenvalue nearest zero
+    for rows, values, _ in spectra:
+        z = np.array(values)
+        smallest[rows] = z[np.abs(z).argmin(axis=0), np.arange(len(rows))]
+    _raise_first_failure([(np.abs(smallest) <= SINGULAR_CUTOFF, lambda n: SingularOperator(
+        message, eigenvalue=float(smallest[n])))], label)
+    out = np.empty_like(m)
+    for rows, values, projectors in spectra:
+        out[rows] = sum((1.0 / z)[:, None, None] * p for z, p in zip(values, projectors))
+    return out
 
 
 def hermitian_inverse(m: np.ndarray) -> np.ndarray:

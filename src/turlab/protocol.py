@@ -35,16 +35,16 @@ from .linalg import (
     dag,
     kron,
     outer,
-    partial_trace,
     require_density,
     require_hermitian,
     require_unitary,
 )
-from .tur import P0_CUTOFF, TUR_SLACK, TurReport, _survival_activity, _tur_report, separable_baseline
+from .tur import P0_CUTOFF, TUR_SLACK, TurReport, _marginal, _survival_activity, _tur_report, separable_baseline
 
 STAGES = ("prepared", "after_UB", "after_channel", "after_UA", "premeasure")
 _STAGE_GATES = dict(zip(STAGES, (0, 2, 3, 4, 5)))   # gates of protocol_state's list applied by each stage
 PARTS = ("real", "imag")
+_PLUS = outer((basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0))   # |+><+|
 
 
 def _require_inputs(rho, dim: int, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,15 +74,17 @@ class ProtocolState:
             f"protocol state trace {tr[n]:.12g} != 1"))], label)
 
 
-def _on_factors(u: np.ndarray, sigma: np.ndarray, dims: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
+def _on_factors(u: np.ndarray, sigma: np.ndarray, dims: tuple[int, ...], targets: tuple[int, ...],
+                both_sides: bool = True) -> np.ndarray:
     """u sigma u^dag for each matrix of sigma (N, D, D), u (one gate or a stack of N) acting on the register
-    factors ``targets`` (in u's factor order)."""
+    factors ``targets`` (in u's factor order); with both_sides False, u psi for each state vector of psi (N, D)."""
     n = len(dims)
     order = [0] + [k + 1 for k in targets] + [k + 1 for k in range(n) if k not in targets] + [n + 1]
     back = list(np.argsort(order))
-    for _ in range(2):   # targets of the row index first, one matmul, then the adjoint: u (u sigma)^dag
+    for _ in range(2 if both_sides else 1):   # targets of the row index first, one matmul, then the adjoint
         t = sigma.reshape((len(sigma),) + dims + (-1,)).transpose(order)
-        sigma = dag((u @ t.reshape(len(t), u.shape[-1], -1)).reshape(t.shape).transpose(back).reshape(sigma.shape))
+        sigma = (u @ t.reshape(len(t), u.shape[-1], -1)).reshape(t.shape).transpose(back).reshape(sigma.shape)
+        sigma = dag(sigma) if both_sides else sigma   # u (u sigma)^dag after two passes
     return sigma
 
 
@@ -171,9 +173,8 @@ def _ancilla_pullback(a: np.ndarray, part: str) -> np.ndarray:
 
 def _entry_state(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
     """State of S' (x) S entering the channel: U_B^c (|+><+| (x) rho) U_B^c-dag."""
-    plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
     ucb = controlled(b)
-    return ucb @ kron(outer(plus), rho) @ dag(ucb)
+    return ucb @ kron(_PLUS, rho) @ dag(ucb)
 
 
 @dataclass(frozen=True)
@@ -212,29 +213,17 @@ def correlator_interval(c, q, xi) -> tuple[float, float, bool, TurReport]:
     return lower, upper, contained, report
 
 
-def approx_bound_quantities(
-    rho: np.ndarray,
-    ch: KrausChannel,
-    a: np.ndarray,
-    b: np.ndarray,
-    part: str = "real",
-) -> tuple[float, float]:
-    """First-order (truncated Neumann series) surrogates for Xi_B and Q_{A,B}.
+def _approx_bound_quantities(p0: np.ndarray, rho_v0: np.ndarray, g: np.ndarray, v0: np.ndarray):
+    """First-order (truncated Neumann series) surrogates for Xi_B and Q_{A,B} of each row of stacks: the p_0 and
+    rho^V0 of separable_baseline, the ancilla pullback G and the no-jump operator V_0.
 
     (V_0^dag V_0)^-1 ~ 2 - V_0^dag V_0 gives Xi ~ 1 - p_0 and
     Q ~ 2 p_0 T_1 - p_0 T_2 with T_1 = Tr[rho^V0 G] and
     T_2 = Re Tr[rho^V0 G V_0 V_0^dag].
     """
-    rho, a, b = _require_inputs(rho, ch.dim, a, b)
-    return _approx_bound_quantities(rho, ch, a, b, part)
-
-
-def _approx_bound_quantities(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray, part: str):
-    g_p = _ancilla_pullback(a, part)
-    p0, rho_v0, _ = separable_baseline(_entry_state(rho, b), ch.v0, g_p)
-    t1 = float(np.trace(rho_v0 @ g_p).real)
-    ww = kron(np.eye(2), ch.v0 @ dag(ch.v0))
-    t2 = float(np.trace(rho_v0 @ g_p @ ww).real)
+    ww = kron(np.eye(g.shape[-1] // v0.shape[-1]), v0 @ dag(v0))
+    t1 = np.trace(rho_v0 @ g, axis1=1, axis2=2).real
+    t2 = np.trace(rho_v0 @ g @ ww, axis1=1, axis2=2).real
     return 1.0 - p0, 2.0 * p0 * t1 - p0 * t2
 
 
@@ -251,7 +240,7 @@ def correlator_bound(
     exact: Xi_B = Tr[rho_S^B (V_0^dag V_0)^-1] - 1 with rho_S^B the S marginal
     of the state entering the channel, and Q_{A,B} the separable baseline
     with G the ancilla pullback of the readout Pauli. neumann1: the
-    first-order surrogates of approx_bound_quantities. The interval half-width
+    first-order surrogates of _approx_bound_quantities. The interval half-width
     is sqrt(Xi_B) (variance of the unitary-Hermitian G capped at 1).
     """
     return _bound_and_tradeoff(rho, ch, a, b, (variant,), part)[0][0]
@@ -264,17 +253,17 @@ def _bound_and_tradeoff(rho, ch: KrausChannel, a, b, variants, part: str) -> lis
     rho, a, b = _require_inputs(rho, ch.dim, a, b)
     c = _exact_correlator(rho, ch.operators, a, b)
     c_part = c.real if part == "real" else c.imag
+    sigma, g, v0 = _entry_state(rho, b)[None], _ancilla_pullback(a, part)[None], ch.v0[None]
+    p0, rho_v0, (q_exact,) = separable_baseline(sigma, v0, [g])
     reports = []
     for variant in variants:
         if variant == "exact":
-            sigma_pb = _entry_state(rho, b)
-            _, _, q = separable_baseline(sigma_pb, ch.v0, _ancilla_pullback(a, part))
-            xi_b = _survival_activity(partial_trace(sigma_pb, SubsystemLayout((2, ch.dim)), keep=[1]), ch)
+            xi_b, q = _survival_activity(_marginal(sigma[0], ch.dim), ch.no_jump_spectrum.inverse()), q_exact[0]
         else:
-            xi_b, q = _approx_bound_quantities(rho, ch, a, b, part)
+            (xi_b,), (q,) = _approx_bound_quantities(p0, rho_v0, g, v0)
         lower, upper, holds, tur = correlator_interval(c_part, q, xi_b)
         reports.append((BoundReport(
-            correlator_real=c_part, q_ab=q, xi_b=xi_b, lower=lower, upper=upper,
+            correlator_real=c_part, q_ab=float(q), xi_b=float(xi_b), lower=lower, upper=upper,
             holds=holds, approx_variant=variant, part=part,
         ), tur))
     return reports
@@ -350,9 +339,8 @@ def _nested_states(rho, unitary, env_initial: int, a, b, part: str = "real") -> 
     """nested_premeasure_state of each row of the stacks (as _main_states)."""
     d, d_e = rho.shape[-1], unitary.shape[-1] // rho.shape[-1]
     dims = (2, 2, d, d_e, d_e)
-    plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
     env = outer(basis_vector(d_e, env_initial))
-    sigma = kron(kron(outer(plus), _entry_state(rho, b)), kron(env, env))
+    sigma = kron(kron(_PLUS, _entry_state(rho, b)), kron(env, env))
     for u, targets in _nested_gates(unitary, dag(unitary), controlled(_ancilla_pullback(a, part))):
         sigma = _on_factors(u, sigma, dims, targets)
     return ProtocolState(SubsystemLayout(dims, ("S2'", "S'", "S", "E1", "E2")), sigma, "premeasure")

@@ -56,8 +56,11 @@ def decode_matrix(obj, path: str) -> np.ndarray:
             if (not isinstance(entry, list)) or len(entry) != 2:
                 raise SpecParseError(f"{path}[{i}][{j}]", "expected a [re, im] pair")
             re, im = entry
-            # type(), not isinstance: JSON true and false decode to bool, a subclass of int
-            if not all(type(x) in (int, float) and math.isfinite(x) for x in (re, im)):
+            try:   # type(), not isinstance: JSON true and false decode to bool, a subclass of int
+                finite = all(type(x) in (int, float) and math.isfinite(x) for x in (re, im))
+            except OverflowError:   # an integer beyond float range
+                finite = False
+            if not finite:
                 raise SpecParseError(f"{path}[{i}][{j}]", "entries must be finite numbers")
             entries.append(complex(re, im))
         rows.append(entries)

@@ -18,15 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, _heisenberg, dv0_dtheta, ensure_dilation
-from .errors import ContractError, DegenerateChannel, LayoutError, SingularOperator
+from .errors import ContractError, DegenerateChannel, LayoutError
 from .linalg import (
-    SubsystemLayout,
-    _spectral,
+    _hermitian_inverses,
+    _raise_first_failure,
     basis_vector,
     dag,
     kron,
     outer,
-    partial_trace,
     require_density,
     require_hermitian,
 )
@@ -63,40 +62,62 @@ def purify(rho: np.ndarray) -> PurifiedState:
 
 
 def _purify(rho: np.ndarray) -> PurifiedState:
+    """purify of a density matrix known to be valid: _purifications of the one matrix."""
+    return PurifiedState(*_purifications(rho))
+
+
+def _purifications(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The probabilities (d,), basis (d, d) and joint vector (d d,) of the purification of rho, or of each density
+    matrix of a stack (N, d, d) with a leading axis on each."""
     w, v = np.linalg.eigh(rho)
-    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    w, v = w[..., ::-1].copy(), v[..., ::-1].copy()
     w[w < 0.0] = 0.0
-    w = w / w.sum()
-    joint = np.einsum("i,ri,si->rs", np.sqrt(w), v, v).reshape(-1)
-    return PurifiedState(probabilities=w, basis=v, joint_vector=joint)
+    w = w / w.sum(axis=-1, keepdims=True)
+    return w, v, np.einsum("...i,...ri,...si->...rs", np.sqrt(w), v, v).reshape(w.shape[:-1] + (-1,))
+
+
+def _branches(joint: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_m (I_R (x) K_m)|Psi_RS> (x) |m> on R (x) S (x) E of a vector joint (d_R d_S,) and operators
+    ops (M, d_S, d_S), or of each row of stacks (N, ...) of them: the joint state a Kraus family leaves, one branch
+    per operator on the last factor."""
+    psi = joint.reshape(joint.shape[:-1] + (1, -1, ops.shape[-1])) @ ops.swapaxes(-1, -2)   # [..., m, R, S]
+    return psi.swapaxes(-3, -2).swapaxes(-2, -1).reshape(joint.shape[:-1] + (-1,))
+
+
+def _tilde_operators(v0_inv: np.ndarray, n_ops: int, e0: int) -> np.ndarray:
+    """The one-branch family of |tilde-Psi(0)>: (V_0^-1)^dag on branch e0, of one v0_inv or of each of a stack."""
+    ops = np.zeros(v0_inv.shape[:-2] + (n_ops,) + v0_inv.shape[-2:], dtype=complex)
+    ops[..., e0, :, :] = dag(v0_inv)
+    return ops
 
 
 def final_joint_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
-    """|Psi_RSE(T)> = (I_R (x) U_SE)(|Psi_RS(0)> (x) |e0>), synthesizing U if needed."""
-    ch = ensure_dilation(ch)
-    dil = ch.dilation
-    d_r = ps.joint_vector.size // ps.dim_s
+    """|Psi_RSE(T)> = sum_m (I_R (x) V_m)|Psi_RS(0)> (x) |m>, which a dilation's (I_R (x) U_SE) leaves from |e0>."""
     if ps.dim_s != ch.dim:
         raise LayoutError(f"purification on dim {ps.dim_s} but channel on dim {ch.dim}")
-    v = kron(ps.joint_vector, basis_vector(dil.env_dim, dil.env_initial))
-    return (v.reshape(d_r, -1) @ dil.unitary.T).reshape(-1)
+    return _branches(ps.joint_vector, np.array(ch.operators))
 
 
 def tilde_initial_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
     """Unnormalized |tilde-Psi_RSE(0)>; requires V_0 invertible."""
-    m = dag(ch.no_jump_spectrum.inverse() @ dag(ch.v0))
-    d_r = ps.joint_vector.size // ps.dim_s
-    v_rs = (ps.joint_vector.reshape(d_r, -1) @ m.T).reshape(-1)   # (I_R (x) M) on R (x) S
-    return kron(v_rs, basis_vector(len(ch.operators), ch.no_jump_index))   # a dilation has one E state per operator
+    v0_inv = ch.no_jump_spectrum.inverse() @ dag(ch.v0)
+    return _branches(ps.joint_vector, _tilde_operators(v0_inv, len(ch.operators), ch.no_jump_index))
 
 
 def survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
     """Xi = Tr[rho (V_0^dag V_0)^-1] - 1 (>= 0 since V_0^dag V_0 <= I)."""
-    return _survival_activity(require_density(rho), ch)
+    return float(_survival_activity(require_density(rho), ch.no_jump_spectrum.inverse()))
 
 
-def _survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
-    return float(np.trace(rho @ ch.no_jump_spectrum.inverse()).real) - 1.0
+def _survival_activity(rho: np.ndarray, w_inv: np.ndarray):
+    """Xi of one state and (V_0^dag V_0)^-1, or of each row of stacks of them (N, d, d)."""
+    return np.trace(rho @ w_inv, axis1=-2, axis2=-1).real - 1.0
+
+
+def _marginal(sigma: np.ndarray, d_s: int) -> np.ndarray:
+    """The S marginal of a state on X (x) S, or of each state of a stack, X the leading factor."""
+    d_x = sigma.shape[-1] // d_s
+    return np.trace(sigma.reshape(sigma.shape[:-2] + (d_x, d_s, d_x, d_s)), axis1=-4, axis2=-2)
 
 
 def survival_activity_moments(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
@@ -162,53 +183,29 @@ def _survival_activity_protocol_sim(rho: np.ndarray, unitary: np.ndarray, e0: in
 
 
 def q_baseline_general(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> float:
-    """Q_G = Re <tilde-Psi(0)| G |Psi_RSE(T)>."""
-    return _q_baseline_general(require_hermitian(g, name="observable G"), ps, ch)
+    """Q_G = Re <tilde-Psi(0)| G |Psi_RSE(T)>, the baseline of check_general_tur's report."""
+    return check_general_tur(g, ps, ch).q_baseline
 
 
-def _q_baseline_general(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> float:
-    psi_t = final_joint_state(ps, ch)
-    if g.shape[0] != psi_t.size:
-        raise LayoutError(f"G has dimension {g.shape[0]}, joint state has {psi_t.size}")
-    tilde = tilde_initial_state(ps, ch)
-    return float(np.vdot(tilde, g @ psi_t).real)
-
-
-def separable_baseline(sigma: np.ndarray, v0: np.ndarray, g0: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(p_0, rho^V0, Q) of a state sigma on X (x) S, X any register left alone by the channel.
+def separable_baseline(sigma: np.ndarray, v0: np.ndarray, gs, label=None) -> tuple[np.ndarray, np.ndarray, list]:
+    """(p_0, rho^V0, [Q of each G_0 of gs]) of each row of a stack of states sigma (N, d_X d_S, d_X d_S) on X (x) S,
+    X any register left alone by the channel, no-jump operators v0 (N, d_S, d_S) and blocks G_0 (N, d_X d_S, ...).
 
     p_0 = Tr[sigma_S V_0^dag V_0] with sigma_S the S marginal,
     rho^V0 = (I_X (x) V_0) sigma (I_X (x) V_0^dag) / p_0 and the no-cost
     baseline of a separable observable with E = |phi_0> block G_0 is
     Q = p_0 Tr[rho^V0 H] with H = (1/2) {G_0, I_X (x) (V_0 V_0^dag)^-1}.
-    X is the purifying copy R of S or the protocol ancilla S'.
+    X is the purifying copy R of S or the protocol ancilla S'. A singular V_0
+    or a numerically zero p_0 raises, labelled as by _raise_first_failure.
     """
-    d_s = v0.shape[0]
-    d_x = sigma.shape[0] // d_s
-    try:
-        winv = kron(np.eye(d_x), _spectral(v0 @ dag(v0)).inverse())
-    except SingularOperator as exc:
-        raise SingularOperator("no-jump operator V_0 is singular", eigenvalue=exc.eigenvalue) from None
-    sigma_s = partial_trace(sigma, SubsystemLayout((d_x, d_s)), keep=[1])
-    p0 = float(np.trace(sigma_s @ dag(v0) @ v0).real)
-    if p0 <= P0_CUTOFF:
-        raise DegenerateChannel(f"no-jump probability {p0:.3e} is numerically zero")
-    lift = kron(np.eye(d_x), v0)
-    rho_v0 = lift @ sigma @ dag(lift) / p0
-    h = 0.5 * (g0 @ winv + winv @ g0)
-    return p0, rho_v0, p0 * float(np.trace(rho_v0 @ h).real)
-
-
-def q_baseline_separable(g0: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> float:
-    """No-cost baseline for a separable observable, from its E = |phi_0> block G_0.
-
-    The Q of separable_baseline on the purified state |Psi_RS(0)>.
-    """
-    g0 = require_hermitian(g0, name="observable block G_0")
-    d_r = ps.joint_vector.size // ps.dim_s
-    if g0.shape[0] != d_r * ps.dim_s:
-        raise LayoutError(f"G_0 has dimension {g0.shape[0]}, R+S has {d_r * ps.dim_s}")
-    return separable_baseline(outer(ps.joint_vector), ch.v0, g0)[2]
+    eye_x = np.eye(sigma.shape[-1] // v0.shape[-1])
+    winv = kron(eye_x, _hermitian_inverses(v0 @ dag(v0), label, "no-jump operator V_0 is singular"))
+    p0 = np.trace(_marginal(sigma, v0.shape[-1]) @ dag(v0) @ v0, axis1=1, axis2=2).real
+    _raise_first_failure([(p0 <= P0_CUTOFF, lambda n: DegenerateChannel(
+        f"no-jump probability {p0[n]:.3e} is numerically zero"))], label)
+    lift = kron(eye_x, v0)
+    rho_v0 = lift @ sigma @ dag(lift) / p0[:, None, None]
+    return p0, rho_v0, [p0 * np.trace(rho_v0 @ (0.5 * (g @ winv + winv @ g)), axis1=1, axis2=2).real for g in gs]
 
 
 def qfi(ch: KrausChannel, ps: PurifiedState) -> float:
@@ -243,7 +240,6 @@ def sld(ps: PurifiedState, ch: KrausChannel) -> SldOperator:
     definition L = 2 d_theta rho, which observable-based saturation checks
     rely on.
     """
-    ch = ensure_dilation(ch)
     psi_t = final_joint_state(ps, ch)
     tilde = tilde_initial_state(ps, ch)
     l = 2.0 * outer(psi_t) - np.outer(tilde, psi_t.conj()) - np.outer(psi_t, tilde.conj())
@@ -291,26 +287,31 @@ def _tur_report(mean, variance, q, xi) -> TurReport:
     return TurReport(*((f.item() for f in fields) if mean.ndim == 0 else fields))
 
 
-def mean_and_variance(g: np.ndarray, state: np.ndarray) -> tuple[float, float]:
-    """<G> and Var[G] over a pure state vector."""
-    w = g @ state
-    mean = float(np.vdot(state, w).real)
-    second = float(np.vdot(w, w).real)
-    return mean, second - mean * mean
+def _inner(bra: np.ndarray, ket: np.ndarray):
+    """Re <bra|ket> of two vectors, or of each row of stacks (N, D) of them; one BLAS dot each, np.vdot's bits."""
+    return (bra.conj()[..., None, :] @ ket[..., :, None])[..., 0, 0].real
+
+
+def _mean_and_variance(psi: np.ndarray, g_psi: np.ndarray):
+    """<G> and Var[G] over a pure state psi from G|psi>, or over each row of stacks (N, D) of them."""
+    mean = _inner(psi, g_psi)
+    return mean, _inner(g_psi, g_psi) - mean * mean
+
+
+def _general_tur_terms(psi: np.ndarray, g_psi: np.ndarray, tilde: np.ndarray):
+    """<G>, Var[G] and Q_G = Re <tilde-Psi(0)|G|Psi(T)> from |Psi(T)>, G|Psi(T)> and |tilde-Psi(0)>, or of each row
+    of stacks (N, D) of them."""
+    return (*_mean_and_variance(psi, g_psi), _inner(tilde, g_psi))
 
 
 def check_general_tur(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> TurReport:
     """Evaluate Var[G] / (<G> - Q_G)^2 >= 1 / Xi over |Psi_RSE(T)>."""
     g = require_hermitian(g, name="observable G")
-    ch = ensure_dilation(ch)
     psi_t = final_joint_state(ps, ch)
     if g.shape[0] != psi_t.size:
         raise LayoutError(f"G has dimension {g.shape[0]}, joint state has {psi_t.size}")
-    mean, variance = mean_and_variance(g, psi_t)
-    tilde = tilde_initial_state(ps, ch)
-    q = float(np.vdot(tilde, g @ psi_t).real)
-    xi = _survival_activity(ps.rho(), ch)
-    return _tur_report(mean, variance, q, xi)
+    terms = _general_tur_terms(psi_t, g @ psi_t, tilde_initial_state(ps, ch))
+    return _tur_report(*terms, _survival_activity(ps.rho(), ch.no_jump_spectrum.inverse()))
 
 
 @dataclass(frozen=True)
@@ -346,9 +347,8 @@ def check_observable_evolution_bound(
     eigenvalue. When g_0 = 0 the first inequality is the bare precision bound
     Var[G]/<G>^2 >= 1/Xi.
     """
-    ch = ensure_dilation(ch)
     g_env = require_hermitian(g_env, name="environment observable")
-    n_env = ch.dilation.env_dim
+    n_env = len(ch.operators)
     if g_env.shape[0] != n_env:
         raise LayoutError(f"environment observable dim {g_env.shape[0]} != env dim {n_env}")
     e0 = basis_vector(n_env, ch.no_jump_index)
@@ -363,8 +363,8 @@ def check_observable_evolution_bound(
     ps = _purify(rho)
     psi_t = final_joint_state(ps, ch)
     g_full = kron(np.eye(ps.dim_s * ch.dim), g_env)
-    mean, variance = mean_and_variance(g_full, psi_t)
-    xi = _survival_activity(rho, ch)
+    mean, variance = (float(x) for x in _mean_and_variance(psi_t, g_full @ psi_t))
+    xi = float(_survival_activity(rho, ch.no_jump_spectrum.inverse()))
     base = _tur_report(mean, variance, float(g0), xi)
     deviation = abs(mean - g0)
     cap = math.sqrt(max(gmax * gmax * xi, 0.0))
@@ -396,11 +396,10 @@ def classical_correlation_bound(
     if g_r.shape[0] != ps.dim_s or g_s.shape[0] != ch.dim:
         raise LayoutError("G_R must act on R (copy of S) and G_S on S")
     value = float(np.vdot(ps.joint_vector, kron(g_r, _heisenberg(ch.operators, g_s)) @ ps.joint_vector).real)
-    ch = ensure_dilation(ch)
-    g_full = kron(kron(g_r, g_s), np.eye(ch.dilation.env_dim))
-    q = _q_baseline_general(g_full, ps, ch)
+    g_full = kron(kron(g_r, g_s), np.eye(len(ch.operators)))
+    q = check_general_tur(g_full, ps, ch).q_baseline
     gmax_r = float(np.max(np.abs(np.linalg.eigvalsh(g_r))))
     gmax_s = float(np.max(np.abs(np.linalg.eigvalsh(g_s))))
-    xi = _survival_activity(rho, ch)
+    xi = float(_survival_activity(rho, ch.no_jump_spectrum.inverse()))
     half = math.sqrt(max((gmax_r * gmax_s) ** 2 * xi, 0.0))
     return (q - half, value, q + half)

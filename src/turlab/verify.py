@@ -24,14 +24,16 @@ from statistics import median
 import numpy as np
 
 from .channels import KrausChannel, dv0_dtheta, perturbed_kraus
-from .harness import CHUNK_TRIALS, ExperimentConfig, _stacked_hermitian_inverse, _trial_setups
-from .linalg import dag, require_density
+from .harness import CHUNK_TRIALS, ExperimentConfig, _trial_setups
+from .linalg import _hermitian_inverses, dag, require_density
 from .protocol import _exact_correlator, _main_states, _protocol_correlators, _require_inputs
 from .random_ops import random_channel, random_density, random_hermitian
 from .tur import (
     PurifiedState,
+    _branches,
     _purify,
     _series_estimates,
+    _survival_activity,
     _survival_activity_moments,
     _survival_activity_protocol_sim,
     check_general_tur,
@@ -80,15 +82,9 @@ def _instances(seed: int, n: int):
             yield random_channel(dim_s, 2, rng), random_density(dim_s, rng)
 
 
-def _branches(ps: PurifiedState, ops) -> np.ndarray:
-    """sum_m (K_m on S)|Psi_RS> (x) |m> over R (x) S (x) E, the branches stacked on the last axis."""
-    joint = ps.joint_vector.reshape(-1, ps.dim_s)
-    return np.stack([joint @ k.T for k in ops], axis=-1).reshape(-1)
-
-
 def perturbed_mean(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, theta: float) -> float:
     """<G> over the joint state evolved by the theta-perturbed Kraus family."""
-    psi = _branches(ps, perturbed_kraus(ch, theta).operators)
+    psi = _branches(ps.joint_vector, np.array(perturbed_kraus(ch, theta).operators))
     return float(np.vdot(psi, g @ psi).real)
 
 
@@ -98,7 +94,7 @@ def analytic_scaling(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, flip_dv
     if flip_dv0_sign:
         d0 = -d0
     derivs = [d0 if i == ch.no_jump_index else 0.5 * v for i, v in enumerate(ch.operators)]
-    dpsi = _branches(ps, derivs)
+    dpsi = _branches(ps.joint_vector, np.array(derivs))
     psi_t = final_joint_state(ps, ch)
     return 2.0 * float(np.vdot(dpsi, g @ psi_t).real)
 
@@ -169,7 +165,7 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
         v0 = np.stack([s.channel.v0 for s in setups])
         moments = np.array(_survival_activity_moments(rho, v0, 4))
         estimates = np.array(_series_estimates(moments))
-        xi = np.trace(rho @ _stacked_hermitian_inverse(dag(v0) @ v0), axis1=1, axis2=2).real - 1.0
+        xi = _survival_activity(rho, _hermitian_inverses(dag(v0) @ v0))
         errors.append(np.abs(estimates - xi))
         sim = _survival_activity_protocol_sim(rho, np.stack([s.channel.dilation.unitary for s in setups]), 0, 4)
         worst_moment = max(worst_moment, float(np.abs(moments - sim).max()))

@@ -1,9 +1,11 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from turlab import cli
 from turlab.cli import main
 from turlab.serialize import CSV_COLUMNS, encode_matrix
 
@@ -20,6 +22,7 @@ def ad_channel_spec(gamma):
     return {"unitary": encode_matrix(amplitude_damping_unitary(gamma)), "dims": [2, 2], "env_initial": 0}
 
 
+DATA = Path(__file__).parent / "data"
 SZ = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 RHO1 = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
@@ -165,6 +168,35 @@ class TestExperimentCommand:
         assert main(["experiment", "--gamma-max", "1.5", "--out-dir", str(tmp_path / "x")]) == 3
         assert main(["experiment"]) == 3  # missing --out-dir
 
+    def test_matches_the_committed_golden_run(self, tmp_path, capsys):
+        """trials.csv of `experiment --seed 7 --trials 40 --shots 0 --variants exact,neumann1`, as first committed:
+        inputs and flags exactly, values within 1e-12, the trade-off lhs within 1e-6 relative."""
+        assert main(["experiment", "--seed", "7", "--trials", "40", "--shots", "0", "--variants", "exact,neumann1",
+                     "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "trials.csv") as fh:
+            got = list(csv.DictReader(fh))
+        with open(DATA / "golden_seed7_trials40_exact_neumann1.csv") as fh:
+            want = list(csv.DictReader(fh))
+        assert len(got) == len(want) == 40 and tuple(got[0]) == tuple(want[0]) == CSV_COLUMNS
+        exact = {"trial_id", "gamma", "a_i", "a_j", "b_i", "b_j", "violated_exact", "violated_sampled"}
+        for g, w in zip(got, want):
+            for column in CSV_COLUMNS:
+                if column in exact or column.startswith("theta_") or w[column] in ("", "inf", "-inf"):
+                    assert g[column] == w[column], (w["trial_id"], column)
+                elif column.startswith("tur_lhs_"):
+                    assert float(g[column]) == pytest.approx(float(w[column]), rel=1e-6), (w["trial_id"], column)
+                else:
+                    assert abs(float(g[column]) - float(w[column])) <= 1e-12, (w["trial_id"], column)
+
+    def test_out_dir_naming_a_file_exits_3_before_the_run(self, tmp_path, capsys, monkeypatch):
+        def refuse(config):
+            raise AssertionError("ran the experiment")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        (tmp_path / "file").write_text("")
+        assert main(["experiment", "--trials", "2", "--shots", "0", "--out-dir", str(tmp_path / "file")]) == 3
+        assert "--out-dir" in capsys.readouterr().err
+
 
 class TestBoundCommand:
     def test_identity_channel_degenerate_report(self, tmp_path, capsys):
@@ -235,6 +267,27 @@ class TestBoundCommand:
             "--rho", json.dumps(RHO1), "--a", json.dumps(SZ), "--b", json.dumps(SZ),
         ])
         assert code == 3
+
+    def test_integer_beyond_float_range_exits_3(self, capsys):
+        rho = [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]
+        code = main(["bound", "--channel", json.dumps(ad_channel_spec(0.25)), "--rho", json.dumps(rho),
+                     "--a", json.dumps(SZ), "--b", json.dumps(SZ)])
+        assert code == 3
+        assert "rho[0][0]: entries must be finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--channel", "--rho", "--a", "--b"])
+    def test_directory_argument_exits_3(self, flag, tmp_path, capsys):
+        args = {"--channel": json.dumps(ad_channel_spec(0.25)), "--rho": json.dumps(RHO1),
+                "--a": json.dumps(SZ), "--b": json.dumps(SZ), flag: str(tmp_path)}
+        assert main(["bound", *(x for item in args.items() for x in item)]) == 3
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_non_utf8_file_exits_3(self, tmp_path, capsys):
+        (tmp_path / "rho.json").write_bytes(b"\xff\xfe[[[1, 0]]]")
+        code = main(["bound", "--channel", json.dumps(ad_channel_spec(0.25)), "--rho", str(tmp_path / "rho.json"),
+                     "--a", json.dumps(SZ), "--b", json.dumps(SZ)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("input error: rho: cannot read")
 
     def test_operator_on_another_system_exits_3(self, tmp_path, capsys):
         sz_4 = encode_matrix(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex))

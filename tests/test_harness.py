@@ -11,17 +11,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from turlab import harness
-from turlab.channels import kraus_from_unitary
+from turlab import harness, protocol
+from turlab.channels import KrausChannel, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
 from turlab.gates import I2, KET0, P0, P1, PAULIS, rx, ry
 from turlab.harness import (
     ExperimentConfig,
+    TrialRecord,
+    TrialSetup,
+    _sampled_variants,
+    _variant_values,
     evaluate_trial,
     generate_trial,
     run_experiment,
     summarize,
 )
+from turlab.linalg import kron
+from turlab.protocol import (
+    _ancilla_pullback,
+    _bound_and_tradeoff,
+    _entry_state,
+    correlator_bound,
+    nested_premeasure_state,
+    protocol_state,
+    sample_shots,
+)
+from turlab.tur import check_general_tur, purify
 
 
 def kron_family_inputs(thetas, gamma):
@@ -37,6 +52,63 @@ def kron_family_inputs(thetas, gamma):
     coupling = reduce(np.kron, (P0, I2, I2)) + reduce(np.kron, (P1, I2, ry(math.pi * gamma)))
     layer2 = reduce(np.kron, (ry(t[9]) @ rx(t[8]), ry(t[11]) @ rx(t[10]), I2))
     return np.outer(psi, psi.conj()), layer2 @ coupling @ layer1
+
+
+def scalar_sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig, trial_id: int):
+    """(sampled variant, None), (None, reason its postselection came up empty), or (None, None) if off.
+
+    The oracle of the batched sampled stage: the density-matrix circuits, one
+    trial at a time.
+    """
+    if "sampled" not in config.variants or config.shots == 0:
+        return None, None
+    main = sample_shots(protocol_state(rho, ch, a, b, stage="premeasure"), config.shots, (config.seed, trial_id, 0))
+    nested = sample_shots(nested_premeasure_state(rho, ch, a, b), config.shots, (config.seed, trial_id, 1))
+    (sampled,), (failure,) = _sampled_variants(main.counts[None], nested.counts[None])
+    return sampled, failure
+
+
+def scalar_evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
+    """The oracle of the stacked chunk: one trial's record composed from the public scalar functions.
+
+    The general trade-off is checked through the full R+P+E observable on a
+    lifted channel, and the sampled variant through the density-matrix
+    circuits.
+    """
+    rho, ch, a, b = setup.rho, setup.channel, setup.a_op, setup.b_op
+
+    bound = correlator_bound(rho, ch, a, b, variant="exact", part="real")
+    (exact,), (margin,) = _variant_values([bound.correlator_real], [bound.xi_b], [bound.q_ab])
+
+    (bound_i, sep_i), = _bound_and_tradeoff(rho, ch, a, b, ("exact",), "imag")
+
+    approx_bound = correlator_bound(rho, ch, a, b, variant="neumann1", part="real")
+    (approx,), _ = _variant_values([approx_bound.correlator_real], [approx_bound.xi_b], [approx_bound.q_ab])
+
+    # General trade-off instance: the protocol observable embedded on R+P+E.
+    sigma_pb = _entry_state(rho, b)
+    lifted = KrausChannel(
+        tuple(kron(I2, v) for v in ch.operators),
+        no_jump_index=ch.no_jump_index,
+    )
+    g_emb = kron(kron(np.eye(sigma_pb.shape[0]), _ancilla_pullback(a, "real")), np.eye(len(ch.operators)))
+    general = check_general_tur(g_emb, purify(sigma_pb), lifted)
+
+    p0 = 1.0 - approx_bound.xi_b
+    sampled, failure = scalar_sampled_values(rho, ch, a, b, config, setup.trial_id)
+
+    return TrialRecord(
+        trial_id=setup.trial_id, gamma=setup.gamma, thetas=setup.thetas,
+        a_idx=setup.a_idx, b_idx=setup.b_idx,
+        exact=exact, approx=approx, sampled=sampled,
+        shots=config.shots if sampled is not None else 0, postselect_p0=p0,
+        general_tur_holds=general.holds,
+        contained_imag=bound_i.holds,
+        sep_tur_holds_imag=sep_i.holds,
+        tur_margin=margin,
+        bound_gap=abs(bound.upper - approx_bound.upper),
+        failure=failure,
+    )
 
 
 GAMMA_RANGES = [(0.0, 0.0), (0.0, 0.75), (0.5, 0.99)]
@@ -95,7 +167,7 @@ class TestGenerateTrial:
         v0 = s.channel.v0
         assert np.max(np.abs(v0.conj().T @ v0 - np.eye(4))) <= 1e-10
         assert np.max(np.abs(s.channel.operators[1])) <= 1e-12
-        record = evaluate_trial(s, cfg)
+        record = evaluate_trial(cfg, 0)
         assert abs(record.exact.xi_b) <= 1e-12
         # width is sqrt-amplified machine noise of xi
         assert abs(record.exact.upper - record.exact.lower) <= 1e-6
@@ -157,7 +229,7 @@ class TestEvaluateTrial:
     def test_exact_soundness(self):
         cfg = exact_config(seed=17, n_trials=20)
         for i in range(20):
-            r = evaluate_trial(generate_trial(cfg, i), cfg)
+            r = evaluate_trial(cfg, i)
             assert not r.exact.tur_violated
             assert r.exact.contained
             assert r.contained_imag and r.sep_tur_holds_imag
@@ -165,14 +237,14 @@ class TestEvaluateTrial:
 
     def test_sampled_values_present_and_deterministic(self):
         cfg = ExperimentConfig(seed=4, n_trials=1, shots=300)
-        r1 = evaluate_trial(generate_trial(cfg, 0), cfg)
-        r2 = evaluate_trial(generate_trial(cfg, 0), cfg)
+        r1 = evaluate_trial(cfg, 0)
+        r2 = evaluate_trial(cfg, 0)
         assert r1.sampled is not None
         assert r1.sampled == r2.sampled
 
     def test_shots_zero_skips_sampling(self):
         cfg = ExperimentConfig(seed=4, n_trials=1, shots=0)
-        r = evaluate_trial(generate_trial(cfg, 0), cfg)
+        r = evaluate_trial(cfg, 0)
         assert r.sampled is None
 
 
@@ -189,7 +261,7 @@ class TestRunExperiment:
         xis = []
         for gamma in (0.6, 0.4, 0.2, 0.05, 0.0):
             cfg = exact_config(seed=33, gamma_range=(gamma, gamma))
-            r = evaluate_trial(generate_trial(cfg, 0), cfg)
+            r = evaluate_trial(cfg, 0)
             xis.append(r.exact.xi_b)
         assert all(b < a or a == b == 0 for a, b in zip(xis, xis[1:]))
         assert abs(xis[-1]) <= 1e-10
@@ -202,11 +274,11 @@ class TestRunExperiment:
 
 
 def oracle(cfg, trial_id):
-    return evaluate_trial(generate_trial(cfg, trial_id), cfg)
+    return scalar_evaluate_trial(generate_trial(cfg, trial_id), cfg)
 
 
 class TestBatchedPath:
-    """run_experiment's stacked evaluation against the scalar evaluate_trial."""
+    """run_experiment's stacked evaluation against the scalar oracle scalar_evaluate_trial."""
 
     FLAGS = ("general_tur_holds", "contained_imag", "sep_tur_holds_imag", "failure")
 
@@ -233,8 +305,16 @@ class TestBatchedPath:
             assert abs(r.bound_gap - o.bound_gap) <= 1e-12
             assert [getattr(r, f) for f in self.FLAGS] == [getattr(o, f) for f in self.FLAGS], r.trial_id
 
+    @pytest.mark.parametrize("shots", [0, 1000])
+    def test_records_equal_their_one_row_replay(self, shots):
+        # evaluate_trial(config, i) is the one-row view of the chunk: a record does not depend on its chunk
+        cfg = ExperimentConfig(seed=7, n_trials=harness.CHUNK_TRIALS + 4, shots=shots)
+        records, _ = run_experiment(cfg)
+        for i in (0, harness.CHUNK_TRIALS - 2, harness.CHUNK_TRIALS - 1, harness.CHUNK_TRIALS, harness.CHUNK_TRIALS + 3):
+            assert evaluate_trial(cfg, i) == records[i], i
+
     def test_sampled_values_equal_oracle(self):
-        # evaluate_trial takes its sampled fields from _sampled_values alone, so the
+        # scalar_evaluate_trial takes its sampled fields from scalar_sampled_values alone, so the
         # oracle calls it directly and skips the exact bounds. 150 trials cross a
         # chunk boundary; one shot often leaves a postselection empty.
         failures = 0
@@ -244,7 +324,7 @@ class TestBatchedPath:
             records, _ = run_experiment(cfg)
             for r in records:
                 s = generate_trial(cfg, r.trial_id)
-                sampled, failure = harness._sampled_values(s.rho, s.channel, s.a_op, s.b_op, cfg, r.trial_id)
+                sampled, failure = scalar_sampled_values(s.rho, s.channel, s.a_op, s.b_op, cfg, r.trial_id)
                 want = (sampled, shots if sampled is not None else 0, failure)
                 assert (r.sampled, r.shots, r.failure) == want, (seed, gamma_range, shots, r.trial_id)
                 failures += failure is not None
@@ -254,8 +334,7 @@ class TestBatchedPath:
         def refuse(*args, **kwargs):
             raise AssertionError("called by the batched sampled path")
 
-        originals = [getattr(harness, name) for name in ("protocol_state", "nested_premeasure_state",
-                                                         "kraus_from_unitary")]
+        originals = [protocol.protocol_state, protocol.nested_premeasure_state, harness.kraus_from_unitary]
         originals.append(sys.modules["turlab.linalg"].require_density)
         for module in [m for n, m in sys.modules.items() if n == "turlab" or n.startswith("turlab.")]:
             for attr, value in list(vars(module).items()):
@@ -352,7 +431,7 @@ class TestSummarize:
 
     def test_single_degenerate_trial(self):
         cfg = exact_config(gamma_range=(0.0, 0.0))
-        r = evaluate_trial(generate_trial(cfg, 0), cfg)
+        r = evaluate_trial(cfg, 0)
         assert r.exact.degenerate
         summary = summarize([r])
         assert summary.degenerate_trials == 1
@@ -361,14 +440,14 @@ class TestSummarize:
 
     def test_duplicate_records_stable(self):
         cfg = exact_config(seed=8, gamma_range=(0.3, 0.6))
-        r = evaluate_trial(generate_trial(cfg, 0), cfg)
+        r = evaluate_trial(cfg, 0)
         s1 = summarize([r])
         s2 = summarize([r, r])
         assert s1.margin_min == s2.margin_min == s2.margin_median
 
     def test_gap_buckets_are_half_open(self):
         cfg = exact_config(seed=8, gamma_range=(0.3, 0.6))
-        r = evaluate_trial(generate_trial(cfg, 0), cfg)
+        r = evaluate_trial(cfg, 0)
         records = [
             dataclasses.replace(r, trial_id=i, gamma=g, bound_gap=gap)
             for i, (g, gap) in enumerate([(0.0, 1.0), (math.nextafter(0.5, 0.0), 2.0), (1.0, 3.0)])

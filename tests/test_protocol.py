@@ -18,7 +18,6 @@ from turlab.protocol import (
     _spawned_words,
     _stream_keys,
     _streams,
-    approx_bound_quantities,
     correlator_bound,
     estimate_main_circuit,
     estimate_nested_circuit,
@@ -156,7 +155,8 @@ class TestCorrelatorBound:
 class TestApproxBoundQuantities:
     def test_identity_channel(self, rng):
         rho = random_density(2, rng)
-        xi_a, q_a = approx_bound_quantities(rho, IDENTITY_CH, SIGMA_X, SIGMA_Z)
+        approx = correlator_bound(rho, IDENTITY_CH, SIGMA_X, SIGMA_Z, variant="neumann1")
+        xi_a, q_a = approx.xi_b, approx.q_ab
         exact = correlator_bound(rho, IDENTITY_CH, SIGMA_X, SIGMA_Z)
         assert abs(xi_a) <= 1e-12
         assert abs(q_a - exact.q_ab) <= 1e-10
@@ -165,7 +165,7 @@ class TestApproxBoundQuantities:
         def xi_gap(gamma, i):
             s = family_setup(41, i, gamma_lo=gamma, gamma_hi=gamma)
             exact = correlator_bound(s.rho, s.channel, s.a_op, s.b_op)
-            xi_a, _ = approx_bound_quantities(s.rho, s.channel, s.a_op, s.b_op)
+            xi_a = correlator_bound(s.rho, s.channel, s.a_op, s.b_op, variant="neumann1").xi_b
             return abs(xi_a - exact.xi_b)
 
         small = np.median([xi_gap(0.1, i) for i in range(10)])
@@ -179,7 +179,8 @@ class TestApproxBoundQuantities:
         for i in range(10):
             s = family_setup(43, i, gamma_lo=0.05, gamma_hi=0.15)
             exact = correlator_bound(s.rho, s.channel, s.a_op, s.b_op)
-            xi_a, q1 = approx_bound_quantities(s.rho, s.channel, s.a_op, s.b_op)
+            approx = correlator_bound(s.rho, s.channel, s.a_op, s.b_op, variant="neumann1")
+            xi_a, q1 = approx.xi_b, approx.q_ab
             p0 = 1.0 - xi_a
             t2 = nested_run(s.rho, s.channel, s.a_op, s.b_op).value
             q2 = q1 + p0 * (1.0 - p0) * t2   # 2 p0 T_1 - p0^2 T_2
@@ -201,9 +202,9 @@ class TestNestedExpectation:
             s = family_setup(53, i, gamma_lo=0.1)
             value = nested_run(s.rho, s.channel, s.a_op, s.b_op).value
             g_p = _ancilla_pullback(s.a_op, "real")
-            _, rho_v0, _ = separable_baseline(_entry_state(s.rho, s.b_op), s.channel.v0, g_p)
+            _, rho_v0, _ = separable_baseline(_entry_state(s.rho, s.b_op)[None], s.channel.v0[None], [g_p[None]])
             ww = np.kron(np.eye(2), s.channel.v0 @ dag(s.channel.v0))
-            direct = np.trace(rho_v0 @ g_p @ ww).real
+            direct = np.trace(rho_v0[0] @ g_p @ ww).real
             assert abs(value - direct) <= 1e-9
 
     def test_postselection_chain_rule(self):

@@ -1,0 +1,135 @@
+"""Each stacked kernel of tur, protocol and linalg: every row of a stack equals its one-row call to the last bit,
+over dim_S 2-6, dim_E 2-4, mixed and rank-deficient states, and stacks that mix degenerate and non-degenerate
+V_0^dag V_0 spectra; a singular row raises the scalar message prefixed with its row index."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from turlab.channels import KrausChannel
+from turlab.errors import SingularOperator
+from turlab.linalg import _hermitian_inverses, _spectral, dag, embed_operator, outer
+from turlab.protocol import _approx_bound_quantities, _on_factors
+from turlab.random_ops import random_density, random_hermitian, random_unitary
+from turlab.tur import (
+    _branches,
+    _general_tur_terms,
+    _purifications,
+    _purify,
+    _survival_activity,
+    _tilde_operators,
+    check_general_tur,
+    separable_baseline,
+    survival_activity,
+)
+
+# eigenvalue patterns of V_0^dag V_0: group sizes, largest first (one pattern per row, cycled)
+PATTERNS = [None, (2,), "all", (1, 2), (2, 2)]
+
+
+def kraus_family(rng, d_s, d_e, pattern):
+    """Kraus operators (d_e, d_s, d_s) whose V_0^dag V_0 = W^dag diag(lam) W repeats eigenvalues as pattern says."""
+    lam = rng.uniform(0.3, 0.95, d_s)
+    sizes = (d_s,) if pattern == "all" else () if pattern is None else pattern
+    k = 0
+    for size in sizes:
+        lam[k:k + size] = lam[k:k + 1]   # empty past d_S
+        k += size
+    w = random_unitary(d_s, rng)
+    ops = [random_unitary(d_s, rng) @ np.diag(np.sqrt(lam)) @ w]
+    ops += [random_unitary(d_s, rng) @ np.diag(np.sqrt((1.0 - lam) / (d_e - 1))) @ w for _ in range(d_e - 1)]
+    return np.stack(ops)
+
+
+def stacks(seed=7, n=6):
+    """(rho, Kraus operators (N, d_E, d_S, d_S)) stacks for each dim_S 2-6 and dim_E 2-4."""
+    rng = np.random.default_rng(seed)
+    for d_s in range(2, 7):
+        for d_e in range(2, 5):
+            ops = np.stack([kraus_family(rng, d_s, d_e, PATTERNS[k % len(PATTERNS)]) for k in range(n)])
+            rho = np.stack([random_density(d_s, rng, rank=1 + k % d_s) for k in range(n)])
+            yield rho, ops
+
+
+def test_grouped_inverse_and_survival_activity_rows():
+    for rho, ops in stacks():
+        w = dag(ops[:, 0]) @ ops[:, 0]
+        patterns = {tuple(np.diff(e) > 1e-9) for e in np.linalg.eigvalsh(w)}
+        assert len(patterns) >= min(3, w.shape[-1])   # one call groups several eigenvalue patterns
+        w_inv = _hermitian_inverses(w)
+        xi = _survival_activity(rho, w_inv)
+        for n in range(len(w)):
+            assert np.array_equal(w_inv[n], _hermitian_inverses(w[n:n + 1])[0])
+            assert np.array_equal(w_inv[n], _spectral(w[n]).inverse())
+            assert xi[n] == _survival_activity(rho[n], w_inv[n])
+            assert xi[n] == survival_activity(rho[n], KrausChannel(tuple(ops[n])))
+
+
+def test_separable_baseline_and_neumann1_rows():
+    rng = np.random.default_rng(11)
+    for rho, ops in stacks():
+        v0 = ops[:, 0]
+        sigma = np.stack([outer(j) for j in _purifications(rho)[2]])   # X = R, the purifying copy of S
+        gs = [np.stack([random_hermitian(sigma.shape[-1], rng) for _ in range(len(rho))]) for _ in range(2)]
+        p0, rho_v0, qs = separable_baseline(sigma, v0, gs)
+        xi_1, q_1 = _approx_bound_quantities(p0, rho_v0, gs[0], v0)
+        for n in range(len(rho)):
+            one = slice(n, n + 1)
+            p0_n, rho_v0_n, qs_n = separable_baseline(sigma[one], v0[one], [g[one] for g in gs])
+            assert p0[n] == p0_n[0] and np.array_equal(rho_v0[n], rho_v0_n[0])
+            assert [q[n] for q in qs] == [q[0] for q in qs_n]
+            (xi_1n,), (q_1n,) = _approx_bound_quantities(p0_n, rho_v0_n, gs[0][one], v0[one])
+            assert (xi_1[n], q_1[n]) == (xi_1n, q_1n)
+
+
+def test_general_tur_terms_rows_equal_check_general_tur():
+    rng = np.random.default_rng(13)
+    for rho, ops in stacks():
+        n_rows, d_e, d_s = ops.shape[:3]
+        joint = _purifications(rho)[2]
+        v0_inv = _hermitian_inverses(dag(ops[:, 0]) @ ops[:, 0]) @ dag(ops[:, 0])
+        psi = _branches(joint, ops)
+        tilde = _branches(joint, _tilde_operators(v0_inv, d_e, 0))
+        g = np.stack([random_hermitian(psi.shape[-1], rng) for _ in range(n_rows)])
+        g_psi = (g @ psi[..., None])[..., 0]
+        terms = _general_tur_terms(psi, g_psi, tilde)
+        for n in range(n_rows):
+            one = slice(n, n + 1)
+            one_row = _general_tur_terms(_branches(joint[one], ops[one]), g_psi[one],
+                                         _branches(joint[one], _tilde_operators(v0_inv[one], d_e, 0)))
+            assert [t[n] for t in terms] == [t[0] for t in one_row]
+            report = check_general_tur(g[n], _purify(rho[n]), KrausChannel(tuple(ops[n])))
+            assert [t[n] for t in terms] == [report.mean, report.variance, report.q_baseline]
+
+
+@pytest.mark.parametrize("dims, targets", [((2, 3, 2), (1, 2)), ((2, 3, 2), (0, 2)), ((4, 4, 3), (1,)),
+                                           ((2, 2, 3, 2, 2), (0, 1, 2))])
+def test_one_sided_on_factors_rows(dims, targets):
+    rng = np.random.default_rng(17)
+    d, d_t = int(np.prod(dims)), int(np.prod([dims[k] for k in targets]))
+    u = rng.normal(size=(5, d_t, d_t)) + 1j * rng.normal(size=(5, d_t, d_t))
+    psi = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
+    got = _on_factors(u, psi, dims, targets, both_sides=False)
+    for n in range(5):
+        assert np.array_equal(got[n], _on_factors(u[n:n + 1], psi[n:n + 1], dims, targets, both_sides=False)[0])
+        assert_allclose(got[n], embed_operator(u[n], dims, targets) @ psi[n], rtol=0, atol=1e-12)
+
+
+def test_singular_row_raises_the_scalar_message_with_its_index():
+    rho, ops = next(stacks(n=4))
+    v0 = ops[:, 0].copy()
+    v0[2] = v0[2] @ np.diag([1.0, 0.0])   # rank-deficient V_0 in row 2 only
+    sigma = np.stack([outer(j) for j in _purifications(rho)[2]])
+    g = np.stack([np.eye(sigma.shape[-1], dtype=complex)] * 4)
+    cases = [
+        lambda rows: _hermitian_inverses(dag(v0[rows]) @ v0[rows]),
+        lambda rows: separable_baseline(sigma[rows], v0[rows], [g[rows]]),
+    ]
+    for call in cases:
+        with pytest.raises(SingularOperator) as scalar:
+            call(slice(2, 3))
+        with pytest.raises(SingularOperator) as stacked:
+            call(slice(None))
+        assert str(stacked.value) == f"row 2: {scalar.value}"
+        assert stacked.value.eigenvalue == scalar.value.eigenvalue
+    assert "no-jump operator V_0 is singular" in str(stacked.value)

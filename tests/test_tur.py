@@ -12,15 +12,15 @@ from conftest import amplitude_damping, stacked_groups
 from turlab.channels import KrausChannel, apply, ensure_dilation, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
 from turlab.gates import SIGMA_Z
-from turlab.linalg import SubsystemLayout, dag, outer, partial_trace
+from turlab.linalg import SubsystemLayout, _hermitian_inverses, dag, outer, partial_trace
 from turlab.protocol import correlator_interval
 from turlab.random_ops import random_channel, random_density, random_hermitian
-from turlab.harness import _stacked_hermitian_inverse
 from turlab.tur import (
     DEGENERATE_MEAN_ATOL,
     P0_CUTOFF,
     TUR_SLACK,
     _series_estimates,
+    _survival_activity,
     _survival_activity_moments,
     _survival_activity_protocol_sim,
     _tur_report,
@@ -30,8 +30,8 @@ from turlab.tur import (
     final_joint_state,
     purify,
     q_baseline_general,
-    q_baseline_separable,
     qfi,
+    separable_baseline,
     sld,
     survival_activity,
     survival_activity_moments,
@@ -173,7 +173,7 @@ def test_stacked_moments_series_and_xi_rows_equal_the_scalar_values():
         sim = _survival_activity_protocol_sim(rho, np.stack([c.dilation.unitary for c in channels]),
                                               channels[0].dilation.env_initial, 4)
         series = _series_estimates(moments)
-        xi = np.trace(rho @ _stacked_hermitian_inverse(dag(v0) @ v0), axis1=1, axis2=2).real - 1.0
+        xi = _survival_activity(rho, _hermitian_inverses(dag(v0) @ v0))
         for k, (r, ch, _, _) in enumerate(group):
             assert [t[k] for t in moments] == survival_activity_moments(r, ch, 4)
             assert [t[k] for t in sim] == survival_activity_protocol_sim(r, ch, 4)
@@ -209,17 +209,22 @@ class TestQBaselineGeneral:
             assert abs(fd - (mean - q)) <= 1e-6
 
 
+def q_separable(g0, ps, ch):
+    """The Q of separable_baseline on the purified state |Psi_RS(0)>, for the block G_0 of a separable observable."""
+    return separable_baseline(outer(ps.joint_vector)[None], ch.v0[None], [g0[None]])[2][0][0]
+
+
 class TestQBaselineSeparable:
     def test_identity_channel(self, rng):
         ps = purify(random_density(2, rng))
         g0 = random_hermitian(4, rng)
-        q = q_baseline_separable(g0, ps, IDENTITY_CH)
+        q = q_separable(g0, ps, IDENTITY_CH)
         assert abs(q - np.trace(outer(ps.joint_vector) @ g0).real) <= 1e-10
 
     def test_identity_block_gives_one(self, rng):
         ch = random_channel(3, 2, rng)
         ps = purify(random_density(3, rng))
-        assert abs(q_baseline_separable(np.eye(9, dtype=complex), ps, ch) - 1.0) <= 1e-10
+        assert abs(q_separable(np.eye(9, dtype=complex), ps, ch) - 1.0) <= 1e-10
 
     def test_agrees_with_general_on_embedded_observable(self, rng):
         for _ in range(5):
@@ -228,7 +233,7 @@ class TestQBaselineSeparable:
             g0 = random_hermitian(4, rng)
             e00 = np.zeros((3, 3), dtype=complex)
             e00[ch.no_jump_index, ch.no_jump_index] = 1.0
-            q_sep = q_baseline_separable(g0, ps, ch)
+            q_sep = q_separable(g0, ps, ch)
             q_gen = q_baseline_general(np.kron(g0, e00), ps, ch)
             assert abs(q_sep - q_gen) <= 1e-9
 
