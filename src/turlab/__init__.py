@@ -14,16 +14,11 @@ from .linalg import (
     SubsystemLayout,
     embed_operator,
     hermitian_inverse,
-    hermitian_sqrt,
     partial_trace,
-    polar_unitary,
-    project_factor,
-    spectral,
 )
 from .channels import (
     Dilation,
     KrausChannel,
-    PerturbedChannel,
     apply,
     dv0_dtheta,
     ensure_dilation,
@@ -35,14 +30,12 @@ from .channels import (
 from .tur import (
     EvolutionBoundReport,
     PurifiedState,
-    SldOperator,
     TurReport,
     check_general_tur,
     check_observable_evolution_bound,
     classical_correlation_bound,
     final_joint_state,
     purify,
-    q_baseline_general,
     qfi,
     sld,
     survival_activity,

@@ -56,9 +56,10 @@ class Dilation:
             raise LayoutError(f"env_initial {self.env_initial} out of range for env_dim {self.env_dim}")
 
 
-def _extract_kraus(u: np.ndarray, dim_s: int, dim_e: int, env_initial: int) -> tuple[np.ndarray, ...]:
-    t = u.reshape(dim_s, dim_e, dim_s, dim_e)
-    return tuple(np.ascontiguousarray(t[:, m, :, env_initial]) for m in range(dim_e))
+def _extract_kraus(u: np.ndarray, dim_s: int, dim_e: int, env_initial: int) -> np.ndarray:
+    """Kraus operators (dim_e, dim_s, dim_s) of a dilation unitary, or (N, dim_e, dim_s, dim_s) of each of a stack."""
+    t = u.reshape(u.shape[:-2] + (dim_s, dim_e, dim_s, dim_e))[..., env_initial]
+    return np.ascontiguousarray(t.swapaxes(-3, -2))
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class KrausChannel:
             extracted = _extract_kraus(self.dilation.unitary, d, self.dilation.env_dim, self.dilation.env_initial)
             if len(extracted) != len(ops):
                 raise ContractError("dilation yields a different number of Kraus operators")
-            worst = max(max_abs(a - b) for a, b in zip(extracted, ops))
+            worst = max_abs(extracted - np.stack(ops))
             if worst > DILATION_ATOL:
                 raise ContractError(f"dilation does not reproduce the Kraus operators: {worst:.3e}")
 
@@ -141,7 +142,7 @@ def synthesize_dilation(ch: KrausChannel) -> Dilation:
     rest = [c for c in range(d * n_ops) if c not in inputs]
     u[:, rest] = q[:, d:]
     dil = Dilation(u, env_dim=n_ops, env_initial=e0)
-    worst = max(max_abs(a - b) for a, b in zip(_extract_kraus(u, d, n_ops, e0), ch.operators))
+    worst = max_abs(_extract_kraus(u, d, n_ops, e0) - t)
     if worst > DILATION_ATOL:  # pragma: no cover - construction guarantees this
         raise ContractError(f"synthesized dilation failed to reproduce operators: {worst:.3e}")
     return dil
@@ -174,25 +175,14 @@ def _heisenberg(ops, a: np.ndarray) -> np.ndarray:
     return sum(dag(v) @ a @ v for v in ops)
 
 
-@dataclass(frozen=True)
-class PerturbedChannel:
-    """Kraus family of the virtual perturbation at strength theta.
+def perturbed_kraus(ch: KrausChannel, theta: float) -> tuple[np.ndarray, ...]:
+    """Kraus family of the virtual perturbation at strength theta; AdmissibilityError if e^theta overshoots the
+    jump weight.
 
     V_m(theta) = e^{theta/2} V_m for jump operators, and
     V_0(theta) = U_V sqrt(I - e^theta sum_{m>=1} V_m^dag V_m) with U_V the
     unitary polar factor of V_0. At theta = 0 the base family is recovered.
     """
-
-    base: KrausChannel
-    theta: float
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(_freeze(op) for op in self.operators))
-
-
-def perturbed_kraus(ch: KrausChannel, theta: float) -> PerturbedChannel:
-    """Perturbed Kraus family; AdmissibilityError if e^theta overshoots the jump weight."""
     jump = ch.jump_sum()
     lam_max = float(np.linalg.eigvalsh(jump)[-1])
     if np.exp(theta) * lam_max > 1.0 - ADMISSIBILITY_MARGIN:
@@ -203,11 +193,7 @@ def perturbed_kraus(ch: KrausChannel, theta: float) -> PerturbedChannel:
     d = ch.dim
     v0_theta = u_v @ _hermitian_sqrt(np.eye(d) - np.exp(theta) * jump)
     scale = np.exp(theta / 2.0)
-    ops = tuple(
-        v0_theta if i == ch.no_jump_index else scale * v
-        for i, v in enumerate(ch.operators)
-    )
-    return PerturbedChannel(base=ch, theta=float(theta), operators=ops)
+    return tuple(v0_theta if i == ch.no_jump_index else scale * v for i, v in enumerate(ch.operators))
 
 
 def dv0_dtheta(ch: KrausChannel) -> np.ndarray:

@@ -81,15 +81,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    suites = None
-    if args.suite:
-        suites = []
-        for entry in args.suite:
-            suites.extend(s.strip() for s in entry.split(",") if s.strip())
+    suites = SUITES
+    if args.suite is not None:
+        # a repeated name runs once, in the order of its first occurrence
+        suites = tuple(dict.fromkeys(s.strip() for entry in args.suite for s in entry.split(",") if s.strip()))
+        if not suites:
+            print("--suite names no suite", file=sys.stderr)
+            return EXIT_INPUT
         unknown = set(suites) - set(SUITES)
         if unknown:
             print(f"unknown suite(s): {', '.join(sorted(unknown))}", file=sys.stderr)
             return EXIT_INPUT
+    if args.inject_fault == "dv0-sign" and "scaling" not in suites:
+        print("--inject-fault dv0-sign corrupts only the scaling suite; select scaling", file=sys.stderr)
+        return EXIT_INPUT
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return EXIT_INPUT

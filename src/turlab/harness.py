@@ -27,7 +27,7 @@ from statistics import median
 
 import numpy as np
 
-from .channels import COMPLETENESS_ATOL, KrausChannel, kraus_from_unitary
+from .channels import COMPLETENESS_ATOL, KrausChannel, _extract_kraus, kraus_from_unitary
 from .errors import ContractError
 from .gates import HADAMARD, I2, PAULIS, controlled, pauli_pair
 from .linalg import HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, _hermitian_inverses, _raise_first_failure, dag, kron
@@ -60,7 +60,7 @@ from .tur import (
 )
 
 VARIANTS = ("exact", "neumann1", "sampled")
-_SE_LAYOUT = SubsystemLayout((4, 2), ("S", "E"))
+_SE_LAYOUT = SubsystemLayout((4, 2))
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     rng = np.random.Generator(np.random.Philox(0))   # re-keyed to each stream of the chunk
     draws, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
     d, d_e = _SE_LAYOUT.dims
-    v = np.ascontiguousarray(u.reshape(-1, d, d_e, d, d_e)[..., 0].transpose(0, 2, 1, 3))   # [m, S, S], E from e0 = 0
+    v = _extract_kraus(u, d, d_e, 0)   # (N, M, d, d)
     v0, a, b = v[:, 0], _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
     g_re, g_im = _PULLBACKS["real"][a_k], _PULLBACKS["imag"][a_k]
 

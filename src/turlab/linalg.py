@@ -11,7 +11,7 @@ the package's one Kronecker product, of vectors, matrices and stacks of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Callable, Iterable, Sequence
 
@@ -132,24 +132,15 @@ def outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubsystemLayout:
-    """Ordered tensor factors of a composite space.
-
-    ``dims[0]`` is the slowest-varying (leftmost) Kronecker factor. Labels are
-    cosmetic and default to ``F0, F1, ...``.
-    """
+    """Ordered tensor factors of a composite space; ``dims[0]`` is the slowest-varying (leftmost) Kronecker factor."""
 
     dims: tuple[int, ...]
-    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise LayoutError(f"factor dimensions must be positive, got {dims}")
         object.__setattr__(self, "dims", dims)
-        labels = tuple(self.labels) if self.labels else tuple(f"F{i}" for i in range(len(dims)))
-        if len(labels) != len(dims):
-            raise LayoutError(f"{len(labels)} labels for {len(dims)} factors")
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -181,25 +172,6 @@ def partial_trace(m: np.ndarray, layout: SubsystemLayout, keep: Iterable[int]) -
         nrow -= 1
     d = prod(layout.dims[k] for k in keep) if keep else 1
     return np.asarray(t).reshape(d, d)
-
-
-def project_factor(m: np.ndarray, layout: SubsystemLayout, factor: int, index: int) -> np.ndarray:
-    """<index| block of one factor: unnormalized reduced matrix on the remaining factors.
-
-    The trace of the result is the probability of observing ``index`` on that
-    factor in the computational basis.
-    """
-    m = layout.require_matches(m)
-    n = layout.nfactors
-    if not 0 <= factor < n:
-        raise LayoutError(f"factor {factor} out of range")
-    if not 0 <= index < layout.dims[factor]:
-        raise LayoutError(f"basis index {index} out of range for dim {layout.dims[factor]}")
-    t = m.reshape(layout.dims + layout.dims)
-    t = np.take(t, index, axis=factor)
-    t = np.take(t, index, axis=n - 1 + factor)
-    d = layout.dim // layout.dims[factor]
-    return t.reshape(d, d)
 
 
 def embed_operator(u: np.ndarray, dims: Sequence[int], positions: Sequence[int]) -> np.ndarray:
@@ -239,9 +211,6 @@ class SpectralDecomposition:
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
 
-    def reconstruct(self) -> np.ndarray:
-        return sum(z * p for z, p in zip(self.eigenvalues, self.projectors))
-
     def apply(self, f: Callable[[float], float]) -> np.ndarray:
         return sum(f(z) * p for z, p in zip(self.eigenvalues, self.projectors))
 
@@ -253,13 +222,8 @@ class SpectralDecomposition:
         return self.apply(lambda z: 1.0 / z)
 
 
-def spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, eigenvalues descending."""
-    return _spectral(require_hermitian(m), group_tol)
-
-
 def _spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> SpectralDecomposition:
-    """spectral of a complex matrix known to be Hermitian up to rounding: _spectra of the one matrix."""
+    """Spectral decomposition, eigenvalues descending, of a matrix Hermitian up to rounding: _spectra of the one."""
     ((_, values, projectors),) = _spectra(m, group_tol)
     return SpectralDecomposition(tuple(float(z) for z in values), tuple(projectors))
 
@@ -316,12 +280,8 @@ def hermitian_inverse(m: np.ndarray) -> np.ndarray:
     return _spectral(require_hermitian(m)).inverse()
 
 
-def hermitian_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix (eigenvalues >= -1e-12, clamped)."""
-    return _hermitian_sqrt(require_hermitian(m))
-
-
 def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD matrix, Hermitian up to rounding (eigenvalues >= -1e-12, clamped)."""
     s = _spectral(m)
     lo = min(s.eigenvalues)
     if lo < -SINGULAR_CUTOFF:
@@ -329,13 +289,8 @@ def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
     return s.apply(lambda z: np.sqrt(max(z, 0.0)))
 
 
-def polar_unitary(v: np.ndarray) -> np.ndarray:
-    """Unitary factor U of the polar decomposition v = U sqrt(v^dag v)."""
-    v = require_square(v)
-    return _polar_unitary(v, _spectral(dag(v) @ v))
-
-
-def _polar_unitary(v: np.ndarray, s: SpectralDecomposition) -> np.ndarray:   # s: the spectrum of v^dag v
+def _polar_unitary(v: np.ndarray, s: SpectralDecomposition) -> np.ndarray:
+    """Unitary factor U of the polar decomposition v = U sqrt(v^dag v), s the spectrum of v^dag v."""
     lo = min(s.eigenvalues)
     if lo <= SINGULAR_CUTOFF:
         raise SingularOperator("polar decomposition needs nonsingular v^dag v", eigenvalue=lo)

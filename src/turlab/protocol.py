@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, _heisenberg, ensure_dilation
-from .errors import ContractError, DegenerateChannel, LayoutError
+from .errors import ContractError, LayoutError
 from .gates import HADAMARD, S_GATE, SIGMA_X, SIGMA_Y, controlled
 from .linalg import (
     SubsystemLayout,
@@ -39,7 +39,7 @@ from .linalg import (
     require_hermitian,
     require_unitary,
 )
-from .tur import P0_CUTOFF, TUR_SLACK, TurReport, _marginal, _survival_activity, _tur_report, separable_baseline
+from .tur import TUR_SLACK, TurReport, _marginal, _survival_activity, _tur_report, separable_baseline
 
 STAGES = ("prepared", "after_UB", "after_channel", "after_UA", "premeasure")
 _STAGE_GATES = dict(zip(STAGES, (0, 2, 3, 4, 5)))   # gates of protocol_state's list applied by each stage
@@ -114,7 +114,7 @@ def _main_states(rho, unitary, env_initial: int, a, b, stage: str = "after_UA", 
     sigma = kron(kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(d_e, env_initial)))
     for u, targets in _main_gates(controlled(b), unitary, controlled(a), _readout_rotation(part))[:_STAGE_GATES[stage]]:
         sigma = _on_factors(u, sigma, (2, d, d_e), targets)
-    return ProtocolState(SubsystemLayout((2, d, d_e), ("S'", "S", "E")), sigma, stage)
+    return ProtocolState(SubsystemLayout((2, d, d_e)), sigma, stage)
 
 
 def protocol_state(
@@ -280,43 +280,6 @@ def separable_tur_protocol_check(
     return _bound_and_tradeoff(rho, ch, a, b, ("exact",), part)[0][1]
 
 
-@dataclass(frozen=True)
-class NestedRun:
-    """Outcome of the nested postselection circuit."""
-
-    value: float
-    p_first: float    # Pr[E_1 = e0]
-    p_second: float   # Pr[E_2 = e0 | E_1 = e0]
-
-
-def nested_run(
-    rho: np.ndarray,
-    ch: KrausChannel,
-    a: np.ndarray,
-    b: np.ndarray,
-    part: str = "real",
-) -> NestedRun:
-    """Exact outcome of the nested circuit measuring Re Tr[rho^V0 G (V_0 V_0^dag)].
-
-    Postselect E_1 = |e0> after the dilation to form rho^V0; attach a fresh
-    ancilla in |+> and apply controlled-G; realize V_0^dag through the inverse
-    dilation on a second environment; the joint expectation of sigma_x on the
-    ancilla with the E_2 = |e0> projector is the nested term. All three
-    numbers are read off the outcome probabilities of nested_premeasure_state,
-    the value through the shot estimator estimate_nested_circuit.
-    """
-    state = nested_premeasure_state(rho, ch, a, b, part=part)
-    probs = np.diag(state.matrix).real.reshape(state.layout.dims)
-    e0 = ch.no_jump_index
-    p_first = float(probs[:, :, :, e0].sum())
-    if p_first <= P0_CUTOFF:
-        raise DegenerateChannel(f"first postselection probability {p_first:.3e} is numerically zero")
-    p_second = float(probs[:, :, :, e0, e0].sum()) / p_first
-    if p_second <= P0_CUTOFF:
-        raise DegenerateChannel(f"second postselection probability {p_second:.3e} is numerically zero")
-    return NestedRun(value=float(estimate_nested_circuit(probs, e0)), p_first=p_first, p_second=p_second)
-
-
 def nested_premeasure_state(
     rho: np.ndarray,
     ch: KrausChannel,
@@ -326,8 +289,12 @@ def nested_premeasure_state(
 ) -> ProtocolState:
     """Full nested register (both environments kept) ready for sampling.
 
-    Register order S2' (x) S' (x) S (x) E1 (x) E2. The sampled estimator of the
-    nested term is the mean of sign(S2') * [E2 = e0] over shots with E1 = e0.
+    The nested circuit measures Re Tr[rho^V0 G (V_0 V_0^dag)]: postselecting
+    E1 = e0 after the dilation forms rho^V0, a fresh ancilla S2' in |+> applies
+    controlled-G, and the inverse dilation on E2 realizes V_0^dag. Register
+    order S2' (x) S' (x) S (x) E1 (x) E2. The estimator of the nested term,
+    estimate_nested_circuit, is the mean of sign(S2') * [E2 = e0] over the
+    outcomes with E1 = e0.
     """
     rho, a, b = _require_inputs(rho, ch.dim, a, b)
     dil = ensure_dilation(ch).dilation
@@ -343,7 +310,7 @@ def _nested_states(rho, unitary, env_initial: int, a, b, part: str = "real") -> 
     sigma = kron(kron(_PLUS, _entry_state(rho, b)), kron(env, env))
     for u, targets in _nested_gates(unitary, dag(unitary), controlled(_ancilla_pullback(a, part))):
         sigma = _on_factors(u, sigma, dims, targets)
-    return ProtocolState(SubsystemLayout(dims, ("S2'", "S'", "S", "E1", "E2")), sigma, "premeasure")
+    return ProtocolState(SubsystemLayout(dims), sigma, "premeasure")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ def random_channel(
     max_tries: int = 200,
 ) -> KrausChannel:
     """Random dilation channel with V_0^dag V_0 bounded away from singular."""
-    layout = SubsystemLayout((dim_s, dim_e), ("S", "E"))
+    layout = SubsystemLayout((dim_s, dim_e))
     for _ in range(max_tries):
         ch = kraus_from_unitary(random_unitary(dim_s * dim_e, rng), layout, env_initial=0)
         w = dag(ch.v0) @ ch.v0

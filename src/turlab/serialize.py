@@ -83,7 +83,7 @@ def channel_from_spec(obj, path: str = "channel") -> KrausChannel:
         env_initial = obj.get("env_initial", 0)
         if type(env_initial) is not int or not 0 <= env_initial < dims[1]:
             raise SpecParseError(f"{path}.env_initial", f"expected an integer in [0, {dims[1]})")
-        return kraus_from_unitary(u, SubsystemLayout(tuple(dims), ("S", "E")), env_initial)
+        return kraus_from_unitary(u, SubsystemLayout(tuple(dims)), env_initial)
     if "kraus" in obj:
         ops_obj = obj["kraus"]
         if not isinstance(ops_obj, list) or not ops_obj:

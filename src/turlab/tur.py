@@ -182,11 +182,6 @@ def _survival_activity_protocol_sim(rho: np.ndarray, unitary: np.ndarray, e0: in
     return moments
 
 
-def q_baseline_general(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> float:
-    """Q_G = Re <tilde-Psi(0)| G |Psi_RSE(T)>, the baseline of check_general_tur's report."""
-    return check_general_tur(g, ps, ch).q_baseline
-
-
 def separable_baseline(sigma: np.ndarray, v0: np.ndarray, gs, label=None) -> tuple[np.ndarray, np.ndarray, list]:
     """(p_0, rho^V0, [Q of each G_0 of gs]) of each row of a stack of states sigma (N, d_X d_S, d_X d_S) on X (x) S,
     X any register left alone by the channel, no-jump operators v0 (N, d_S, d_S) and blocks G_0 (N, d_X d_S, ...).
@@ -225,15 +220,9 @@ def qfi(ch: KrausChannel, ps: PurifiedState) -> float:
     return 4.0 * (e1 - e2 * e2)
 
 
-@dataclass(frozen=True)
-class SldOperator:
-    """Symmetric logarithmic derivative of the perturbed final state at theta = 0."""
-
-    matrix: np.ndarray
-
-
-def sld(ps: PurifiedState, ch: KrausChannel) -> SldOperator:
-    """L = 2 d/dtheta |Psi_theta><Psi_theta| at theta = 0.
+def sld(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
+    """The symmetric logarithmic derivative L = 2 d/dtheta |Psi_theta><Psi_theta| of the perturbed final state at
+    theta = 0.
 
     For the pure family this is 2|Psi(T)><Psi(T)| - |tilde><Psi(T)| -
     |Psi(T)><tilde|; the overall scale is fixed by the finite-difference
@@ -243,7 +232,7 @@ def sld(ps: PurifiedState, ch: KrausChannel) -> SldOperator:
     psi_t = final_joint_state(ps, ch)
     tilde = tilde_initial_state(ps, ch)
     l = 2.0 * outer(psi_t) - np.outer(tilde, psi_t.conj()) - np.outer(psi_t, tilde.conj())
-    return SldOperator(matrix=(l + dag(l)) / 2.0)
+    return (l + dag(l)) / 2.0
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def _instances(seed: int, n: int):
 
 def perturbed_mean(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, theta: float) -> float:
     """<G> over the joint state evolved by the theta-perturbed Kraus family."""
-    psi = _branches(ps.joint_vector, np.array(perturbed_kraus(ch, theta).operators))
+    psi = _branches(ps.joint_vector, np.array(perturbed_kraus(ch, theta)))
     return float(np.vdot(psi, g @ psi).real)
 
 
@@ -147,7 +147,7 @@ def suite_saturation(trials: int, seed: int) -> SuiteResult:
     worst = 0.0
     for setup in _family_setups(seed + 3, range(trials), gamma_lo=0.2):
         ps = purify(random_density(setup.channel.dim, rng))
-        l = sld(ps, setup.channel).matrix
+        l = sld(ps, setup.channel)
         scale = float(rng.uniform(0.5, 2.0))
         offset = float(rng.uniform(-1.0, 1.0))
         g = scale * l + offset * np.eye(l.shape[0])
@@ -181,7 +181,7 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
 
 
 def run_suites(names=None, trials: int = 100, seed: int = 2024, inject_fault: str | None = None):
-    names = tuple(names) if names else SUITES
+    names = SUITES if names is None else tuple(names)
     # qfi and scaling check the same instances: drawn once (~11 kB each), scaling reuses qfi's cached spectra.
     shared = list(_instances(seed, trials)) if {"qfi", "scaling"} <= set(names) else None
     results = []

@@ -17,7 +17,7 @@ def amplitude_damping_unitary(gamma: float) -> np.ndarray:
 
 
 def amplitude_damping(gamma: float):
-    return kraus_from_unitary(amplitude_damping_unitary(gamma), SubsystemLayout((2, 2), ("S", "E")))
+    return kraus_from_unitary(amplitude_damping_unitary(gamma), SubsystemLayout((2, 2)))
 
 
 def hermitian_unitary(dim: int, rng) -> np.ndarray:

@@ -95,7 +95,7 @@ class TestAcceptance:
         for i in range(20):
             s = family(404, i, lo=0.2)
             ps = purify(random_density(4, rng))
-            l = sld(ps, s.channel).matrix
+            l = sld(ps, s.channel)
             for g in (l, float(rng.uniform(0.5, 2.0)) * l + float(rng.uniform(-1, 1)) * np.eye(l.shape[0])):
                 rep = check_general_tur(g, ps, s.channel)
                 worst = max(worst, abs(rep.ratio - 1.0))

@@ -182,7 +182,7 @@ def test_stacked_premeasure_probabilities_match_density_circuits(n, seed):
     main, nested = _premeasure_probabilities(psi, u, a_k, b_k)
     for k in range(n):
         rho = outer(psi[k])
-        ch = kraus_from_unitary(u[k], SubsystemLayout((4, 2), ("S", "E")))
+        ch = kraus_from_unitary(u[k], SubsystemLayout((4, 2)))
         a, b = pauli_pair(a_k[k] // 4, a_k[k] % 4), pauli_pair(b_k[k] // 4, b_k[k] % 4)
         want_main = np.diag(protocol_state(rho, ch, a, b, stage="premeasure").matrix).real
         want_nested = np.diag(nested_premeasure_state(rho, ch, a, b).matrix).real

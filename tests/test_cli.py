@@ -82,6 +82,23 @@ class TestVerifyCommand:
     def test_unknown_suite_is_input_error(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 3
 
+    @pytest.mark.parametrize("suite", [",", " , ", ""])
+    def test_empty_suite_selection_is_input_error(self, suite, capsys):
+        assert main(["verify", "--suite", suite, "--trials", "2"]) == 3
+        captured = capsys.readouterr()
+        assert "names no suite" in captured.err and "[PASS]" not in captured.out
+
+    def test_repeated_suite_runs_once_in_first_occurrence_order(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        argv = ["verify", "--suite", "protocol", "--suite", "qfi,protocol", "--suite", "qfi", "--trials", "2"]
+        assert main(argv + ["--json", str(report)]) == 0
+        assert [s["name"] for s in json.loads(report.read_text())["suites"]] == ["protocol", "qfi"]
+
+    def test_injected_fault_without_scaling_is_input_error(self, capsys):
+        assert main(["verify", "--suite", "qfi,protocol", "--trials", "2", "--inject-fault", "dv0-sign"]) == 3
+        captured = capsys.readouterr()
+        assert "scaling" in captured.err and "[PASS]" not in captured.out
+
 
 class TestExperimentCommand:
     def run_once(self, tmp_path, name, capsys):

@@ -29,7 +29,6 @@ from turlab.tur import (
     classical_correlation_bound,
     final_joint_state,
     purify,
-    q_baseline_general,
     qfi,
     separable_baseline,
     sld,
@@ -40,7 +39,7 @@ from turlab.tur import (
 )
 from turlab.verify import perturbed_mean
 
-SE = SubsystemLayout((2, 2), ("S", "E"))
+SE = SubsystemLayout((2, 2))
 IDENTITY_CH = kraus_from_unitary(np.eye(4, dtype=complex), SE)
 HALF = np.eye(2, dtype=complex) / 2
 
@@ -186,7 +185,7 @@ class TestQBaselineGeneral:
     def test_identity_channel_equals_mean(self, rng):
         ps = purify(random_density(2, rng))
         g = random_hermitian(8, rng)
-        q = q_baseline_general(g, ps, IDENTITY_CH)
+        q = check_general_tur(g, ps, IDENTITY_CH).q_baseline
         psi = final_joint_state(ps, IDENTITY_CH)
         assert abs(q - np.vdot(psi, g @ psi).real) <= 1e-10
 
@@ -194,7 +193,7 @@ class TestQBaselineGeneral:
         # expand: <tilde(0)|Psi(T)> = sum_i p_i <psi_i| V0^-1 V0 |psi_i> = 1
         ch = random_channel(3, 2, rng)
         ps = purify(random_density(3, rng))
-        assert abs(q_baseline_general(np.eye(18, dtype=complex), ps, ch) - 1.0) <= 1e-10
+        assert abs(check_general_tur(np.eye(18, dtype=complex), ps, ch).q_baseline - 1.0) <= 1e-10
 
     def test_scaling_finite_difference(self, rng):
         h = 1e-5
@@ -202,7 +201,7 @@ class TestQBaselineGeneral:
             ch = random_channel(2, 2, rng)
             ps = purify(random_density(2, rng))
             g = random_hermitian(8, rng)
-            q = q_baseline_general(g, ps, ch)
+            q = check_general_tur(g, ps, ch).q_baseline
             psi = final_joint_state(ps, ch)
             mean = np.vdot(psi, g @ psi).real
             fd = (perturbed_mean(g, ps, ch, h) - perturbed_mean(g, ps, ch, -h)) / (2 * h)
@@ -234,7 +233,7 @@ class TestQBaselineSeparable:
             e00 = np.zeros((3, 3), dtype=complex)
             e00[ch.no_jump_index, ch.no_jump_index] = 1.0
             q_sep = q_separable(g0, ps, ch)
-            q_gen = q_baseline_general(np.kron(g0, e00), ps, ch)
+            q_gen = check_general_tur(np.kron(g0, e00), ps, ch).q_baseline
             assert abs(q_sep - q_gen) <= 1e-9
 
 
@@ -259,12 +258,12 @@ class TestSld:
         h = 1e-5
         ch = random_channel(2, 2, rng)
         ps = purify(random_density(2, rng))
-        l = sld(ps, ch).matrix
+        l = sld(ps, ch)
 
         def projector(theta):
             pert = perturbed_kraus(ch, theta)
             psi = np.zeros(8, dtype=complex)
-            for m, v in enumerate(pert.operators):
+            for m, v in enumerate(pert):
                 psi += np.kron((ps.joint_vector.reshape(2, 2) @ v.T).reshape(-1), np.eye(2)[m])
             return outer(psi)
 
@@ -275,14 +274,14 @@ class TestSld:
         ch = random_channel(3, 2, rng)
         ps = purify(random_density(3, rng))
         psi = final_joint_state(ps, ch)
-        l = sld(ps, ch).matrix
+        l = sld(ps, ch)
         assert abs(np.vdot(psi, l @ psi).real) <= 1e-8
 
     def test_saturation(self, rng):
         for _ in range(5):
             ch = random_channel(2, 2, rng)
             ps = purify(random_density(2, rng))
-            report = check_general_tur(sld(ps, ch).matrix, ps, ch)
+            report = check_general_tur(sld(ps, ch), ps, ch)
             assert abs(report.ratio - 1.0) <= 1e-6
 
 
