@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 invariant/property failure, 3 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -101,18 +102,24 @@ def _cmd_verify(args) -> int:
     if args.seed < 0:
         print("--seed must be >= 0", file=sys.stderr)
         return EXIT_INPUT
-    results = run_suites(suites, trials=args.trials, seed=args.seed, inject_fault=args.inject_fault)
-    for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        print(f"[{tag}] {r.name}: {r.cases} cases, {r.note} (worst {r.worst:.3e})")
-    report = {
-        "all_passed": all(r.passed for r in results),
-        "trials": args.trials,
-        "seed": args.seed,
-        "suites": [dataclasses.asdict(r) for r in results],
-    }
-    if args.json is not None:
-        args.json.write_text(dumps_json(report))
+    try:   # before the suites, so that an unusable --json costs no run
+        report_file = args.json.open("w") if args.json is not None else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"input error: cannot write --json: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    with report_file:
+        results = run_suites(suites, trials=args.trials, seed=args.seed, inject_fault=args.inject_fault)
+        for r in results:
+            tag = "PASS" if r.passed else "FAIL"
+            print(f"[{tag}] {r.name}: {r.cases} cases, {r.note} (worst {r.worst:.3e})")
+        report = {
+            "all_passed": all(r.passed for r in results),
+            "trials": args.trials,
+            "seed": args.seed,
+            "suites": [dataclasses.asdict(r) for r in results],
+        }
+        if args.json is not None:
+            report_file.write(dumps_json(report))
     if not report["all_passed"]:
         failing = ", ".join(r.name for r in results if not r.passed)
         print(f"failing suites: {failing}", file=sys.stderr)

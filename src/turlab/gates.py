@@ -15,22 +15,6 @@ PAULIS = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)  # index order: I, X, Y, Z
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 S_GATE = np.array([[1, 0], [0, 1j]], dtype=complex)
 
-P0 = np.array([[1, 0], [0, 0]], dtype=complex)
-P1 = np.array([[0, 0], [0, 1]], dtype=complex)
-
-KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
-
-
-def rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-
-
-def ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
 
 def pauli_pair(i: int, j: int) -> np.ndarray:
     """Two-qubit Pauli string sigma_i (x) sigma_j, indices in 0..3."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import COMPLETENESS_ATOL, KrausChannel, _extract_kraus, kraus_from_unitary
 from .errors import ContractError
-from .gates import HADAMARD, I2, PAULIS, controlled, pauli_pair
+from .gates import I2, PAULIS, controlled, pauli_pair
 from .linalg import HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, _hermitian_inverses, _raise_first_failure, dag, kron
 from .protocol import (
     PARTS,
@@ -38,9 +38,9 @@ from .protocol import (
     _entropy_words,
     _entry_state,
     _exact_correlator,
-    _main_gates,
+    _main_vectors,
     _multinomial_counts,
-    _nested_gates,
+    _nested_vectors,
     _on_factors,
     _spawned_words,
     _streams,
@@ -170,12 +170,12 @@ def evaluate_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     return _evaluate_chunk(config, [trial_id])[0]
 
 
-# run_experiment evaluates trials in chunks of CHUNK_TRIALS ids. A chunk builds
-# its inputs as stacked arrays and passes them once through the stacked kernels
-# of tur and protocol, whose one-row views are the scalar functions that
-# `bound` and `verify` call. A kernel's row equals its one-row call to the last
-# bit, so a record does not depend on the chunk, and evaluate_trial replays it.
-# The scalar composition of those functions is kept in tests/ as the oracle.
+# run_experiment evaluates trials in chunks of CHUNK_TRIALS ids. A chunk builds its inputs as stacked arrays and
+# passes them once through the stacked kernels of tur and protocol (the sampled stage through protocol's state-vector
+# circuits, a pure preparation its own root), whose one-row views are the scalar functions that `bound` and `verify`
+# call. A kernel's row equals its one-row call to the last bit, so a record does not depend on the chunk, and
+# evaluate_trial replays it. The scalar composition of those functions and the density-matrix circuits are kept in
+# tests/ as the oracle.
 
 CHUNK_TRIALS = 128   # fixed so that peak memory does not grow with --trials
 
@@ -241,29 +241,20 @@ def _trial_setups(config: ExperimentConfig, trial_ids) -> list[TrialSetup]:
     ]
 
 
-def _premeasure_probabilities(psi: np.ndarray, u: np.ndarray, a_k: np.ndarray, b_k: np.ndarray):
-    """Outcome probabilities of the real-part main and nested circuits of each trial, A and B rows of _PAULI_PAIRS.
-
-    The gate lists of protocol_state(stage="premeasure") and
-    nested_premeasure_state run on stacked state vectors: every preparation
-    of the family is pure, so |amp|^2 is the diagonal the scalar path reads
-    off its density matrices.
-    """
-    n, (d, d_e) = len(psi), _SE_LAYOUT.dims
-    cb = controlled(_PAULI_PAIRS[b_k])
-    main = np.zeros((n, 2, d, d_e), dtype=complex)
-    main[:, 0, :, 0] = psi
-    main = main.reshape(n, -1)
-    for gate, targets in _main_gates(cb, u, controlled(_PAULI_PAIRS[a_k]), HADAMARD):
-        main = _on_factors(gate, main, (2, d, d_e), targets, both_sides=False)
-    # |+> (x) U_B^c (|+> (x) psi) (x) |e0 e0>, the two 1/sqrt(2) in one division
-    entry = cb @ np.concatenate([psi, psi], axis=1)[..., None] / 2.0
-    nested = np.zeros((n, 2, 2 * d, d_e, d_e), dtype=complex)
-    nested[:, :, :, 0, 0] = entry[:, None, :, 0]
-    nested = nested.reshape(n, -1)
-    for gate, targets in _nested_gates(u, dag(u), controlled(_PULLBACKS["real"][a_k])):
-        nested = _on_factors(gate, nested, (2, 2, d, d_e, d_e), targets, both_sides=False)
-    return np.abs(main.reshape(n, 2, d, d_e)) ** 2, np.abs(nested.reshape(n, 2, 2, d, d_e, d_e)) ** 2
+def _checked_kraus(u: np.ndarray, label) -> np.ndarray:
+    """The Kraus operators (N, M, d, d) of the family's dilation unitaries u (N, d d_E, d d_E), each row checked as
+    kraus_from_unitary checks its channel: the unitary is unitary and its operators are complete."""
+    d, d_e = _SE_LAYOUT.dims
+    v = _extract_kraus(u, d, d_e, 0)
+    unitary_err = np.abs(dag(u) @ u - np.eye(d * d_e)).max(axis=(1, 2))
+    complete_err = np.abs((dag(v) @ v).sum(axis=1) - np.eye(d)).max(axis=(1, 2))
+    _raise_first_failure([
+        (unitary_err > UNITARY_ATOL, lambda n: ContractError(
+            f"dilation unitary is not unitary: max |M^dag M - I| = {unitary_err[n]:.3e}")),
+        (complete_err > COMPLETENESS_ATOL, lambda n: ContractError(
+            f"completeness violated: max |sum V^dag V - I| = {complete_err[n]:.3e}")),
+    ], label)
+    return v
 
 
 def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
@@ -277,24 +268,17 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     rng = np.random.Generator(np.random.Philox(0))   # re-keyed to each stream of the chunk
     draws, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
     d, d_e = _SE_LAYOUT.dims
-    v = _extract_kraus(u, d, d_e, 0)   # (N, M, d, d)
-    v0, a, b = v[:, 0], _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
+    a, b = _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
     g_re, g_im = _PULLBACKS["real"][a_k], _PULLBACKS["imag"][a_k]
 
     def label(n):
         return f"trial {trial_ids[n]}"
 
-    unitary_err = np.abs(dag(u) @ u - np.eye(d * d_e)).max(axis=(1, 2))
-    complete_err = np.abs((dag(v) @ v).sum(axis=1) - np.eye(d)).max(axis=(1, 2))
+    v = _checked_kraus(u, label)   # (N, M, d, d)
+    v0 = v[:, 0]
     g_err = np.abs(g_re - dag(g_re)).max(axis=(1, 2))
-    _raise_first_failure([
-        (unitary_err > UNITARY_ATOL, lambda n: ContractError(
-            f"dilation unitary is not unitary: max |M^dag M - I| = {unitary_err[n]:.3e}")),
-        (complete_err > COMPLETENESS_ATOL, lambda n: ContractError(
-            f"completeness violated: max |sum V^dag V - I| = {complete_err[n]:.3e}")),
-        (g_err > HERMITIAN_ATOL, lambda n: ContractError(
-            f"observable G is not Hermitian: max |M - M^dag| = {g_err[n]:.3e}")),
-    ], label)
+    _raise_first_failure([(g_err > HERMITIAN_ATOL, lambda n: ContractError(
+        f"observable G is not Hermitian: max |M - M^dag| = {g_err[n]:.3e}"))], label)
 
     c = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
     sigma = _entry_state(rho, b)
@@ -305,7 +289,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     joint = _purifications(sigma)[2]
     psi_t = _branches(joint, kron(I2, v))   # on R (x) P (x) E, the channel lifted to act on S of P
     tilde = _branches(joint, _tilde_operators(kron(I2, w_inv @ dag(v0)), d_e, 0))
-    g_psi = _on_factors(g_re, psi_t, (sigma.shape[-1],) * 2 + (d_e,), (1,), both_sides=False)
+    g_psi = _on_factors(g_re, psi_t, (sigma.shape[-1],) * 2 + (d_e,), (1,))
     general_holds = _tur_report(*_general_tur_terms(psi_t, g_psi, tilde), xi).holds.tolist()
 
     exact, margins = _variant_values(c.real, xi, q_re)
@@ -315,9 +299,11 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     sampled, failures = [None] * len(draws), [None] * len(draws)
     if "sampled" in config.variants and config.shots > 0:
         # trial i draws its main circuit's shots from stream (seed, i, 0), its nested circuit's from (seed, i, 1)
-        seed = _entropy_words(config.seed)
-        counts = [_multinomial_counts(p, config.shots, _streams([seed + _entropy_words(i, k) for i in trial_ids], rng))
-                  for k, p in enumerate(_premeasure_probabilities(psi, u, a_k, b_k))]
+        seed, x = _entropy_words(config.seed), psi[:, :, None]   # psi is its own root, R of dimension 1
+        circuits = _main_vectors(x, u, 0, a, b, "premeasure"), _nested_vectors(x, u, 0, a, b)
+        counts = [_multinomial_counts((np.abs(amp) ** 2).sum(axis=-1), config.shots,
+                                      _streams([seed + _entropy_words(i, k) for i in trial_ids], rng))
+                  for k, amp in enumerate(circuits)]
         sampled, failures = _sampled_variants(*counts)
     return [
         TrialRecord(

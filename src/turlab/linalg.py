@@ -124,10 +124,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def outer(v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """|v><w| (|v><v| if w omitted)."""
-    w = v if w is None else w
-    return np.outer(v, w.conj())
+def outer(v: np.ndarray) -> np.ndarray:
+    """|v><v|."""
+    return np.outer(v, v.conj())
 
 
 @dataclass(frozen=True)

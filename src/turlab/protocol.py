@@ -10,10 +10,10 @@ The protocol estimating C(T) = Tr[rho A(T) B(0)] for Hermitian unitary A, B:
   6. sigma_x and sigma_y on S' give Re C(T) and Im C(T).
 
 The sigma_x readout is realized as Hadamard-then-sigma_z, sigma_y as
-(S-dagger, Hadamard)-then-sigma_z. Everything is simulated exactly on the full
-S' (x) S (x) E density matrix; shot noise enters only through multinomial
-sampling of the premeasure state. Each circuit is a list of gates on their own
-register factors, and a stage is a prefix of that list.
+(S-dagger, Hadamard)-then-sigma_z. Each circuit is a list of gates on their own
+register factors, and a stage is a prefix of that list. The circuits run exactly
+on state vectors, a mixed rho entering through its purification (a last factor R
+that no gate touches); shot noise enters only through multinomial sampling.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .errors import ContractError, LayoutError
 from .gates import HADAMARD, S_GATE, SIGMA_X, SIGMA_Y, controlled
 from .linalg import (
     SubsystemLayout,
-    _raise_first_failure,
-    _square_rows,
     basis_vector,
     dag,
     kron,
@@ -39,7 +37,7 @@ from .linalg import (
     require_hermitian,
     require_unitary,
 )
-from .tur import TUR_SLACK, TurReport, _marginal, _survival_activity, _tur_report, separable_baseline
+from .tur import TUR_SLACK, TurReport, _marginal, _purifications, _survival_activity, _tur_report, separable_baseline
 
 STAGES = ("prepared", "after_UB", "after_channel", "after_UA", "premeasure")
 _STAGE_GATES = dict(zip(STAGES, (0, 2, 3, 4, 5)))   # gates of protocol_state's list applied by each stage
@@ -58,7 +56,7 @@ def _require_inputs(rho, dim: int, a, b) -> tuple[np.ndarray, np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class ProtocolState:
-    """Density matrix of the protocol register at a named stage, or a stack (N, D, D) of them."""
+    """Density matrix of the protocol register at a named stage."""
 
     layout: SubsystemLayout
     matrix: np.ndarray
@@ -67,25 +65,33 @@ class ProtocolState:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ContractError(f"unknown stage {self.stage!r}")
-        _, rows, label = _square_rows(self.matrix, "protocol state")
-        self.layout.require_matches(rows[0])
-        tr = np.trace(rows, axis1=1, axis2=2).real
-        _raise_first_failure([(np.abs(tr - 1.0) > 1e-10, lambda n: ContractError(
-            f"protocol state trace {tr[n]:.12g} != 1"))], label)
+        self.layout.require_matches(self.matrix)
+        tr = float(np.trace(self.matrix).real)
+        if abs(tr - 1.0) > 1e-10:
+            raise ContractError(f"protocol state trace {tr:.12g} != 1")
 
 
-def _on_factors(u: np.ndarray, sigma: np.ndarray, dims: tuple[int, ...], targets: tuple[int, ...],
-                both_sides: bool = True) -> np.ndarray:
-    """u sigma u^dag for each matrix of sigma (N, D, D), u (one gate or a stack of N) acting on the register
-    factors ``targets`` (in u's factor order); with both_sides False, u psi for each state vector of psi (N, D)."""
+def _on_factors(u: np.ndarray, psi: np.ndarray, dims: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
+    """u psi for each state of psi (N, ...), u (one gate or a stack of N) acting on the register factors ``targets``
+    (in u's factor order) of dims, the leading factors of a state; the rest (a purifying factor) is left alone."""
     n = len(dims)
     order = [0] + [k + 1 for k in targets] + [k + 1 for k in range(n) if k not in targets] + [n + 1]
-    back = list(np.argsort(order))
-    for _ in range(2 if both_sides else 1):   # targets of the row index first, one matmul, then the adjoint
-        t = sigma.reshape((len(sigma),) + dims + (-1,)).transpose(order)
-        sigma = (u @ t.reshape(len(t), u.shape[-1], -1)).reshape(t.shape).transpose(back).reshape(sigma.shape)
-        sigma = dag(sigma) if both_sides else sigma   # u (u sigma)^dag after two passes
-    return sigma
+    t = psi.reshape((len(psi),) + dims + (-1,)).transpose(order)
+    return (u @ t.reshape(len(t), u.shape[-1], -1)).reshape(t.shape).transpose(np.argsort(order)).reshape(psi.shape)
+
+
+def _circuit_inputs(rho, ch: KrausChannel, a, b) -> tuple:
+    """The arguments of the circuits for one instance, validated: the root x (1, d, d) of rho, x x^dag = rho (the
+    joint vector of its purification on R (x) S as a symmetric matrix), the dilation unitary and e0, A and B."""
+    rho, a, b = _require_inputs(rho, ch.dim, a, b)
+    dil = ensure_dilation(ch).dilation
+    return _purifications(rho[None])[2].reshape(1, *rho.shape), dil.unitary, dil.env_initial, a, b
+
+
+def _state(psi: np.ndarray, stage: str) -> ProtocolState:
+    """The ProtocolState of one register vector psi (dims..., r) of the circuits: M M^dag, M psi as (D, r)."""
+    m = psi.reshape(-1, psi.shape[-1])
+    return ProtocolState(SubsystemLayout(psi.shape[:-1]), m @ dag(m), stage)
 
 
 def _readout_rotation(part: str) -> np.ndarray:
@@ -107,14 +113,17 @@ def _nested_gates(unitary, unitary_dag, g_gate) -> list:
     return [(unitary, (2, 3)), (g_gate, (0, 1, 2)), (unitary_dag, (2, 4)), (HADAMARD, (0,))]
 
 
-def _main_states(rho, unitary, env_initial: int, a, b, stage: str = "after_UA", part: str = "real") -> ProtocolState:
-    """protocol_state of each row of stacks rho, A, B (N, d, d) and dilation unitaries (N, d d_E, d d_E); A, B or the
-    unitary may also be one matrix for all rows. protocol_state is its one-row view."""
-    d, d_e = rho.shape[-1], unitary.shape[-1] // rho.shape[-1]
-    sigma = kron(kron(outer(basis_vector(2, 0)), rho), outer(basis_vector(d_e, env_initial)))
+def _main_vectors(x, unitary, env_initial: int, a, b, stage: str = "after_UA", part: str = "real") -> np.ndarray:
+    """The register S' (x) S (x) E (x) R of the main circuit at a stage, (N, 2, d, d_E, r), of each row of stacks of
+    roots x (N, d, r) of rho, A, B (N, d, d) and dilation unitaries (N, d d_E, d d_E); A, B or the unitary may also
+    be one matrix for all rows. protocol_state is its one-row view."""
+    n, d, r = x.shape
+    d_e = unitary.shape[-1] // d
+    psi = np.zeros((n, 2, d, d_e, r), dtype=complex)
+    psi[:, 0, :, env_initial] = x
     for u, targets in _main_gates(controlled(b), unitary, controlled(a), _readout_rotation(part))[:_STAGE_GATES[stage]]:
-        sigma = _on_factors(u, sigma, (2, d, d_e), targets)
-    return ProtocolState(SubsystemLayout((2, d, d_e)), sigma, stage)
+        psi = _on_factors(u, psi, (2, d, d_e), targets)
+    return psi
 
 
 def protocol_state(
@@ -128,10 +137,7 @@ def protocol_state(
     """Evolve the protocol register up to the requested stage."""
     if stage not in STAGES:
         raise ContractError(f"unknown stage {stage!r}")
-    rho, a, b = _require_inputs(rho, ch.dim, a, b)
-    dil = ensure_dilation(ch).dilation
-    state = _main_states(rho[None], dil.unitary, dil.env_initial, a, b, stage, part)
-    return ProtocolState(state.layout, state.matrix[0], stage)
+    return _state(_main_vectors(*_circuit_inputs(rho, ch, a, b), stage, part)[0], stage)
 
 
 def exact_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
@@ -146,20 +152,17 @@ def _exact_correlator(rho, ops, a, b):
     return complex(c) if c.ndim == 0 else c
 
 
-def _protocol_correlators(state: ProtocolState) -> np.ndarray:
-    """C(T) of each after_UA register of a stack: the mean sign of S' after the real and the imaginary readout."""
+def _protocol_correlators(psi: np.ndarray) -> np.ndarray:
+    """C(T) of each after_UA register of _main_vectors: the mean sign of S' after the real and the imaginary readout."""
     # Not estimate_main_circuit: C(T) stays defined when the E = e0 outcome has probability 0.
-    n, dims = len(state.matrix), state.layout.dims
-    re, im = (np.diagonal(_on_factors(_readout_rotation(p), state.matrix, dims, (0,)), axis1=1, axis2=2).real
-              .reshape(n, 2, -1).sum(axis=2) for p in PARTS)
+    re, im = ((np.abs(_on_factors(_readout_rotation(p), psi, psi.shape[1:4], (0,))) ** 2).reshape(len(psi), 2, -1)
+              .sum(axis=2) for p in PARTS)
     return (re[:, 0] - re[:, 1]) + 1j * (im[:, 0] - im[:, 1])
 
 
 def protocol_correlator(rho: np.ndarray, ch: KrausChannel, a: np.ndarray, b: np.ndarray) -> complex:
     """C(T) from the ancilla protocol: the mean sign of S' after the real and the imaginary readout."""
-    rho, a, b = _require_inputs(rho, ch.dim, a, b)
-    dil = ensure_dilation(ch).dilation
-    return complex(_protocol_correlators(_main_states(rho[None], dil.unitary, dil.env_initial, a, b))[0])
+    return complex(_protocol_correlators(_main_vectors(*_circuit_inputs(rho, ch, a, b)))[0])
 
 
 def _ancilla_pullback(a: np.ndarray, part: str) -> np.ndarray:
@@ -296,21 +299,21 @@ def nested_premeasure_state(
     estimate_nested_circuit, is the mean of sign(S2') * [E2 = e0] over the
     outcomes with E1 = e0.
     """
-    rho, a, b = _require_inputs(rho, ch.dim, a, b)
-    dil = ensure_dilation(ch).dilation
-    state = _nested_states(rho[None], dil.unitary, dil.env_initial, a, b, part)
-    return ProtocolState(state.layout, state.matrix[0], "premeasure")
+    return _state(_nested_vectors(*_circuit_inputs(rho, ch, a, b), part)[0], "premeasure")
 
 
-def _nested_states(rho, unitary, env_initial: int, a, b, part: str = "real") -> ProtocolState:
-    """nested_premeasure_state of each row of the stacks (as _main_states)."""
-    d, d_e = rho.shape[-1], unitary.shape[-1] // rho.shape[-1]
-    dims = (2, 2, d, d_e, d_e)
-    env = outer(basis_vector(d_e, env_initial))
-    sigma = kron(kron(_PLUS, _entry_state(rho, b)), kron(env, env))
+def _nested_vectors(x, unitary, env_initial: int, a, b, part: str = "real") -> np.ndarray:
+    """The register S2' (x) S' (x) S (x) E1 (x) E2 (x) R of the nested circuit before measurement,
+    (N, 2, 2, d, d_E, d_E, r), of each row of the stacks (as _main_vectors)."""
+    n, d, r = x.shape
+    d_e = unitary.shape[-1] // d
+    psi = np.zeros((n, 2, 2 * d, d_e, d_e, r), dtype=complex)
+    # |+> (x) U_B^c (|+> (x) x) (x) |e0 e0>, the two 1/sqrt(2) in one division
+    psi[:, :, :, env_initial, env_initial] = (controlled(b) @ np.concatenate([x, x], axis=1) / 2.0)[:, None]
+    psi = psi.reshape(n, 2, 2, d, d_e, d_e, r)
     for u, targets in _nested_gates(unitary, dag(unitary), controlled(_ancilla_pullback(a, part))):
-        sigma = _on_factors(u, sigma, dims, targets)
-    return ProtocolState(SubsystemLayout(dims), sigma, "premeasure")
+        psi = _on_factors(u, psi, (2, 2, d, d_e, d_e), targets)
+    return psi
 
 
 @dataclass(frozen=True)

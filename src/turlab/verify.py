@@ -24,13 +24,14 @@ from statistics import median
 import numpy as np
 
 from .channels import KrausChannel, dv0_dtheta, perturbed_kraus
-from .harness import CHUNK_TRIALS, ExperimentConfig, _trial_setups
+from .harness import CHUNK_TRIALS, _PAULI_PAIRS, ExperimentConfig, _checked_kraus, _draw_stacked, _trial_setups
 from .linalg import _hermitian_inverses, dag, require_density
-from .protocol import _exact_correlator, _main_states, _protocol_correlators, _require_inputs
+from .protocol import _exact_correlator, _main_vectors, _protocol_correlators, _require_inputs
 from .random_ops import random_channel, random_density, random_hermitian
 from .tur import (
     PurifiedState,
     _branches,
+    _purifications,
     _purify,
     _series_estimates,
     _survival_activity,
@@ -57,16 +58,23 @@ class SuiteResult:
     note: str
 
 
-def _family_passes(seed: int, trial_ids: range, gamma_lo: float = 0.1):
-    """Harness-family instances of the ids, one list per CHUNK_TRIALS stacked pass (their draws use no suite rng)."""
+def _family_chunks(seed: int, trial_ids: range, gamma_lo: float):
+    """(config, ids) of each CHUNK_TRIALS stacked pass over harness-family ids; their draws use no suite rng."""
     cfg = ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, 0.75), variants=("exact",))
-    for k in range(0, len(trial_ids), CHUNK_TRIALS):
-        yield _trial_setups(cfg, trial_ids[k:k + CHUNK_TRIALS])
+    return [(cfg, trial_ids[k:k + CHUNK_TRIALS]) for k in range(0, len(trial_ids), CHUNK_TRIALS)]
+
+
+def _family_passes(seed: int, trial_ids: range, gamma_lo: float = 0.1):
+    """The instances of each pass as stacks: rho, A, B, the dilation unitaries and their Kraus operators
+    (N, M, d, d), checked as an experiment chunk checks them."""
+    for cfg, ids in _family_chunks(seed, trial_ids, gamma_lo):
+        _, a_k, b_k, _, rho, u = _draw_stacked(cfg, ids)
+        yield rho, _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k], u, _checked_kraus(u, lambda n: f"trial {ids[n]}")
 
 
 def _family_setups(seed: int, trial_ids: range, gamma_lo: float = 0.1):
-    """The instances of _family_passes one at a time."""
-    return chain.from_iterable(_family_passes(seed, trial_ids, gamma_lo))
+    """The instances one at a time, as generate_trial's TrialSetups with their channels."""
+    return chain.from_iterable(_trial_setups(cfg, ids) for cfg, ids in _family_chunks(seed, trial_ids, gamma_lo))
 
 
 def _instances(seed: int, n: int):
@@ -132,12 +140,10 @@ def suite_scaling(trials: int, seed: int, inject_fault: str | None = None, insta
 
 def suite_protocol(trials: int, seed: int) -> SuiteResult:
     worst = 0.0
-    for setups in _family_passes(seed + 2, range(trials), gamma_lo=0.0):
-        channels = [s.channel for s in setups]   # built by kraus_from_unitary, so of dim 4 with env_initial 0
-        rho, a, b = (np.stack([getattr(s, f) for s in setups]) for f in ("rho", "a_op", "b_op"))
-        rho, a, b = _require_inputs(rho, 4, a, b)
-        c_proto = _protocol_correlators(_main_states(rho, np.stack([c.dilation.unitary for c in channels]), 0, a, b))
-        c_direct = _exact_correlator(rho, np.stack([c.operators for c in channels], axis=1), a, b)
+    for rho, a, b, u, v in _family_passes(seed + 2, range(trials), gamma_lo=0.0):
+        rho, a, b = _require_inputs(rho, 4, a, b)   # the family's system has dimension 4, its environment starts in 0
+        c_proto = _protocol_correlators(_main_vectors(_purifications(rho)[2].reshape(rho.shape), u, 0, a, b))
+        c_direct = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
         worst = max(worst, *map(abs, (c_direct - c_proto).tolist()))   # Python's complex abs, not numpy's hypot
     return SuiteResult("protocol", worst <= 1e-10, trials, worst, "max |protocol - direct|")
 
@@ -160,14 +166,14 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed + 4)
     errors = []   # |Xi_N - Xi| of each pass, (4, N)
     worst_moment, worst_first = 0.0, 0.0
-    for setups in _family_passes(seed + 4, range(trials)):
-        rho = require_density(np.stack([random_density(s.channel.dim, rng) for s in setups]))
-        v0 = np.stack([s.channel.v0 for s in setups])
+    for _, _, _, u, v in _family_passes(seed + 4, range(trials)):
+        rho = require_density(np.stack([random_density(v.shape[-1], rng) for _ in v]))
+        v0 = v[:, 0]
         moments = np.array(_survival_activity_moments(rho, v0, 4))
         estimates = np.array(_series_estimates(moments))
         xi = _survival_activity(rho, _hermitian_inverses(dag(v0) @ v0))
         errors.append(np.abs(estimates - xi))
-        sim = _survival_activity_protocol_sim(rho, np.stack([s.channel.dilation.unitary for s in setups]), 0, 4)
+        sim = _survival_activity_protocol_sim(rho, u, 0, 4)
         worst_moment = max(worst_moment, float(np.abs(moments - sim).max()))
         worst_first = max(worst_first, float(np.abs(estimates[0] - (1.0 - moments[1])).max()))
     medians = [median(row) for row in np.concatenate(errors, axis=1).tolist()]

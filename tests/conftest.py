@@ -2,9 +2,24 @@ import numpy as np
 import pytest
 
 from turlab.channels import KrausChannel, kraus_from_unitary
-from turlab.gates import I2, P0, P1, ry
+from turlab.gates import I2
 from turlab.linalg import SubsystemLayout
 from turlab.random_ops import random_density, random_unitary
+
+# Single-qubit gates and projectors of the test constructions (the package builds its rotations stacked).
+P0 = np.array([[1, 0], [0, 0]], dtype=complex)
+P1 = np.array([[0, 0], [0, 1]], dtype=complex)
+KET0 = np.array([1, 0], dtype=complex)
+
+
+def rx(theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def ry(theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def amplitude_damping_unitary(gamma: float) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import amplitude_damping
+from conftest import P0, P1, amplitude_damping
 
 from turlab.channels import (
     Dilation,
@@ -16,7 +16,7 @@ from turlab.channels import (
     synthesize_dilation,
 )
 from turlab.errors import AdmissibilityError, ContractError, SingularOperator
-from turlab.gates import P0, P1, SIGMA_Z
+from turlab.gates import SIGMA_Z
 from turlab.linalg import SubsystemLayout, dag, outer, partial_trace
 from turlab.random_ops import random_channel, random_density, random_unitary
 from turlab.tur import purify, survival_activity, tilde_initial_state

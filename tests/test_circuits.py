@@ -1,6 +1,6 @@
 """Circuit simulation on register factors against full-register embedded operators, the stacked
-density-matrix circuits against their one-row views, and the stacked state-vector premeasure circuits
-against the density-matrix ones."""
+state-vector circuits against their one-row views and the density-matrix oracle, and the sampled
+stage's pure-state circuits against that oracle."""
 
 import math
 
@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from turlab.channels import ensure_dilation, kraus_from_unitary
-from turlab.gates import HADAMARD, S_GATE, controlled, pauli_pair
-from turlab.harness import ExperimentConfig, _premeasure_probabilities, generate_trial
-from turlab.linalg import SubsystemLayout, basis_vector, dag, embed_operator, outer
+from turlab.channels import ensure_dilation
+from turlab.gates import HADAMARD, S_GATE, controlled
+from turlab.harness import _PAULI_PAIRS, ExperimentConfig, generate_trial
+from turlab.linalg import basis_vector, dag, embed_operator, outer
 from turlab.errors import ContractError
 from turlab.protocol import (
     PARTS,
@@ -22,18 +22,21 @@ from turlab.protocol import (
     _ancilla_pullback,
     _entry_state,
     _exact_correlator,
-    _main_states,
-    _nested_states,
+    _main_vectors,
+    _nested_vectors,
     _on_factors,
     _protocol_correlators,
+    _state,
     exact_correlator,
     nested_premeasure_state,
     protocol_correlator,
     protocol_state,
 )
 from turlab.random_ops import random_channel, random_density, random_unitary
+from turlab.tur import _purifications
 
 from conftest import stacked_groups
+from density_circuits import main_states, nested_states, on_factors
 
 
 @st.composite
@@ -45,21 +48,26 @@ def factor_sets(draw):
 
 
 @settings(max_examples=80, deadline=None, database=None)
-@given(case=factor_sets(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), gate_stack=st.booleans())
-@example(case=((2, 3, 2), (1, 2)), seed=1, n=1, gate_stack=False)        # adjacent
-@example(case=((2, 3, 2), (0, 2)), seed=2, n=2, gate_stack=True)         # non-adjacent
-@example(case=((2, 3, 2), (0, 1, 2)), seed=3, n=3, gate_stack=False)     # whole register
-def test_on_factors_matches_embedded_operator(case, seed, n, gate_stack):
-    """Each matrix of a stack sigma (n, D, D), under one gate or a stack of n."""
+@given(case=factor_sets(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), r=st.integers(1, 3),
+       gate_stack=st.booleans())
+@example(case=((2, 3, 2), (1, 2)), seed=1, n=1, r=1, gate_stack=False)        # adjacent
+@example(case=((2, 3, 2), (0, 2)), seed=2, n=2, r=2, gate_stack=True)         # non-adjacent
+@example(case=((2, 3, 2), (0, 1, 2)), seed=3, n=3, r=3, gate_stack=False)     # whole register
+def test_on_factors_matches_embedded_operator(case, seed, n, r, gate_stack):
+    """Each state of a stack psi (n, D, r), a trailing factor of dimension r left alone, under one gate or a
+    stack of n; and the oracle's u sigma u^dag on each matrix of a stack sigma (n, D, D)."""
     dims, targets = case
     rng = np.random.default_rng(seed)
     d, d_t = math.prod(dims), math.prod(dims[k] for k in targets)
     u = rng.normal(size=(n, d_t, d_t)) + 1j * rng.normal(size=(n, d_t, d_t))
+    psi = rng.normal(size=(n, d, r)) + 1j * rng.normal(size=(n, d, r))
     sigma = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
-    got = _on_factors(u if gate_stack else u[0], sigma, dims, targets)
+    got = _on_factors(u if gate_stack else u[0], psi, dims, targets)
+    got_oracle = on_factors(u if gate_stack else u[0], sigma, dims, targets)
     for k in range(n):
         full = embed_operator(u[k] if gate_stack else u[0], dims, targets)
-        assert_allclose(got[k], full @ sigma[k] @ dag(full), rtol=0, atol=1e-12)
+        assert_allclose(got[k], full @ psi[k], rtol=0, atol=1e-12)
+        assert_allclose(got_oracle[k], full @ sigma[k] @ dag(full), rtol=0, atol=1e-12)
 
 
 def embedded_circuit(sigma, dims, gates):
@@ -138,53 +146,58 @@ def stacks(group):
 
 @pytest.mark.parametrize("part", PARTS)
 def test_stacked_circuits_rows_equal_one_row_views_and_embedded_oracle(part):
+    """The vector circuits on the roots of mixed and rank-deficient rho: each row's density matrix is its one-row
+    view to the last bit, and the density-matrix oracle's and the embedded construction's within 1e-12."""
     for group in stacked_groups():
         rho, a, b, u, e0, _ = stacks(group)
+        x = _purifications(rho)[2].reshape(rho.shape)
         wants = [embedded_stages(*row, part) for row in group]
         for stage in STAGES:
-            got = _main_states(rho, u, e0, a, b, stage, part).matrix
+            got = _main_vectors(x, u, e0, a, b, stage, part)
+            oracle = main_states(rho, u, e0, a, b, stage, part)
             for k, row in enumerate(group):
-                assert np.array_equal(got[k], protocol_state(*row, stage=stage, part=part).matrix), (stage, k)
-                assert_allclose(got[k], wants[k][stage], rtol=0, atol=1e-12)
-        got = _nested_states(rho, u, e0, a, b, part).matrix
+                state = _state(got[k], stage)
+                assert np.array_equal(state.matrix, protocol_state(*row, stage=stage, part=part).matrix), (stage, k)
+                assert_allclose(state.matrix, oracle[k], rtol=0, atol=1e-12)
+                assert_allclose(oracle[k], wants[k][stage], rtol=0, atol=1e-12)
+        got = _nested_vectors(x, u, e0, a, b, part)
+        oracle = nested_states(rho, u, e0, a, b, part)
         for k, row in enumerate(group):
-            assert np.array_equal(got[k], nested_premeasure_state(*row, part=part).matrix), k
-            assert_allclose(got[k], embedded_nested(*row, part), rtol=0, atol=1e-12)
+            state = _state(got[k], "premeasure")
+            assert np.array_equal(state.matrix, nested_premeasure_state(*row, part=part).matrix), k
+            assert_allclose(state.matrix, oracle[k], rtol=0, atol=1e-12)
+            assert_allclose(oracle[k], embedded_nested(*row, part), rtol=0, atol=1e-12)
 
 
 def test_stacked_correlators_rows_equal_one_row_views():
     for group in stacked_groups():
         rho, a, b, u, e0, ops = stacks(group)
-        proto = _protocol_correlators(_main_states(rho, u, e0, a, b))
+        proto = _protocol_correlators(_main_vectors(_purifications(rho)[2].reshape(rho.shape), u, e0, a, b))
         direct = _exact_correlator(rho, ops, a, b)
         assert proto.tolist() == [protocol_correlator(*row) for row in group]
         assert direct.tolist() == [exact_correlator(*row) for row in group]
         assert_allclose(proto, direct, rtol=0, atol=1e-12)
 
 
-def test_stacked_protocol_state_checks_the_trace_of_each_row():
-    rho, a, b, u, e0, _ = stacks(next(stacked_groups()))
-    state = _main_states(rho, u, e0, a, b, "premeasure")
-    sigma = state.matrix.copy()
-    sigma[1] *= 1.5
-    with pytest.raises(ContractError, match=r"^row 1: protocol state trace 1\.5 != 1$"):
-        ProtocolState(state.layout, sigma, "premeasure")
+def test_protocol_state_checks_its_trace():
+    state = protocol_state(*next(stacked_groups())[0], stage="premeasure")
+    with pytest.raises(ContractError, match=r"^protocol state trace 1\.5 != 1$"):
+        ProtocolState(state.layout, 1.5 * state.matrix, "premeasure")
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_stacked_premeasure_probabilities_match_density_circuits(n, seed):
+    """The sampled stage's circuits: pure preparations psi enter as their own roots (R of dimension 1)."""
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
     u = np.stack([random_unitary(8, rng) for _ in range(n)])
-    a_k, b_k = rng.integers(0, 16, size=(2, n))
-    main, nested = _premeasure_probabilities(psi, u, a_k, b_k)
-    for k in range(n):
-        rho = outer(psi[k])
-        ch = kraus_from_unitary(u[k], SubsystemLayout((4, 2)))
-        a, b = pauli_pair(a_k[k] // 4, a_k[k] % 4), pauli_pair(b_k[k] // 4, b_k[k] % 4)
-        want_main = np.diag(protocol_state(rho, ch, a, b, stage="premeasure").matrix).real
-        want_nested = np.diag(nested_premeasure_state(rho, ch, a, b).matrix).real
-        assert_allclose(main[k].ravel(), want_main, rtol=0, atol=1e-14)
-        assert_allclose(nested[k].ravel(), want_nested, rtol=0, atol=1e-14)
+    a, b = _PAULI_PAIRS[rng.integers(0, 16, size=(2, n))]
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    main = (np.abs(_main_vectors(psi[:, :, None], u, 0, a, b, "premeasure")) ** 2).sum(axis=-1)
+    nested = (np.abs(_nested_vectors(psi[:, :, None], u, 0, a, b)) ** 2).sum(axis=-1)
+    want_main = np.diagonal(main_states(rho, u, 0, a, b, "premeasure"), axis1=1, axis2=2).real
+    want_nested = np.diagonal(nested_states(rho, u, 0, a, b), axis1=1, axis2=2).real
+    assert_allclose(main.reshape(n, -1), want_main, rtol=0, atol=1e-14)
+    assert_allclose(nested.reshape(n, -1), want_nested, rtol=0, atol=1e-14)

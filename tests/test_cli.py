@@ -48,6 +48,15 @@ class TestVerifyCommand:
         assert data["all_passed"] is True
         assert {s["name"] for s in data["suites"]} == {"protocol", "saturation"}
 
+    @pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_json_exits_3_before_the_suites(self, tmp_path, capsys, monkeypatch, where):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the suites")
+
+        monkeypatch.setattr(cli, "run_suites", refuse)
+        assert main(["verify", "--suite", "qfi", "--trials", "2", "--json", str(tmp_path / where)]) == 3
+        assert "--json" in capsys.readouterr().err
+
     def test_injected_fault_fails_scaling(self, capsys):
         code = main(["verify", "--suite", "scaling", "--trials", "6", "--inject-fault", "dv0-sign"])
         assert code == 2

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from turlab import harness, protocol
 from turlab.channels import KrausChannel, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
-from turlab.gates import I2, KET0, P0, P1, PAULIS, rx, ry
+from turlab.gates import I2, PAULIS
 from turlab.harness import (
     ExperimentConfig,
     TrialRecord,
@@ -26,17 +26,19 @@ from turlab.harness import (
     run_experiment,
     summarize,
 )
-from turlab.linalg import kron
+from turlab.linalg import SubsystemLayout, kron
 from turlab.protocol import (
+    ProtocolState,
     _ancilla_pullback,
     _bound_and_tradeoff,
     _entry_state,
     correlator_bound,
-    nested_premeasure_state,
-    protocol_state,
     sample_shots,
 )
 from turlab.tur import check_general_tur, purify
+
+from conftest import KET0, P0, P1, rx, ry
+from density_circuits import main_states, nested_states
 
 
 def kron_family_inputs(thetas, gamma):
@@ -62,8 +64,14 @@ def scalar_sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig,
     """
     if "sampled" not in config.variants or config.shots == 0:
         return None, None
-    main = sample_shots(protocol_state(rho, ch, a, b, stage="premeasure"), config.shots, (config.seed, trial_id, 0))
-    nested = sample_shots(nested_premeasure_state(rho, ch, a, b), config.shots, (config.seed, trial_id, 1))
+    u, e0, d_e = ch.dilation.unitary[None], ch.dilation.env_initial, ch.dilation.env_dim
+    states = [
+        ProtocolState(SubsystemLayout((2, ch.dim, d_e)), main_states(rho[None], u, e0, a, b, "premeasure")[0],
+                      "premeasure"),
+        ProtocolState(SubsystemLayout((2, 2, ch.dim, d_e, d_e)), nested_states(rho[None], u, e0, a, b)[0],
+                      "premeasure"),
+    ]
+    main, nested = (sample_shots(state, config.shots, (config.seed, trial_id, k)) for k, state in enumerate(states))
     (sampled,), (failure,) = _sampled_variants(main.counts[None], nested.counts[None])
     return sampled, failure
 

@@ -109,9 +109,9 @@ def test_one_sided_on_factors_rows(dims, targets):
     d, d_t = int(np.prod(dims)), int(np.prod([dims[k] for k in targets]))
     u = rng.normal(size=(5, d_t, d_t)) + 1j * rng.normal(size=(5, d_t, d_t))
     psi = rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d))
-    got = _on_factors(u, psi, dims, targets, both_sides=False)
+    got = _on_factors(u, psi, dims, targets)
     for n in range(5):
-        assert np.array_equal(got[n], _on_factors(u[n:n + 1], psi[n:n + 1], dims, targets, both_sides=False)[0])
+        assert np.array_equal(got[n], _on_factors(u[n:n + 1], psi[n:n + 1], dims, targets)[0])
         assert_allclose(got[n], embed_operator(u[n], dims, targets) @ psi[n], rtol=0, atol=1e-12)
 
 
