@@ -10,7 +10,6 @@ from .errors import (
     SingularOperator,
 )
 from .linalg import (
-    SpectralDecomposition,
     SubsystemLayout,
     embed_operator,
     hermitian_inverse,

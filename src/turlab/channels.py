@@ -12,18 +12,21 @@ outcome indexing stays aligned with circuit postselection.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AdmissibilityError, ContractError, LayoutError, SingularOperator
 from .linalg import (
-    SpectralDecomposition,
+    SINGULAR_CUTOFF,
+    UNITARY_ATOL,
     SubsystemLayout,
-    _hermitian_sqrt,
-    _polar_unitary,
-    _spectral,
+    _eigenvalue,
+    _hermitian_inverses,
+    _raise_first_failure,
+    _spectra,
+    _spectral_map,
+    _unitary_check,
     dag,
     max_abs,
     require_density,
@@ -105,14 +108,10 @@ class KrausChannel:
     def v0(self) -> np.ndarray:
         return self.operators[self.no_jump_index]
 
-    @functools.cached_property
-    def no_jump_spectrum(self) -> SpectralDecomposition:
-        """Spectral decomposition of V_0^dag V_0, computed once per channel (its operators are read-only)."""
-        return _spectral(dag(self.v0) @ self.v0)
 
-    def jump_sum(self) -> np.ndarray:
-        """sum_{m != 0} V_m^dag V_m = I - V_0^dag V_0 (the zero matrix for a single operator)."""
-        return sum((dag(v) @ v for i, v in enumerate(self.operators) if i != self.no_jump_index), np.zeros_like(self.v0))
+def _no_jump_inverse(ch: KrausChannel, message: str = "matrix is singular, inverse undefined") -> np.ndarray:
+    """(V_0^dag V_0)^-1 of a channel; SingularOperator(message) if V_0 is singular."""
+    return _hermitian_inverses((dag(ch.v0) @ ch.v0)[None], message=message)[0]
 
 
 def kraus_from_unitary(u: np.ndarray, layout: SubsystemLayout, env_initial: int = 0) -> KrausChannel:
@@ -123,6 +122,20 @@ def kraus_from_unitary(u: np.ndarray, layout: SubsystemLayout, env_initial: int 
     dilation = Dilation(layout.require_matches(u), dim_e, env_initial)   # checks unitarity
     ops = _extract_kraus(dilation.unitary, dim_s, dim_e, env_initial)
     return KrausChannel(ops, no_jump_index=env_initial, dilation=dilation)
+
+
+def _checked_kraus(u: np.ndarray, dim_s: int, label) -> np.ndarray:
+    """The Kraus operators (N, M, d, d) of a stack of dilation unitaries u (N, d M, d M) on S (x) E, E starting in 0,
+    each row checked as kraus_from_unitary checks its channel: the unitary is unitary and its operators are complete;
+    label(row) prefixes a failing row's message."""
+    v = _extract_kraus(u, dim_s, u.shape[-1] // dim_s, 0)
+    complete_err = np.abs((dag(v) @ v).sum(axis=1) - np.eye(dim_s)).max(axis=(1, 2))
+    _raise_first_failure([
+        _unitary_check(u, UNITARY_ATOL, "dilation unitary"),
+        (complete_err > COMPLETENESS_ATOL, lambda n: ContractError(
+            f"completeness violated: max |sum V^dag V - I| = {complete_err[n]:.3e}")),
+    ], label)
+    return v
 
 
 def synthesize_dilation(ch: KrausChannel) -> Dilation:
@@ -176,31 +189,53 @@ def _heisenberg(ops, a: np.ndarray) -> np.ndarray:
 
 
 def perturbed_kraus(ch: KrausChannel, theta: float) -> tuple[np.ndarray, ...]:
-    """Kraus family of the virtual perturbation at strength theta; AdmissibilityError if e^theta overshoots the
-    jump weight.
+    """Kraus family of the virtual perturbation at strength theta: the one-row view of _perturbed_kraus."""
+    return tuple(_perturbed_kraus(np.array(ch.operators)[None], ch.no_jump_index, theta)[0])
+
+
+def _perturbed_kraus(v: np.ndarray, e0: int, theta: float, spectra: list | None = None) -> np.ndarray:
+    """The theta-perturbed Kraus family (N, M, d, d) of each row of a stack v (N, M, d, d) with no-jump index e0;
+    spectra, if given, is the _spectra of V_0^dag V_0.
 
     V_m(theta) = e^{theta/2} V_m for jump operators, and
-    V_0(theta) = U_V sqrt(I - e^theta sum_{m>=1} V_m^dag V_m) with U_V the
+    V_0(theta) = U_V sqrt(I - e^theta sum_{m != 0} V_m^dag V_m) with U_V the
     unitary polar factor of V_0. At theta = 0 the base family is recovered.
+    A row raises the scalar error of its first failing check, prefixed with
+    its row index as by _raise_first_failure: admissibility (e^theta
+    overshoots the jump weight), a singular V_0, then the polar factor's
+    unitarity. An admissible theta leaves I - e^theta (jump sum) at least
+    ADMISSIBILITY_MARGIN above 0, so its square root needs no check.
     """
-    jump = ch.jump_sum()
-    lam_max = float(np.linalg.eigvalsh(jump)[-1])
-    if np.exp(theta) * lam_max > 1.0 - ADMISSIBILITY_MARGIN:
-        raise AdmissibilityError(
-            f"theta={theta:g} inadmissible: e^theta * max-eig(jump sum) = {np.exp(theta) * lam_max:.6g} > 1"
-        )
-    u_v = _polar_unitary(ch.v0, ch.no_jump_spectrum)
-    d = ch.dim
-    v0_theta = u_v @ _hermitian_sqrt(np.eye(d) - np.exp(theta) * jump)
-    scale = np.exp(theta / 2.0)
-    return tuple(v0_theta if i == ch.no_jump_index else scale * v for i, v in enumerate(ch.operators))
+    v0 = v[:, e0]
+    spectra = _spectra(dag(v0) @ v0) if spectra is None else spectra
+    # the jump sum over the operators m != e0, as a sum from zero (the zero matrix for a single operator)
+    jump = sum((dag(v[:, m]) @ v[:, m] for m in range(v.shape[1]) if m != e0), np.zeros_like(v0))
+    weight = np.exp(theta) * np.linalg.eigvalsh(jump)[:, -1]
+    lowest = _eigenvalue(spectra, lambda z: z[-1])
+    # a singular row raises before its factor is used, so its eigenvalues are clamped to keep it finite
+    u_v = v0 @ _spectral_map(spectra, lambda z: 1.0 / np.sqrt(np.maximum(z, SINGULAR_CUTOFF)))
+    _raise_first_failure([
+        (weight > 1.0 - ADMISSIBILITY_MARGIN, lambda n: AdmissibilityError(
+            f"theta={theta:g} inadmissible: e^theta * max-eig(jump sum) = {weight[n]:.6g} > 1")),
+        (lowest <= SINGULAR_CUTOFF, lambda n: SingularOperator(
+            "polar decomposition needs nonsingular v^dag v", eigenvalue=float(lowest[n]))),
+        _unitary_check(u_v, 1e-9, "polar unitary"),
+    ])
+    out = np.exp(theta / 2.0) * v
+    root = _spectral_map(_spectra(np.eye(v.shape[-1]) - np.exp(theta) * jump), lambda z: np.sqrt(np.maximum(z, 0.0)))
+    out[:, e0] = u_v @ root
+    return out
 
 
 def dv0_dtheta(ch: KrausChannel) -> np.ndarray:
     """Derivative of the no-jump operator at theta = 0: (V_0 - (V_0^-1)^dag) / 2."""
-    v0 = ch.v0
-    try:
-        v0_inv = ch.no_jump_spectrum.inverse() @ dag(v0)
-    except SingularOperator as exc:
-        raise SingularOperator("V_0 must be invertible for dV_0/dtheta", eigenvalue=exc.eigenvalue) from exc
-    return 0.5 * (v0 - dag(v0_inv))
+    w_inv = _no_jump_inverse(ch, "V_0 must be invertible for dV_0/dtheta")
+    return _kraus_derivatives(np.array(ch.operators)[None], ch.no_jump_index, w_inv[None])[0, ch.no_jump_index]
+
+
+def _kraus_derivatives(v: np.ndarray, e0: int, w_inv: np.ndarray) -> np.ndarray:
+    """dV_m/dtheta at theta = 0 of each row of a stack v (N, M, d, d) with no-jump index e0 and (V_0^dag V_0)^-1
+    w_inv (N, d, d): V_m / 2 for a jump operator, (V_0 - (V_0^-1)^dag) / 2 for V_0."""
+    derivs = 0.5 * v
+    derivs[:, e0] = 0.5 * (v[:, e0] - dag(w_inv @ dag(v[:, e0])))
+    return derivs

@@ -27,10 +27,10 @@ from statistics import median
 
 import numpy as np
 
-from .channels import COMPLETENESS_ATOL, KrausChannel, _extract_kraus, kraus_from_unitary
+from .channels import KrausChannel, _checked_kraus, kraus_from_unitary
 from .errors import ContractError
 from .gates import I2, PAULIS, controlled, pauli_pair
-from .linalg import HERMITIAN_ATOL, UNITARY_ATOL, SubsystemLayout, _hermitian_inverses, _raise_first_failure, dag, kron
+from .linalg import SubsystemLayout, _hermitian_check, _hermitian_inverses, _raise_first_failure, dag, kron
 from .protocol import (
     PARTS,
     _ancilla_pullback,
@@ -108,8 +108,12 @@ class TrialSetup:
 
 
 def generate_trial(config: ExperimentConfig, trial_id: int) -> TrialSetup:
-    """Deterministic trial inputs for (config.seed, trial_id)."""
-    return _trial_setups(config, [trial_id])[0]
+    """Deterministic trial inputs for (config.seed, trial_id): the one-row view of _draw_stacked."""
+    ((thetas, gamma, a_idx, b_idx),), a_k, b_k, _, rho, u = _draw_stacked(config, [trial_id])
+    return TrialSetup(
+        trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx, rho=rho[0],
+        channel=kraus_from_unitary(u[0], _SE_LAYOUT), a_op=_PAULI_PAIRS[a_k[0]], b_op=_PAULI_PAIRS[b_k[0]],
+    )
 
 
 @dataclass(frozen=True)
@@ -228,35 +232,6 @@ def _draw_stacked(config: ExperimentConfig, trial_ids, rng: np.random.Generator 
     return (draws, pairs[:, 0], pairs[:, 1]) + _stacked_inputs(thetas, gammas)
 
 
-def _trial_setups(config: ExperimentConfig, trial_ids) -> list[TrialSetup]:
-    """generate_trial(config, i) for each id, the inputs of all of them built in one stacked pass."""
-    draws, a_k, b_k, _, rho, u = _draw_stacked(config, trial_ids)
-    return [
-        TrialSetup(
-            trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx, rho=rho[n],
-            channel=kraus_from_unitary(u[n], _SE_LAYOUT, env_initial=0),
-            a_op=_PAULI_PAIRS[a_k[n]], b_op=_PAULI_PAIRS[b_k[n]],
-        )
-        for n, (trial_id, (thetas, gamma, a_idx, b_idx)) in enumerate(zip(trial_ids, draws))
-    ]
-
-
-def _checked_kraus(u: np.ndarray, label) -> np.ndarray:
-    """The Kraus operators (N, M, d, d) of the family's dilation unitaries u (N, d d_E, d d_E), each row checked as
-    kraus_from_unitary checks its channel: the unitary is unitary and its operators are complete."""
-    d, d_e = _SE_LAYOUT.dims
-    v = _extract_kraus(u, d, d_e, 0)
-    unitary_err = np.abs(dag(u) @ u - np.eye(d * d_e)).max(axis=(1, 2))
-    complete_err = np.abs((dag(v) @ v).sum(axis=1) - np.eye(d)).max(axis=(1, 2))
-    _raise_first_failure([
-        (unitary_err > UNITARY_ATOL, lambda n: ContractError(
-            f"dilation unitary is not unitary: max |M^dag M - I| = {unitary_err[n]:.3e}")),
-        (complete_err > COMPLETENESS_ATOL, lambda n: ContractError(
-            f"completeness violated: max |sum V^dag V - I| = {complete_err[n]:.3e}")),
-    ], label)
-    return v
-
-
 def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     """The record of each id, from one pass of the stacked kernels over the chunk's trials.
 
@@ -274,11 +249,9 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     def label(n):
         return f"trial {trial_ids[n]}"
 
-    v = _checked_kraus(u, label)   # (N, M, d, d)
+    v = _checked_kraus(u, d, label)   # (N, M, d, d)
     v0 = v[:, 0]
-    g_err = np.abs(g_re - dag(g_re)).max(axis=(1, 2))
-    _raise_first_failure([(g_err > HERMITIAN_ATOL, lambda n: ContractError(
-        f"observable G is not Hermitian: max |M - M^dag| = {g_err[n]:.3e}"))], label)
+    _raise_first_failure([_hermitian_check(g_re, "observable G")], label)
 
     c = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
     sigma = _entry_state(rho, b)
@@ -300,7 +273,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     if "sampled" in config.variants and config.shots > 0:
         # trial i draws its main circuit's shots from stream (seed, i, 0), its nested circuit's from (seed, i, 1)
         seed, x = _entropy_words(config.seed), psi[:, :, None]   # psi is its own root, R of dimension 1
-        circuits = _main_vectors(x, u, 0, a, b, "premeasure"), _nested_vectors(x, u, 0, a, b)
+        circuits = _main_vectors(x, u, 0, a, b, "premeasure"), _nested_vectors(x, u, 0, g_re, b)
         counts = [_multinomial_counts((np.abs(amp) ** 2).sum(axis=-1), config.shots,
                                       _streams([seed + _entropy_words(i, k) for i in trial_ids], rng))
                   for k, amp in enumerate(circuits)]

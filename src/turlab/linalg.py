@@ -71,7 +71,7 @@ def _square_rows(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, Call
     return m, require_square(m, name)[None], None
 
 
-def _hermitian_check(rows: np.ndarray, atol: float, name: str):
+def _hermitian_check(rows: np.ndarray, name: str, atol: float = HERMITIAN_ATOL):
     err = np.abs(rows - dag(rows)).max(axis=(1, 2), initial=0.0)
     return err > atol, lambda n: ContractError(f"{name} is not Hermitian: max |M - M^dag| = {err[n]:.3e} > {atol:.1e}")
 
@@ -79,16 +79,19 @@ def _hermitian_check(rows: np.ndarray, atol: float, name: str):
 def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
     """m checked Hermitian; a stack (N, d, d) raises the message of its first failing row, with the row index."""
     m, rows, label = _square_rows(m, name)
-    _raise_first_failure([_hermitian_check(rows, atol, name)], label)
+    _raise_first_failure([_hermitian_check(rows, name, atol)], label)
     return m
+
+
+def _unitary_check(rows: np.ndarray, atol: float, name: str):
+    err = np.abs(dag(rows) @ rows - np.eye(rows.shape[-1])).max(axis=(1, 2), initial=0.0)
+    return err > atol, lambda n: ContractError(f"{name} is not unitary: max |M^dag M - I| = {err[n]:.3e} > {atol:.1e}")
 
 
 def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, name: str = "matrix") -> np.ndarray:
     """m checked unitary, or each matrix of a stack as require_hermitian."""
     m, rows, label = _square_rows(m, name)
-    err = np.abs(dag(rows) @ rows - np.eye(m.shape[-1])).max(axis=(1, 2), initial=0.0)
-    _raise_first_failure([(err > atol, lambda n: ContractError(
-        f"{name} is not unitary: max |M^dag M - I| = {err[n]:.3e} > {atol:.1e}"))], label)
+    _raise_first_failure([_unitary_check(rows, atol, name)], label)
     return m
 
 
@@ -98,7 +101,7 @@ def require_density(rho: np.ndarray, name: str = "rho") -> np.ndarray:
     tr = np.trace(rows, axis1=1, axis2=2)
     lo = np.linalg.eigvalsh(rows)[:, 0]
     _raise_first_failure([
-        _hermitian_check(rows, HERMITIAN_ATOL, name),
+        _hermitian_check(rows, name),
         (np.abs(tr - 1.0) > TRACE_ATOL,
          lambda n: ContractError(f"{name} must have unit trace, got {complex(tr[n]):.12g}")),
         (lo < -PSD_ATOL, lambda n: ContractError(f"{name} is not positive semidefinite: min eigenvalue {lo[n]:.3e}")),
@@ -125,8 +128,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def outer(v: np.ndarray) -> np.ndarray:
-    """|v><v|."""
-    return np.outer(v, v.conj())
+    """|v><v|, of a vector or of each row of a stack (N, D); np.outer's bits."""
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -203,95 +206,67 @@ def embed_operator(u: np.ndarray, dims: Sequence[int], positions: Sequence[int])
     return t.reshape(d, d)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (descending, degeneracies grouped) and orthogonal projectors."""
+def _spectra(m: np.ndarray) -> list:
+    """Spectral decompositions of each matrix of a stack (N, d, d), Hermitian up to rounding (it is symmetrised).
 
-    eigenvalues: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
-
-    def apply(self, f: Callable[[float], float]) -> np.ndarray:
-        return sum(f(z) * p for z, p in zip(self.eigenvalues, self.projectors))
-
-    def inverse(self) -> np.ndarray:
-        """Inverse of the decomposed matrix; SingularOperator if any eigenvalue is ~0."""
-        smallest = min(self.eigenvalues, key=abs)
-        if abs(smallest) <= SINGULAR_CUTOFF:
-            raise SingularOperator("matrix is singular, inverse undefined", eigenvalue=smallest)
-        return self.apply(lambda z: 1.0 / z)
-
-
-def _spectral(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL) -> SpectralDecomposition:
-    """Spectral decomposition, eigenvalues descending, of a matrix Hermitian up to rounding: _spectra of the one."""
-    ((_, values, projectors),) = _spectra(m, group_tol)
-    return SpectralDecomposition(tuple(float(z) for z in values), tuple(projectors))
-
-
-def _spectra(m: np.ndarray, group_tol: float = EIGENVALUE_GROUP_TOL):
-    """Spectral decompositions of a matrix or of each matrix of a stack (N, d, d), Hermitian up to rounding (it is
-    symmetrised).
-
-    Eigenvalues run descending, and neighbours closer than group_tol share one
-    projector and their mean. Yields each pattern of groups that occurs with
-    its rows, the group means (one (n,) array per group, or one number) and
-    the projectors (one (n, d, d) array per group, or one matrix).
+    Eigenvalues run descending, and neighbours closer than EIGENVALUE_GROUP_TOL
+    share one projector and their mean. Lists each pattern of groups that
+    occurs with its rows, the group means (one (n,) array per group) and the
+    projectors (one (n, d, d) array per group).
     """
     w, v = np.linalg.eigh((m + dag(m)) / 2.0)
     w, v = w[..., ::-1], v[..., ::-1]
     rows_of: dict[tuple, list[int]] = {}
-    for n, splits in enumerate(np.atleast_2d(w[..., :-1] - w[..., 1:] > group_tol).tolist()):
+    for n, splits in enumerate((w[..., :-1] - w[..., 1:] > EIGENVALUE_GROUP_TOL).tolist()):
         rows_of.setdefault(tuple(splits), []).append(n)
+    spectra = []
     for splits, rows in rows_of.items():
         edges = [0, *(k + 1 for k, split in enumerate(splits) if split), m.shape[-1]]
         w_k, v_k = (w, v) if len(rows_of) == 1 else (w[rows], v[rows])
         groups = list(zip(edges, edges[1:]))
         # sum / count: np.mean's bits, without its call; the sum of one eigenvalue is that eigenvalue
         means = [w_k[..., i] if j == i + 1 else w_k[..., i:j].sum(axis=-1) / (j - i) for i, j in groups]
-        yield rows, means, [v_k[..., i:j] @ dag(v_k[..., i:j]) for i, j in groups]
+        spectra.append((rows, means, [v_k[..., i:j] @ dag(v_k[..., i:j]) for i, j in groups]))
+    return spectra
 
 
-def _hermitian_inverses(m: np.ndarray, label=None, message: str = "matrix is singular, inverse undefined"):
-    """The inverse of each matrix of a stack (N, d, d), Hermitian up to rounding, from its _spectra.
+def _spectral_map(spectra: list, f: Callable) -> np.ndarray:
+    """sum_k f(z_k) P_k of each row of a stack from its _spectra, f mapping the means (n,) of a group elementwise.
+
+    The one map from which inverses, inverse square roots and square roots are
+    taken. Each row equals its one-row call to the last bit only because all
+    of them hand numpy the same operand layouts: numpy multiplies complex
+    arrays in a SIMD (FMA) loop or in a scalar one by layout, and the two can
+    differ in the last bit. The interval half-width sqrt(Xi) turns an ulp of
+    Xi near zero into ~1e-8.
+    """
+    out = np.empty((sum(len(rows) for rows, _, _ in spectra),) + spectra[0][2][0].shape[1:], dtype=complex)
+    for rows, values, projectors in spectra:
+        out[rows] = sum(f(z)[:, None, None] * p for z, p in zip(values, projectors))
+    return out
+
+
+def _eigenvalue(spectra: list, pick: Callable) -> np.ndarray:
+    """pick(z) of each row of a stack from its _spectra, z the group means (k, n) of a pattern's rows, descending."""
+    out = np.empty(sum(len(rows) for rows, _, _ in spectra))
+    for rows, values, _ in spectra:
+        out[rows] = pick(np.array(values))
+    return out
+
+
+def _hermitian_inverses(m, label=None, message: str = "matrix is singular, inverse undefined"):
+    """The inverse of each matrix of a stack (N, d, d), Hermitian up to rounding, or of the stack given by its _spectra.
 
     A row whose eigenvalue nearest zero is within SINGULAR_CUTOFF of it raises
-    SingularOperator(message), labelled as by _raise_first_failure. Each row
-    equals its one-row call and _spectral(row).inverse() to the last bit only
-    because all of them hand numpy the same operand layouts: numpy multiplies
-    complex arrays in a SIMD (FMA) loop or in a scalar one by layout, and the
-    two can differ in the last bit. The interval half-width sqrt(Xi) turns an
-    ulp of Xi near zero into ~1e-8.
+    SingularOperator(message), labelled as by _raise_first_failure.
     """
-    spectra = list(_spectra(m))
-    smallest = np.empty(len(m))   # each row's eigenvalue nearest zero
-    for rows, values, _ in spectra:
-        z = np.array(values)
-        smallest[rows] = z[np.abs(z).argmin(axis=0), np.arange(len(rows))]
+    spectra = m if isinstance(m, list) else _spectra(m)
+    smallest = _eigenvalue(spectra, lambda z: z[np.abs(z).argmin(axis=0), np.arange(z.shape[1])])   # nearest 0
     _raise_first_failure([(np.abs(smallest) <= SINGULAR_CUTOFF, lambda n: SingularOperator(
         message, eigenvalue=float(smallest[n])))], label)
-    out = np.empty_like(m)
-    for rows, values, projectors in spectra:
-        out[rows] = sum((1.0 / z)[:, None, None] * p for z, p in zip(values, projectors))
-    return out
+    return _spectral_map(spectra, lambda z: 1.0 / z)
 
 
 def hermitian_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian matrix; SingularOperator if any eigenvalue is ~0."""
-    return _spectral(require_hermitian(m)).inverse()
-
-
-def _hermitian_sqrt(m: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix, Hermitian up to rounding (eigenvalues >= -1e-12, clamped)."""
-    s = _spectral(m)
-    lo = min(s.eigenvalues)
-    if lo < -SINGULAR_CUTOFF:
-        raise ContractError(f"matrix is not PSD: eigenvalue {lo:.3e}")
-    return s.apply(lambda z: np.sqrt(max(z, 0.0)))
-
-
-def _polar_unitary(v: np.ndarray, s: SpectralDecomposition) -> np.ndarray:
-    """Unitary factor U of the polar decomposition v = U sqrt(v^dag v), s the spectrum of v^dag v."""
-    lo = min(s.eigenvalues)
-    if lo <= SINGULAR_CUTOFF:
-        raise SingularOperator("polar decomposition needs nonsingular v^dag v", eigenvalue=lo)
-    u = v @ s.apply(lambda z: 1.0 / np.sqrt(z))
-    return require_unitary(u, atol=1e-9, name="polar unitary")
+    return _hermitian_inverses(require_hermitian(m)[None])[0]

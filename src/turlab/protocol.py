@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _heisenberg, ensure_dilation
+from .channels import KrausChannel, _heisenberg, _no_jump_inverse, ensure_dilation
 from .errors import ContractError, LayoutError
 from .gates import HADAMARD, S_GATE, SIGMA_X, SIGMA_Y, controlled
 from .linalg import (
@@ -261,7 +261,7 @@ def _bound_and_tradeoff(rho, ch: KrausChannel, a, b, variants, part: str) -> lis
     reports = []
     for variant in variants:
         if variant == "exact":
-            xi_b, q = _survival_activity(_marginal(sigma[0], ch.dim), ch.no_jump_spectrum.inverse()), q_exact[0]
+            xi_b, q = _survival_activity(_marginal(sigma[0], ch.dim), _no_jump_inverse(ch)), q_exact[0]
         else:
             (xi_b,), (q,) = _approx_bound_quantities(p0, rho_v0, g, v0)
         lower, upper, holds, tur = correlator_interval(c_part, q, xi_b)
@@ -299,19 +299,20 @@ def nested_premeasure_state(
     estimate_nested_circuit, is the mean of sign(S2') * [E2 = e0] over the
     outcomes with E1 = e0.
     """
-    return _state(_nested_vectors(*_circuit_inputs(rho, ch, a, b), part)[0], "premeasure")
+    x, unitary, env_initial, a, b = _circuit_inputs(rho, ch, a, b)
+    return _state(_nested_vectors(x, unitary, env_initial, _ancilla_pullback(a, part), b)[0], "premeasure")
 
 
-def _nested_vectors(x, unitary, env_initial: int, a, b, part: str = "real") -> np.ndarray:
+def _nested_vectors(x, unitary, env_initial: int, g, b) -> np.ndarray:
     """The register S2' (x) S' (x) S (x) E1 (x) E2 (x) R of the nested circuit before measurement,
-    (N, 2, 2, d, d_E, d_E, r), of each row of the stacks (as _main_vectors)."""
+    (N, 2, 2, d, d_E, d_E, r), of each row of the stacks (as _main_vectors), g the ancilla pullback of A."""
     n, d, r = x.shape
     d_e = unitary.shape[-1] // d
     psi = np.zeros((n, 2, 2 * d, d_e, d_e, r), dtype=complex)
     # |+> (x) U_B^c (|+> (x) x) (x) |e0 e0>, the two 1/sqrt(2) in one division
     psi[:, :, :, env_initial, env_initial] = (controlled(b) @ np.concatenate([x, x], axis=1) / 2.0)[:, None]
     psi = psi.reshape(n, 2, 2, d, d_e, d_e, r)
-    for u, targets in _nested_gates(unitary, dag(unitary), controlled(_ancilla_pullback(a, part))):
+    for u, targets in _nested_gates(unitary, dag(unitary), controlled(g)):
         psi = _on_factors(u, psi, (2, 2, d, d_e, d_e), targets)
     return psi
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import KrausChannel, kraus_from_unitary
-from .linalg import SubsystemLayout, dag
+from .channels import _extract_kraus
+from .linalg import dag
+
+MIN_NO_JUMP_EIG = 0.05   # smallest eigenvalue of V_0^dag V_0 a random channel may have
+MAX_TRIES = 200
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -27,18 +30,11 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     return rho / np.trace(rho).real
 
 
-def random_channel(
-    dim_s: int,
-    dim_e: int,
-    rng: np.random.Generator,
-    min_no_jump_eig: float = 0.05,
-    max_tries: int = 200,
-) -> KrausChannel:
-    """Random dilation channel with V_0^dag V_0 bounded away from singular."""
-    layout = SubsystemLayout((dim_s, dim_e))
-    for _ in range(max_tries):
-        ch = kraus_from_unitary(random_unitary(dim_s * dim_e, rng), layout, env_initial=0)
-        w = dag(ch.v0) @ ch.v0
-        if float(np.linalg.eigvalsh(w)[0]) >= min_no_jump_eig:
-            return ch
-    raise RuntimeError(f"no well-conditioned channel found in {max_tries} draws")
+def random_dilation(dim_s: int, dim_e: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random dilation unitary on S (x) E, E starting in 0, with V_0^dag V_0 bounded away from singular."""
+    for _ in range(MAX_TRIES):
+        u = random_unitary(dim_s * dim_e, rng)
+        v0 = _extract_kraus(u, dim_s, dim_e, 0)[0]
+        if float(np.linalg.eigvalsh(dag(v0) @ v0)[0]) >= MIN_NO_JUMP_EIG:
+            return u
+    raise RuntimeError(f"no well-conditioned channel found in {MAX_TRIES} draws")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _heisenberg, dv0_dtheta, ensure_dilation
+from .channels import KrausChannel, _heisenberg, _kraus_derivatives, _no_jump_inverse, ensure_dilation
 from .errors import ContractError, DegenerateChannel, LayoutError
 from .linalg import (
     _hermitian_inverses,
@@ -38,7 +38,7 @@ EIGENVECTOR_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class PurifiedState:
-    """Canonical purification of rho_S(0) with R a copy of S.
+    """Canonical purification of rho_S(0) with R a copy of S, or of each of a stack with a leading axis on each field.
 
     probabilities: eigenvalues of rho (descending); basis: the matching
     eigenvectors as columns; joint_vector: sum_i sqrt(p_i) |psi_i>|psi_i> on
@@ -51,19 +51,14 @@ class PurifiedState:
 
     @property
     def dim_s(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-1]
 
     def rho(self) -> np.ndarray:
-        return (self.basis * self.probabilities) @ dag(self.basis)
+        return (self.basis * self.probabilities[..., None, :]) @ dag(self.basis)
 
 
 def purify(rho: np.ndarray) -> PurifiedState:
-    return _purify(require_density(rho))
-
-
-def _purify(rho: np.ndarray) -> PurifiedState:
-    """purify of a density matrix known to be valid: _purifications of the one matrix."""
-    return PurifiedState(*_purifications(rho))
+    return PurifiedState(*_purifications(require_density(rho)))
 
 
 def _purifications(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,13 +95,13 @@ def final_joint_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
 
 def tilde_initial_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
     """Unnormalized |tilde-Psi_RSE(0)>; requires V_0 invertible."""
-    v0_inv = ch.no_jump_spectrum.inverse() @ dag(ch.v0)
+    v0_inv = _no_jump_inverse(ch) @ dag(ch.v0)
     return _branches(ps.joint_vector, _tilde_operators(v0_inv, len(ch.operators), ch.no_jump_index))
 
 
 def survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
     """Xi = Tr[rho (V_0^dag V_0)^-1] - 1 (>= 0 since V_0^dag V_0 <= I)."""
-    return float(_survival_activity(require_density(rho), ch.no_jump_spectrum.inverse()))
+    return float(_survival_activity(require_density(rho), _no_jump_inverse(ch)))
 
 
 def _survival_activity(rho: np.ndarray, w_inv: np.ndarray):
@@ -210,13 +205,16 @@ def qfi(ch: KrausChannel, ps: PurifiedState) -> float:
     H_2 = i sum_m dV_m^dag V_m, expectations over the initial purified state
     (equivalently over rho_S(0)). Equals the survival activity.
     """
-    d0 = dv0_dtheta(ch)
-    derivs = [d0 if i == ch.no_jump_index else 0.5 * v for i, v in enumerate(ch.operators)]
-    h1 = sum(dag(d) @ d for d in derivs)
-    h2 = 1j * sum(dag(d) @ v for d, v in zip(derivs, ch.operators))
-    rho = ps.rho()
-    e1 = float(np.trace(rho @ h1).real)
-    e2 = float(np.trace(rho @ h2).real)
+    v, w_inv = np.array(ch.operators)[None], _no_jump_inverse(ch, "V_0 must be invertible for dV_0/dtheta")
+    return float(_qfi(v, _kraus_derivatives(v, ch.no_jump_index, w_inv[None]), ps.rho()[None])[0])
+
+
+def _qfi(v: np.ndarray, derivs: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """J of each row of stacks of Kraus operators, their derivatives (N, M, d, d) and states rho (N, d, d)."""
+    h1 = (dag(derivs) @ derivs).sum(axis=1)
+    h2 = 1j * (dag(derivs) @ v).sum(axis=1)
+    e1 = np.trace(rho @ h1, axis1=1, axis2=2).real
+    e2 = np.trace(rho @ h2, axis1=1, axis2=2).real
     return 4.0 * (e1 - e2 * e2)
 
 
@@ -229,9 +227,12 @@ def sld(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
     definition L = 2 d_theta rho, which observable-based saturation checks
     rely on.
     """
-    psi_t = final_joint_state(ps, ch)
-    tilde = tilde_initial_state(ps, ch)
-    l = 2.0 * outer(psi_t) - np.outer(tilde, psi_t.conj()) - np.outer(psi_t, tilde.conj())
+    return _sld(final_joint_state(ps, ch)[None], tilde_initial_state(ps, ch)[None])[0]
+
+
+def _sld(psi: np.ndarray, tilde: np.ndarray) -> np.ndarray:
+    """L of each row of stacks (N, D) of |Psi(T)> and |tilde-Psi(0)>."""
+    l = 2.0 * outer(psi) - tilde[:, :, None] * psi.conj()[:, None, :] - psi[:, :, None] * tilde.conj()[:, None, :]
     return (l + dag(l)) / 2.0
 
 
@@ -250,11 +251,12 @@ class TurReport:
     degenerate: bool
 
     @property
-    def ratio(self) -> float:
-        """lhs / rhs = Var * Xi / (<G> - Q)^2; 1 at saturation."""
-        if self.degenerate:
-            return math.inf
-        return self.variance * self.xi / (self.mean - self.q_baseline) ** 2
+    def ratio(self):
+        """lhs / rhs = Var * Xi / (<G> - Q)^2; 1 at saturation, inf if degenerate (elementwise for an array report)."""
+        with np.errstate(all="ignore"):
+            ratio = np.where(self.degenerate, math.inf,
+                             self.variance * self.xi / np.float_power(self.mean - self.q_baseline, 2.0))
+        return ratio.item() if ratio.ndim == 0 else ratio
 
 
 def _tur_report(mean, variance, q, xi) -> TurReport:
@@ -300,7 +302,7 @@ def check_general_tur(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> Tur
     if g.shape[0] != psi_t.size:
         raise LayoutError(f"G has dimension {g.shape[0]}, joint state has {psi_t.size}")
     terms = _general_tur_terms(psi_t, g @ psi_t, tilde_initial_state(ps, ch))
-    return _tur_report(*terms, _survival_activity(ps.rho(), ch.no_jump_spectrum.inverse()))
+    return _tur_report(*terms, _survival_activity(ps.rho(), _no_jump_inverse(ch)))
 
 
 @dataclass(frozen=True)
@@ -349,11 +351,11 @@ def check_observable_evolution_bound(
     if abs(true_gmax - gmax) > EIGENVECTOR_ATOL:
         raise ContractError(f"gmax={gmax:g} does not match the spectrum (max |eig| = {true_gmax:g})")
     rho = require_density(rho)
-    ps = _purify(rho)
+    ps = PurifiedState(*_purifications(rho))
     psi_t = final_joint_state(ps, ch)
     g_full = kron(np.eye(ps.dim_s * ch.dim), g_env)
     mean, variance = (float(x) for x in _mean_and_variance(psi_t, g_full @ psi_t))
-    xi = float(_survival_activity(rho, ch.no_jump_spectrum.inverse()))
+    xi = float(_survival_activity(rho, _no_jump_inverse(ch)))
     base = _tur_report(mean, variance, float(g0), xi)
     deviation = abs(mean - g0)
     cap = math.sqrt(max(gmax * gmax * xi, 0.0))
@@ -381,7 +383,7 @@ def classical_correlation_bound(
     g_r = require_hermitian(g_r, name="G_R")
     g_s = require_hermitian(g_s, name="G_S")
     rho = require_density(rho)
-    ps = _purify(rho)
+    ps = PurifiedState(*_purifications(rho))
     if g_r.shape[0] != ps.dim_s or g_s.shape[0] != ch.dim:
         raise LayoutError("G_R must act on R (copy of S) and G_S on S")
     value = float(np.vdot(ps.joint_vector, kron(g_r, _heisenberg(ch.operators, g_s)) @ ps.joint_vector).real)
@@ -389,6 +391,6 @@ def classical_correlation_bound(
     q = check_general_tur(g_full, ps, ch).q_baseline
     gmax_r = float(np.max(np.abs(np.linalg.eigvalsh(g_r))))
     gmax_s = float(np.max(np.abs(np.linalg.eigvalsh(g_s))))
-    xi = float(_survival_activity(rho, ch.no_jump_spectrum.inverse()))
+    xi = float(_survival_activity(rho, _no_jump_inverse(ch)))
     half = math.sqrt(max((gmax_r * gmax_s) ** 2 * xi, 0.0))
     return (q - half, value, q + half)

@@ -11,8 +11,9 @@ random dilations) and checks one identity or invariant at its pinned tolerance:
   series      truncated-series error decreases with order; first order equals
               1 - p0 exactly; protocol moments match matrix powers at 1e-10
 
-protocol and series run each CHUNK_TRIALS pass of their harness-family instances as one stacked call of the kernels
-whose one-row views are the scalar functions, after validating the pass's inputs once, row by row.
+Every suite runs each pass of at most CHUNK_TRIALS instances (OBSERVABLE_ROWS where rows carry D x D observables) as
+one stacked call of the kernels whose one-row views are the scalar functions, after validating the pass's inputs once,
+row by row. qfi and scaling share their passes.
 """
 
 from __future__ import annotations
@@ -23,30 +24,30 @@ from statistics import median
 
 import numpy as np
 
-from .channels import KrausChannel, dv0_dtheta, perturbed_kraus
-from .harness import CHUNK_TRIALS, _PAULI_PAIRS, ExperimentConfig, _checked_kraus, _draw_stacked, _trial_setups
-from .linalg import _hermitian_inverses, dag, require_density
+from .channels import KrausChannel, _checked_kraus, _kraus_derivatives, _perturbed_kraus, perturbed_kraus
+from .harness import CHUNK_TRIALS, _PAULI_PAIRS, ExperimentConfig, _draw_stacked
+from .linalg import _hermitian_inverses, _spectra, dag, require_density, require_hermitian
 from .protocol import _exact_correlator, _main_vectors, _protocol_correlators, _require_inputs
-from .random_ops import random_channel, random_density, random_hermitian
+from .random_ops import random_density, random_dilation, random_hermitian
 from .tur import (
     PurifiedState,
     _branches,
+    _general_tur_terms,
+    _inner,
     _purifications,
-    _purify,
+    _qfi,
     _series_estimates,
+    _sld,
     _survival_activity,
     _survival_activity_moments,
     _survival_activity_protocol_sim,
-    check_general_tur,
-    final_joint_state,
-    purify,
-    qfi,
-    sld,
-    survival_activity,
+    _tilde_operators,
+    _tur_report,
 )
 
 SUITES = ("qfi", "scaling", "protocol", "saturation", "series")
 FD_STEP = 1e-5
+OBSERVABLE_ROWS = CHUNK_TRIALS // 4   # a pass's rows when each carries a G or L of up to 32 x 32: ~0.5 MB a stack
 
 
 @dataclass(frozen=True)
@@ -58,84 +59,98 @@ class SuiteResult:
     note: str
 
 
-def _family_chunks(seed: int, trial_ids: range, gamma_lo: float):
-    """(config, ids) of each CHUNK_TRIALS stacked pass over harness-family ids; their draws use no suite rng."""
+def _family_chunks(seed: int, trial_ids: range, gamma_lo: float, rows: int = CHUNK_TRIALS):
+    """(config, ids) of each stacked pass of rows harness-family ids; their draws use no suite rng."""
     cfg = ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, 0.75), variants=("exact",))
-    return [(cfg, trial_ids[k:k + CHUNK_TRIALS]) for k in range(0, len(trial_ids), CHUNK_TRIALS)]
+    return [(cfg, trial_ids[k:k + rows]) for k in range(0, len(trial_ids), rows)]
 
 
-def _family_passes(seed: int, trial_ids: range, gamma_lo: float = 0.1):
-    """The instances of each pass as stacks: rho, A, B, the dilation unitaries and their Kraus operators
-    (N, M, d, d), checked as an experiment chunk checks them."""
-    for cfg, ids in _family_chunks(seed, trial_ids, gamma_lo):
+def _family_passes(seed: int, trial_ids: range, gamma_lo: float = 0.1, rows: int = CHUNK_TRIALS):
+    """The instances of each pass of rows ids as stacks: rho, A, B, the dilation unitaries and their Kraus
+    operators (N, M, d, d), checked as an experiment chunk checks them."""
+    for cfg, ids in _family_chunks(seed, trial_ids, gamma_lo, rows):
         _, a_k, b_k, _, rho, u = _draw_stacked(cfg, ids)
-        yield rho, _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k], u, _checked_kraus(u, lambda n: f"trial {ids[n]}")
-
-
-def _family_setups(seed: int, trial_ids: range, gamma_lo: float = 0.1):
-    """The instances one at a time, as generate_trial's TrialSetups with their channels."""
-    return chain.from_iterable(_trial_setups(cfg, ids) for cfg, ids in _family_chunks(seed, trial_ids, gamma_lo))
+        v = _checked_kraus(u, rho.shape[-1], lambda n: f"trial {ids[n]}")
+        yield rho, _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k], u, v
 
 
 def _instances(seed: int, n: int):
-    """Alternate harness-family and generic random channels with mixed states."""
-    rng = np.random.default_rng(seed)
-    family = _family_setups(seed, range(0, n, 2))
-    for i in range(n):
-        if i % 2 == 0:
-            setup = next(family)
-            yield setup.channel, random_density(setup.channel.dim, rng)
-        else:
-            dim_s = int(rng.choice([2, 3, 4]))
-            yield random_channel(dim_s, 2, rng), random_density(dim_s, rng)
+    """Passes (rho, Kraus operators (N, M, d, d), G): each block of OBSERVABLE_ROWS instances, one pass per d.
+
+    Instance i is a harness-family channel (trial i) for even i and a generic
+    random one for odd i, both with M = 2 (dim_E 2), a mixed state and a
+    random observable G on R (x) S (x) E, all drawn in instance order (G from
+    its own generator). A pass's states are validated and its dilations
+    checked once.
+    """
+    rng, g_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
+    family = chain.from_iterable(_draw_stacked(cfg, ids)[5] for cfg, ids in _family_chunks(seed, range(0, n, 2), 0.1))
+    for start in range(0, n, OBSERVABLE_ROWS):
+        block = []
+        for i in range(start, min(n, start + OBSERVABLE_ROWS)):
+            d = 4 if i % 2 == 0 else int(rng.choice([2, 3, 4]))
+            u = next(family) if i % 2 == 0 else random_dilation(d, 2, rng)
+            block.append((d, i, random_density(d, rng), u, random_hermitian(2 * d * d, g_rng)))
+        for d in dict.fromkeys(row[0] for row in block):
+            ids, rho, u, g = zip(*(row[1:] for row in block if row[0] == d))
+            v = _checked_kraus(np.stack(u), d, lambda k: f"instance {ids[k]}")
+            yield require_density(np.stack(rho)), v, np.stack(g)
+
+
+def _perturbed_mean(g: np.ndarray, joint: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """<G> over the joint state each row's Kraus family ops (N, M, d, d) leaves, of stacks G and joint vectors."""
+    psi = _branches(joint, ops)
+    return _inner(psi, (g @ psi[..., None])[..., 0])
 
 
 def perturbed_mean(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, theta: float) -> float:
-    """<G> over the joint state evolved by the theta-perturbed Kraus family."""
-    psi = _branches(ps.joint_vector, np.array(perturbed_kraus(ch, theta)))
-    return float(np.vdot(psi, g @ psi).real)
+    """<G> over the joint state evolved by the theta-perturbed Kraus family: the one-row view of _perturbed_mean."""
+    return float(_perturbed_mean(g[None], ps.joint_vector[None], np.array(perturbed_kraus(ch, theta))[None])[0])
 
 
-def analytic_scaling(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, flip_dv0_sign: bool = False) -> float:
-    """d<G>/dtheta at theta = 0 from the operator derivatives dV_m/dtheta."""
-    d0 = dv0_dtheta(ch)
-    if flip_dv0_sign:
-        d0 = -d0
-    derivs = [d0 if i == ch.no_jump_index else 0.5 * v for i, v in enumerate(ch.operators)]
-    dpsi = _branches(ps.joint_vector, np.array(derivs))
-    psi_t = final_joint_state(ps, ch)
-    return 2.0 * float(np.vdot(dpsi, g @ psi_t).real)
+def _perturbation_suites(trials: int, seed: int, inject_fault: str | None = None) -> dict[str, SuiteResult]:
+    """The qfi and scaling suites (suite_qfi and suite_scaling report one each) over one draw of the instances.
+
+    The two suites share each pass and the one _spectra of its V_0^dag V_0,
+    from which (V_0^dag V_0)^-1 and the polar factor of both perturbed
+    families are taken. scaling's finite difference and analytic leg check
+    d<G>/dtheta = <G> - Q_G at theta = 0.
+    """
+    worst_j, worst_fd, worst_an = 0.0, 0.0, 0.0
+    for rho, v, g in _instances(seed, trials):
+        v0 = v[:, 0]
+        spectra = _spectra(dag(v0) @ v0)
+        w_inv = _hermitian_inverses(spectra)
+        ps = PurifiedState(*_purifications(rho))
+        derivs = _kraus_derivatives(v, 0, w_inv)
+        j = _qfi(v, derivs, ps.rho())
+        worst_j = max(worst_j, *np.abs(j - _survival_activity(rho, w_inv)).tolist())
+        psi_t = _branches(ps.joint_vector, v)
+        g_psi = (require_hermitian(g, name="observable G") @ psi_t[..., None])[..., 0]
+        tilde = _branches(ps.joint_vector, _tilde_operators(w_inv @ dag(v0), v.shape[1], 0))
+        mean, _, q = _general_tur_terms(psi_t, g_psi, tilde)
+        fd = (_perturbed_mean(g, ps.joint_vector, _perturbed_kraus(v, 0, FD_STEP, spectra))
+              - _perturbed_mean(g, ps.joint_vector, _perturbed_kraus(v, 0, -FD_STEP, spectra))) / (2.0 * FD_STEP)
+        if inject_fault == "dv0-sign":
+            derivs[:, 0] = -derivs[:, 0]
+        an = 2.0 * _inner(_branches(ps.joint_vector, derivs), g_psi)
+        worst_fd = max(worst_fd, *np.abs(fd - (mean - q)).tolist())
+        worst_an = max(worst_an, *np.abs(an - (mean - q)).tolist())
+    return {
+        "qfi": SuiteResult("qfi", worst_j <= 1e-8, trials, worst_j, "max |J(0) - Xi|"),
+        "scaling": SuiteResult(
+            "scaling", worst_fd <= 1e-6 and worst_an <= 1e-8, trials, max(worst_fd, worst_an),
+            f"max |fd - (mean - Q)| = {worst_fd:.3e}, analytic leg {worst_an:.3e}",
+        ),
+    }
 
 
-def suite_qfi(trials: int, seed: int, instances=None) -> SuiteResult:
-    worst = 0.0
-    for ch, rho in _instances(seed, trials) if instances is None else instances:
-        xi = survival_activity(rho, ch)
-        worst = max(worst, abs(qfi(ch, _purify(rho)) - xi))
-    return SuiteResult("qfi", worst <= 1e-8, trials, worst, "max |J(0) - Xi|")
+def suite_qfi(trials: int, seed: int) -> SuiteResult:
+    return _perturbation_suites(trials, seed)["qfi"]
 
 
-def suite_scaling(trials: int, seed: int, inject_fault: str | None = None, instances=None) -> SuiteResult:
-    """Given instances are suite_qfi's, whose rho it validated; drawn ones are validated here."""
-    rng = np.random.default_rng(seed + 1)
-    worst_fd, worst_an = 0.0, 0.0
-    for ch, rho in _instances(seed, trials) if instances is None else instances:
-        ps = purify(rho) if instances is None else _purify(rho)
-        n_env = len(ch.operators)
-        dim = ps.dim_s * ps.dim_s * n_env
-        g = random_hermitian(dim, rng)
-        report = check_general_tur(g, ps, ch)
-        target = report.mean - report.q_baseline
-        fd = (perturbed_mean(g, ps, ch, FD_STEP) - perturbed_mean(g, ps, ch, -FD_STEP)) / (2.0 * FD_STEP)
-        an = analytic_scaling(g, ps, ch, flip_dv0_sign=(inject_fault == "dv0-sign"))
-        worst_fd = max(worst_fd, abs(fd - target))
-        worst_an = max(worst_an, abs(an - target))
-    passed = worst_fd <= 1e-6 and worst_an <= 1e-8
-    return SuiteResult(
-        "scaling", passed, trials,
-        max(worst_fd, worst_an),
-        f"max |fd - (mean - Q)| = {worst_fd:.3e}, analytic leg {worst_an:.3e}",
-    )
+def suite_scaling(trials: int, seed: int, inject_fault: str | None = None) -> SuiteResult:
+    return _perturbation_suites(trials, seed, inject_fault)["scaling"]
 
 
 def suite_protocol(trials: int, seed: int) -> SuiteResult:
@@ -151,14 +166,20 @@ def suite_protocol(trials: int, seed: int) -> SuiteResult:
 def suite_saturation(trials: int, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed + 3)
     worst = 0.0
-    for setup in _family_setups(seed + 3, range(trials), gamma_lo=0.2):
-        ps = purify(random_density(setup.channel.dim, rng))
-        l = sld(ps, setup.channel)
-        scale = float(rng.uniform(0.5, 2.0))
-        offset = float(rng.uniform(-1.0, 1.0))
-        g = scale * l + offset * np.eye(l.shape[0])
-        report = check_general_tur(g, ps, setup.channel)
-        worst = max(worst, abs(report.ratio - 1.0))
+    for _, _, _, _, v in _family_passes(seed + 3, range(trials), gamma_lo=0.2, rows=OBSERVABLE_ROWS):
+        draws = [(random_density(v.shape[-1], rng), rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)) for _ in v]
+        rho, scale, offset = (np.array(x) for x in zip(*draws))
+        ps = PurifiedState(*_purifications(require_density(rho)))
+        v0 = v[:, 0]
+        w_inv = _hermitian_inverses(dag(v0) @ v0)
+        psi_t = _branches(ps.joint_vector, v)
+        tilde = _branches(ps.joint_vector, _tilde_operators(w_inv @ dag(v0), v.shape[1], 0))
+        l = _sld(psi_t, tilde)
+        g = require_hermitian(scale[:, None, None] * l + offset[:, None, None] * np.eye(l.shape[-1]),
+                              name="observable G")
+        report = _tur_report(*_general_tur_terms(psi_t, (g @ psi_t[..., None])[..., 0], tilde),
+                             _survival_activity(ps.rho(), w_inv))
+        worst = max(worst, *np.abs(report.ratio - 1.0).tolist())
     return SuiteResult("saturation", worst <= 1e-6, trials, worst, "max |TUR ratio - 1| for G affine in L")
 
 
@@ -188,14 +209,12 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
 
 def run_suites(names=None, trials: int = 100, seed: int = 2024, inject_fault: str | None = None):
     names = SUITES if names is None else tuple(names)
-    # qfi and scaling check the same instances: drawn once (~11 kB each), scaling reuses qfi's cached spectra.
-    shared = list(_instances(seed, trials)) if {"qfi", "scaling"} <= set(names) else None
+    # qfi and scaling check the same instances: one draw, one pass loop for both
+    perturbation = _perturbation_suites(trials, seed, inject_fault) if {"qfi", "scaling"} & set(names) else {}
     results = []
     for name in names:
-        if name == "qfi":
-            results.append(suite_qfi(trials, seed, instances=shared))
-        elif name == "scaling":
-            results.append(suite_scaling(trials, seed, inject_fault=inject_fault, instances=shared))
+        if name in ("qfi", "scaling"):
+            results.append(perturbation[name])
         elif name == "protocol":
             results.append(suite_protocol(trials, seed))
         elif name == "saturation":

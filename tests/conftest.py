@@ -4,7 +4,7 @@ import pytest
 from turlab.channels import KrausChannel, kraus_from_unitary
 from turlab.gates import I2
 from turlab.linalg import SubsystemLayout
-from turlab.random_ops import random_density, random_unitary
+from turlab.random_ops import random_density, random_dilation, random_unitary
 
 # Single-qubit gates and projectors of the test constructions (the package builds its rotations stacked).
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -33,6 +33,11 @@ def amplitude_damping_unitary(gamma: float) -> np.ndarray:
 
 def amplitude_damping(gamma: float):
     return kraus_from_unitary(amplitude_damping_unitary(gamma), SubsystemLayout((2, 2)))
+
+
+def random_channel(dim_s: int, dim_e: int, rng) -> KrausChannel:
+    """The channel of random_dilation's draw: V_0^dag V_0 bounded away from singular, E starting in 0."""
+    return kraus_from_unitary(random_dilation(dim_s, dim_e, rng), SubsystemLayout((dim_s, dim_e)))
 
 
 def hermitian_unitary(dim: int, rng) -> np.ndarray:

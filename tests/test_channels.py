@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import P0, P1, amplitude_damping
+from conftest import P0, P1, amplitude_damping, random_channel
 
 from turlab.channels import (
     Dilation,
@@ -18,7 +18,7 @@ from turlab.channels import (
 from turlab.errors import AdmissibilityError, ContractError, SingularOperator
 from turlab.gates import SIGMA_Z
 from turlab.linalg import SubsystemLayout, dag, outer, partial_trace
-from turlab.random_ops import random_channel, random_density, random_unitary
+from turlab.random_ops import random_density, random_unitary
 from turlab.tur import purify, survival_activity, tilde_initial_state
 
 
@@ -177,7 +177,7 @@ class TestDv0Dtheta:
 
 
 class TestNoJumpCache:
-    """W = V_0^dag V_0 is decomposed once per channel; a singular V_0 raises on every access."""
+    """A singular V_0 raises on every call, with the offending eigenvalue of W = V_0^dag V_0."""
 
     RHO = np.diag([0.25, 0.75]).astype(complex)
 
@@ -194,11 +194,6 @@ class TestNoJumpCache:
                 call(ch)
             assert str(err.value) == f"{message} (offending eigenvalue 1.001e-13)"
             assert err.value.eigenvalue == pytest.approx(1.0014e-13, rel=1e-4)
-
-    def test_spectrum_is_cached_per_channel(self, rng):
-        ch = random_channel(3, 2, rng)
-        assert ch.no_jump_spectrum is ch.no_jump_spectrum
-        assert_allclose(ch.no_jump_spectrum.inverse() @ (dag(ch.v0) @ ch.v0), np.eye(3), atol=1e-12)
 
 
 class TestDilationSynthesis:

@@ -32,10 +32,10 @@ from turlab.protocol import (
     protocol_correlator,
     protocol_state,
 )
-from turlab.random_ops import random_channel, random_density, random_unitary
+from turlab.random_ops import random_density, random_unitary
 from turlab.tur import _purifications
 
-from conftest import stacked_groups
+from conftest import random_channel, stacked_groups
 from density_circuits import main_states, nested_states, on_factors
 
 
@@ -160,7 +160,7 @@ def test_stacked_circuits_rows_equal_one_row_views_and_embedded_oracle(part):
                 assert np.array_equal(state.matrix, protocol_state(*row, stage=stage, part=part).matrix), (stage, k)
                 assert_allclose(state.matrix, oracle[k], rtol=0, atol=1e-12)
                 assert_allclose(oracle[k], wants[k][stage], rtol=0, atol=1e-12)
-        got = _nested_vectors(x, u, e0, a, b, part)
+        got = _nested_vectors(x, u, e0, _ancilla_pullback(a, part), b)
         oracle = nested_states(rho, u, e0, a, b, part)
         for k, row in enumerate(group):
             state = _state(got[k], "premeasure")
@@ -196,7 +196,7 @@ def test_stacked_premeasure_probabilities_match_density_circuits(n, seed):
     a, b = _PAULI_PAIRS[rng.integers(0, 16, size=(2, n))]
     rho = psi[:, :, None] * psi.conj()[:, None, :]
     main = (np.abs(_main_vectors(psi[:, :, None], u, 0, a, b, "premeasure")) ** 2).sum(axis=-1)
-    nested = (np.abs(_nested_vectors(psi[:, :, None], u, 0, a, b)) ** 2).sum(axis=-1)
+    nested = (np.abs(_nested_vectors(psi[:, :, None], u, 0, _ancilla_pullback(a, "real"), b)) ** 2).sum(axis=-1)
     want_main = np.diagonal(main_states(rho, u, 0, a, b, "premeasure"), axis1=1, axis2=2).real
     want_nested = np.diagonal(nested_states(rho, u, 0, a, b), axis1=1, axis2=2).real
     assert_allclose(main.reshape(n, -1), want_main, rtol=0, atol=1e-14)

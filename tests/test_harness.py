@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from turlab import harness, protocol
-from turlab.channels import KrausChannel, kraus_from_unitary
+from turlab.channels import KrausChannel, _checked_kraus, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
 from turlab.gates import I2, PAULIS
 from turlab.harness import (
@@ -198,24 +198,28 @@ class TestGenerateTrial:
     def test_stacked_builder_matches_generate_trial(self, gamma_range):
         cfg = exact_config(seed=11, gamma_range=gamma_range)
         ids = [3, 0, 7, 200, 1]
-        for i, s in zip(ids, harness._trial_setups(cfg, ids), strict=True):
+        draws, a_k, b_k, _, rho, u = harness._draw_stacked(cfg, ids)
+        v = _checked_kraus(u, 4, str)
+        for n, (i, (thetas, gamma, a_idx, b_idx)) in enumerate(zip(ids, draws, strict=True)):
             one = generate_trial(cfg, i)
-            assert (s.trial_id, s.gamma, s.thetas, s.a_idx, s.b_idx) == (i, one.gamma, one.thetas, one.a_idx, one.b_idx)
-            for x, y in [(s.rho, one.rho), (s.a_op, one.a_op), (s.b_op, one.b_op),
-                         (s.channel.dilation.unitary, one.channel.dilation.unitary),
-                         *zip(s.channel.operators, one.channel.operators, strict=True)]:
+            assert (i, gamma, thetas, a_idx, b_idx) == (one.trial_id, one.gamma, one.thetas, one.a_idx, one.b_idx)
+            for x, y in [(rho[n], one.rho), (harness._PAULI_PAIRS[a_k[n]], one.a_op),
+                         (harness._PAULI_PAIRS[b_k[n]], one.b_op), (u[n], one.channel.dilation.unitary),
+                         *zip(v[n], one.channel.operators, strict=True)]:
                 assert np.array_equal(x, y)
 
     def test_verify_family_spans_stacked_passes(self):
-        from turlab.verify import _family_setups
+        from turlab.verify import _family_passes
 
         cfg = exact_config(seed=4, gamma_range=(0.1, 0.75))
         ids = range(1, 2 * harness.CHUNK_TRIALS + 7, 2)
-        got = list(_family_setups(4, ids))
-        assert [s.trial_id for s in got] == list(ids)
-        for s in got[harness.CHUNK_TRIALS - 2:harness.CHUNK_TRIALS + 2]:
-            one = generate_trial(cfg, s.trial_id)
-            assert s.thetas == one.thetas and np.array_equal(s.channel.dilation.unitary, one.channel.dilation.unitary)
+        passes = list(_family_passes(4, ids))
+        assert [len(p[0]) for p in passes] == [harness.CHUNK_TRIALS, 3]
+        rows = [row for p in passes for row in zip(*p)]
+        for i, (rho, a, b, u, v) in list(zip(ids, rows))[harness.CHUNK_TRIALS - 2:harness.CHUNK_TRIALS + 2]:
+            one = generate_trial(cfg, i)
+            assert np.array_equal(u, one.channel.dilation.unitary) and np.array_equal(rho, one.rho)
+            assert np.array_equal(a, one.a_op) and np.array_equal(b, one.b_op)
 
     def test_pauli_operators_are_read_only(self):
         s = generate_trial(exact_config(), 0)

@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 
 from turlab.errors import ContractError, LayoutError, SingularOperator
 from turlab.gates import SIGMA_X
+from turlab.channels import _perturbed_kraus
 from turlab.linalg import (
     SubsystemLayout,
-    _hermitian_sqrt,
-    _polar_unitary,
-    _spectral,
+    _spectra,
+    _spectral_map,
     dag,
     embed_operator,
     hermitian_inverse,
@@ -92,34 +92,55 @@ class TestEmbedOperator:
             embed_operator(np.eye(2), (2, 2), (1, 0))
 
 
+# Each case's matrix enters the stacked kernels as the last row of a stack, after a random positive definite
+# row with a grouping pattern of its own.
+
+def with_random_row(m):
+    z = random_complex(np.random.default_rng(len(m)), len(m), len(m))
+    return np.stack([dag(z) @ z + np.eye(len(m)), m])
+
+
+def spectrum(m):
+    """The group means and projectors of m, the last row of a _spectra call."""
+    for rows, values, projectors in _spectra(with_random_row(m)):
+        if 1 in rows:
+            k = rows.index(1)
+            return tuple(float(z[k]) for z in values), tuple(p[k] for p in projectors)
+
+
+def mapped(m, f):
+    """sum_k f(z_k) P_k of m through _spectral_map, m the last row of a stack."""
+    return _spectral_map(_spectra(with_random_row(m)), f)[1]
+
+
 class TestSpectral:
     def test_diagonal(self):
-        s = _spectral(np.diag([2.0, 1.0]).astype(complex))
-        assert s.eigenvalues == (2.0, 1.0)
-        assert_allclose(s.projectors[0], np.diag([1, 0]).astype(complex), atol=1e-12)
-        assert_allclose(s.projectors[1], np.diag([0, 1]).astype(complex), atol=1e-12)
+        values, projectors = spectrum(np.diag([2.0, 1.0]).astype(complex))
+        assert values == (2.0, 1.0)
+        assert_allclose(projectors[0], np.diag([1, 0]).astype(complex), atol=1e-12)
+        assert_allclose(projectors[1], np.diag([0, 1]).astype(complex), atol=1e-12)
 
     def test_sigma_x(self):
-        s = _spectral(SIGMA_X)
-        assert_allclose(s.eigenvalues, [1.0, -1.0], atol=1e-12)
+        values, projectors = spectrum(SIGMA_X)
+        assert_allclose(values, [1.0, -1.0], atol=1e-12)
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
-        assert_allclose(s.projectors[0], outer(plus), atol=1e-12)
-        assert_allclose(s.projectors[1], outer(minus), atol=1e-12)
+        assert_allclose(projectors[0], outer(plus), atol=1e-12)
+        assert_allclose(projectors[1], outer(minus), atol=1e-12)
 
     def test_reconstruction_and_projector_algebra(self, rng):
         m = random_hermitian(rng, 8)
-        s = _spectral(m)
-        assert np.max(np.abs(s.apply(lambda z: z) - m)) <= 1e-9
-        for i, p in enumerate(s.projectors):
+        _, projectors = spectrum(m)
+        assert np.max(np.abs(mapped(m, lambda z: z) - m)) <= 1e-9
+        for i, p in enumerate(projectors):
             assert np.max(np.abs(p @ p - p)) <= 1e-9
-            for q in s.projectors[i + 1:]:
+            for q in projectors[i + 1:]:
                 assert np.max(np.abs(p @ q)) <= 1e-9
 
     def test_degenerate_grouping(self):
-        s = _spectral(np.eye(4, dtype=complex))
-        assert len(s.eigenvalues) == 1
-        assert_allclose(s.projectors[0], np.eye(4), atol=1e-12)
+        values, projectors = spectrum(np.eye(4, dtype=complex))
+        assert len(values) == 1
+        assert_allclose(projectors[0], np.eye(4), atol=1e-12)
 
 
 class TestHermitianFunctions:
@@ -128,7 +149,7 @@ class TestHermitianFunctions:
                         np.diag([1.0, 2.0]), atol=1e-12)
 
     def test_sqrt_identity(self):
-        assert_allclose(_hermitian_sqrt(np.eye(3, dtype=complex)), np.eye(3), atol=1e-12)
+        assert_allclose(mapped(np.eye(3, dtype=complex), lambda z: np.sqrt(np.maximum(z, 0.0))), np.eye(3), atol=1e-12)
 
     def test_inverse_multiplication_oracle(self, rng):
         m = random_hermitian(rng, 6) + 8 * np.eye(6)  # well conditioned
@@ -136,7 +157,7 @@ class TestHermitianFunctions:
 
     def test_identity_function_is_identity_map(self, rng):
         m = random_hermitian(rng, 5)
-        assert np.max(np.abs(_spectral(m).apply(lambda z: z) - m)) <= 1e-12
+        assert np.max(np.abs(mapped(m, lambda z: z) - m)) <= 1e-12
 
     def test_singular_inverse_reports_eigenvalue(self):
         with pytest.raises(SingularOperator) as err:
@@ -147,7 +168,7 @@ class TestHermitianFunctions:
 
 def polar(v):
     """The unitary polar factor of v, from the spectrum of v^dag v, as perturbed_kraus takes it."""
-    return _polar_unitary(v, _spectral(dag(v) @ v))
+    return v @ mapped(dag(v) @ v, lambda z: 1.0 / np.sqrt(z))
 
 
 class TestPolarUnitary:
@@ -163,12 +184,15 @@ class TestPolarUnitary:
     def test_reconstruction(self, rng):
         v = random_complex(rng, 4, 4) + 3 * np.eye(4)
         u = polar(v)
-        root = _hermitian_sqrt(dag(v) @ v)
+        root = mapped(dag(v) @ v, lambda z: np.sqrt(np.maximum(z, 0.0)))
         assert np.max(np.abs(u @ root - v)) <= 1e-9
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularOperator):
-            polar(np.array([[1, 0], [0, 0]], dtype=complex))
+        """perturbed_kraus checks the polar factor's V_0 (the last row) before taking it."""
+        v0 = np.array([[1, 0], [0, 0]], dtype=complex)
+        v = np.stack([np.stack([np.eye(2), np.zeros((2, 2))]), np.stack([v0, np.eye(2) - v0])]).astype(complex)
+        with pytest.raises(SingularOperator, match="^row 1: polar decomposition needs nonsingular"):
+            _perturbed_kraus(v, 0, -0.1)
 
 
 class TestKron:

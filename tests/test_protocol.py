@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import amplitude_damping
+from conftest import amplitude_damping, random_channel
 
 from turlab.channels import kraus_from_unitary
 from turlab.errors import ContractError
@@ -29,7 +29,7 @@ from turlab.protocol import (
     separable_tur_protocol_check,
     shot_rng,
 )
-from turlab.random_ops import random_channel, random_density
+from turlab.random_ops import random_density
 from turlab.tur import P0_CUTOFF, check_general_tur, purify, separable_baseline
 
 SE = SubsystemLayout((2, 2))

@@ -1,27 +1,41 @@
-"""Each stacked kernel of tur, protocol and linalg: every row of a stack equals its one-row call to the last bit,
-over dim_S 2-6, dim_E 2-4, mixed and rank-deficient states, and stacks that mix degenerate and non-degenerate
-V_0^dag V_0 spectra; a singular row raises the scalar message prefixed with its row index."""
+"""Each stacked kernel of tur, protocol, channels and linalg: every row of a stack equals its one-row call to the last
+bit, over dim_S 2-6, dim_E 2-4, mixed and rank-deficient states, and stacks that mix degenerate and non-degenerate
+V_0^dag V_0 spectra; a failing row raises the scalar message prefixed with its row index or label."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from turlab.channels import KrausChannel
-from turlab.errors import SingularOperator
-from turlab.linalg import _hermitian_inverses, _spectral, dag, embed_operator, outer
+from conftest import amplitude_damping
+
+from turlab.channels import (
+    KrausChannel,
+    _kraus_derivatives,
+    _perturbed_kraus,
+    dv0_dtheta,
+    perturbed_kraus,
+)
+from turlab.errors import AdmissibilityError, SingularOperator
+from turlab.linalg import _hermitian_inverses, _spectra, dag, embed_operator, hermitian_inverse, outer
 from turlab.protocol import _approx_bound_quantities, _on_factors
 from turlab.random_ops import random_density, random_hermitian, random_unitary
 from turlab.tur import (
     _branches,
     _general_tur_terms,
+    PurifiedState,
     _purifications,
-    _purify,
+    _qfi,
+    _sld,
     _survival_activity,
     _tilde_operators,
     check_general_tur,
+    purify,
+    qfi,
     separable_baseline,
+    sld,
     survival_activity,
 )
+from turlab.verify import _perturbed_mean, perturbed_mean
 
 # eigenvalue patterns of V_0^dag V_0: group sizes, largest first (one pattern per row, cycled)
 PATTERNS = [None, (2,), "all", (1, 2), (2, 2)]
@@ -60,7 +74,7 @@ def test_grouped_inverse_and_survival_activity_rows():
         xi = _survival_activity(rho, w_inv)
         for n in range(len(w)):
             assert np.array_equal(w_inv[n], _hermitian_inverses(w[n:n + 1])[0])
-            assert np.array_equal(w_inv[n], _spectral(w[n]).inverse())
+            assert np.array_equal(w_inv[n], hermitian_inverse(w[n]))
             assert xi[n] == _survival_activity(rho[n], w_inv[n])
             assert xi[n] == survival_activity(rho[n], KrausChannel(tuple(ops[n])))
 
@@ -98,7 +112,7 @@ def test_general_tur_terms_rows_equal_check_general_tur():
             one_row = _general_tur_terms(_branches(joint[one], ops[one]), g_psi[one],
                                          _branches(joint[one], _tilde_operators(v0_inv[one], d_e, 0)))
             assert [t[n] for t in terms] == [t[0] for t in one_row]
-            report = check_general_tur(g[n], _purify(rho[n]), KrausChannel(tuple(ops[n])))
+            report = check_general_tur(g[n], purify(rho[n]), KrausChannel(tuple(ops[n])))
             assert [t[n] for t in terms] == [report.mean, report.variance, report.q_baseline]
 
 
@@ -133,3 +147,42 @@ def test_singular_row_raises_the_scalar_message_with_its_index():
         assert str(stacked.value) == f"row 2: {scalar.value}"
         assert stacked.value.eigenvalue == scalar.value.eigenvalue
     assert "no-jump operator V_0 is singular" in str(stacked.value)
+
+
+def test_perturbation_kernels_rows_equal_one_row_views():
+    """dV_0/dtheta, both perturbed families (sharing the _spectra of V_0^dag V_0), <G> over them, J and the SLD."""
+    rng = np.random.default_rng(19)
+    for rho, ops in stacks():
+        v0 = ops[:, 0]
+        spectra = _spectra(dag(v0) @ v0)
+        w_inv = _hermitian_inverses(spectra)
+        ps = PurifiedState(*_purifications(rho))
+        derivs = _kraus_derivatives(ops, 0, w_inv)
+        j = _qfi(ops, derivs, ps.rho())
+        tilde = _branches(ps.joint_vector, _tilde_operators(w_inv @ dag(v0), ops.shape[1], 0))
+        l = _sld(_branches(ps.joint_vector, ops), tilde)
+        g = np.stack([random_hermitian(l.shape[-1], rng) for _ in range(len(rho))])
+        families = {theta: _perturbed_kraus(ops, 0, theta, spectra) for theta in (1e-5, -1e-5)}
+        means = {theta: _perturbed_mean(g, ps.joint_vector, f) for theta, f in families.items()}
+        for n in range(len(rho)):
+            ch, ps_n = KrausChannel(tuple(ops[n])), purify(rho[n])
+            assert np.array_equal(derivs[n, 0], dv0_dtheta(ch))
+            assert j[n] == qfi(ch, ps_n)
+            assert np.array_equal(l[n], sld(ps_n, ch))
+            for theta, family in families.items():
+                assert np.array_equal(family[n], np.array(perturbed_kraus(ch, theta)))
+                assert means[theta][n] == perturbed_mean(g[n], ps_n, ch, theta)
+
+
+@pytest.mark.parametrize("second, theta, error", [
+    (amplitude_damping(0.9), 0.5, AdmissibilityError),
+    (amplitude_damping(1.0), -0.5, SingularOperator),
+    (amplitude_damping(1.0), 0.5, AdmissibilityError),   # both: admissibility is checked first, as in the scalar order
+], ids=["inadmissible", "singular", "inadmissible-and-singular"])
+def test_perturbed_kraus_raises_the_failing_rows_scalar_message(second, theta, error):
+    v = np.stack([np.array(amplitude_damping(0.1).operators), np.array(second.operators)])
+    with pytest.raises(error) as scalar:
+        perturbed_kraus(second, theta)
+    with pytest.raises(error) as stacked:
+        _perturbed_kraus(v, 0, theta)
+    assert str(stacked.value) == f"row 1: {scalar.value}"

@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import amplitude_damping, stacked_groups
+from conftest import amplitude_damping, random_channel, stacked_groups
 
 from turlab.channels import KrausChannel, apply, ensure_dilation, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
 from turlab.gates import SIGMA_Z
 from turlab.linalg import SubsystemLayout, _hermitian_inverses, dag, outer, partial_trace
 from turlab.protocol import correlator_interval
-from turlab.random_ops import random_channel, random_density, random_hermitian
+from turlab.random_ops import random_density, random_hermitian
 from turlab.tur import (
     DEGENERATE_MEAN_ATOL,
     P0_CUTOFF,

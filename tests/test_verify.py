@@ -7,32 +7,53 @@ from statistics import median
 import numpy as np
 
 from turlab import linalg
+from turlab.channels import dv0_dtheta
+from turlab.harness import ExperimentConfig, generate_trial
 from turlab.protocol import exact_correlator, protocol_correlator
-from turlab.random_ops import random_density
+from turlab.random_ops import random_density, random_hermitian
 from turlab.tur import (
+    _branches,
+    check_general_tur,
+    final_joint_state,
+    purify,
+    qfi,
+    sld,
     survival_activity,
     survival_activity_moments,
     survival_activity_protocol_sim,
     survival_activity_series,
 )
-from turlab.verify import SuiteResult, _family_setups, run_suites, suite_protocol, suite_series
+from turlab.verify import (
+    FD_STEP,
+    SuiteResult,
+    perturbed_mean,
+    run_suites,
+    suite_protocol,
+    suite_qfi,
+    suite_saturation,
+    suite_scaling,
+    suite_series,
+)
+
+from conftest import random_channel
 
 
 def test_default_verify_decomposes_and_validates_each_input_once(monkeypatch):
-    """Each distinct matrix reaches _spectral once (a channel caches its V_0^dag V_0 spectrum, and
-    scaling shares qfi's channels; series inverts its stacks without _spectral); each suite input is
-    validated once, a stacked validation counting one per row."""
+    """Each distinct matrix is one row of one _spectra call: V_0^dag V_0 of each qfi/scaling instance (its
+    inverse and both perturbed families' polar factor share it), I - e^theta (jump sum) of each perturbed family,
+    and V_0^dag V_0 of each saturation and series instance. Each suite input is validated once, a stacked
+    validation counting one per row."""
     seen, validated = Counter(), Counter()
 
     def counting(name, original):
         def wrapper(m, *args, **kwargs):
-            if name == "_spectral":
-                seen[(m.shape, m.tobytes())] += 1
+            if name == "_spectra":
+                seen.update((row.shape, row.tobytes()) for row in m)
             validated[name] += len(m) if np.ndim(m) == 3 else 1
             return original(m, *args, **kwargs)
         return wrapper
 
-    for name in ("_spectral", "require_density", "require_hermitian"):
+    for name in ("_spectra", "require_density", "require_hermitian"):
         original = getattr(linalg, name)
         wrapper = counting(name, original)
         for module in [m for n, m in sys.modules.items() if n.startswith("turlab")]:
@@ -40,17 +61,18 @@ def test_default_verify_decomposes_and_validates_each_input_once(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
     results = run_suites(trials=100, seed=2024)
     assert all(r.passed for r in results)
-    assert len(seen) == 320 and set(seen.values()) == {1}
+    assert len(seen) == 100 * 3 + 20 + 50 and set(seen.values()) == {1}
     # require_density checks Hermiticity itself: require_hermitian rows are A and B of protocol, and each G
     assert (validated["require_density"], validated["require_hermitian"]) == (270, 320)
 
 
 def test_scaling_alone_validates_its_own_inputs(monkeypatch):
+    """Each of the 10 states is validated once, a stacked validation counting one per row."""
     calls = Counter()
     original = linalg.require_density
 
     def counting(m, *args, **kwargs):
-        calls["require_density"] += 1
+        calls["require_density"] += len(m) if np.ndim(m) == 3 else 1
         return original(m, *args, **kwargs)
 
     for module in [m for n, m in sys.modules.items() if n.startswith("turlab")]:
@@ -62,9 +84,67 @@ def test_scaling_alone_validates_its_own_inputs(monkeypatch):
 
 # The suites as they ran before stacking, one instance at a time through the public scalar functions.
 
+def family_setups(seed, trial_ids, gamma_lo=0.1):
+    cfg = ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, 0.75), variants=("exact",))
+    return (generate_trial(cfg, i) for i in trial_ids)
+
+
+def per_instance_inputs(seed, n):
+    """qfi's and scaling's instances one at a time: a harness-family channel for even i, a generic one for odd i."""
+    rng = np.random.default_rng(seed)
+    family = family_setups(seed, range(0, n, 2))
+    for i in range(n):
+        if i % 2 == 0:
+            setup = next(family)
+            yield setup.channel, random_density(setup.channel.dim, rng)
+        else:
+            dim_s = int(rng.choice([2, 3, 4]))
+            yield random_channel(dim_s, 2, rng), random_density(dim_s, rng)
+
+
+def per_instance_qfi(trials, seed):
+    worst = 0.0
+    for ch, rho in per_instance_inputs(seed, trials):
+        xi = survival_activity(rho, ch)
+        worst = max(worst, abs(qfi(ch, purify(rho)) - xi))
+    return SuiteResult("qfi", worst <= 1e-8, trials, worst, "max |J(0) - Xi|")
+
+
+def per_instance_scaling(trials, seed, inject_fault=None):
+    rng = np.random.default_rng(seed + 1)
+    worst_fd, worst_an = 0.0, 0.0
+    for ch, rho in per_instance_inputs(seed, trials):
+        ps = purify(rho)
+        g = random_hermitian(ps.dim_s * ps.dim_s * len(ch.operators), rng)
+        report = check_general_tur(g, ps, ch)
+        target = report.mean - report.q_baseline
+        fd = (perturbed_mean(g, ps, ch, FD_STEP) - perturbed_mean(g, ps, ch, -FD_STEP)) / (2.0 * FD_STEP)
+        d0 = -dv0_dtheta(ch) if inject_fault == "dv0-sign" else dv0_dtheta(ch)
+        derivs = [d0 if i == ch.no_jump_index else 0.5 * v for i, v in enumerate(ch.operators)]
+        dpsi = _branches(ps.joint_vector, np.array(derivs))
+        an = 2.0 * float(np.vdot(dpsi, g @ final_joint_state(ps, ch)).real)
+        worst_fd = max(worst_fd, abs(fd - target))
+        worst_an = max(worst_an, abs(an - target))
+    return SuiteResult("scaling", worst_fd <= 1e-6 and worst_an <= 1e-8, trials, max(worst_fd, worst_an),
+                       f"max |fd - (mean - Q)| = {worst_fd:.3e}, analytic leg {worst_an:.3e}")
+
+
+def per_instance_saturation(trials, seed):
+    rng = np.random.default_rng(seed + 3)
+    worst = 0.0
+    for setup in family_setups(seed + 3, range(trials), gamma_lo=0.2):
+        ps = purify(random_density(setup.channel.dim, rng))
+        l = sld(ps, setup.channel)
+        scale = float(rng.uniform(0.5, 2.0))
+        offset = float(rng.uniform(-1.0, 1.0))
+        report = check_general_tur(scale * l + offset * np.eye(l.shape[0]), ps, setup.channel)
+        worst = max(worst, abs(report.ratio - 1.0))
+    return SuiteResult("saturation", worst <= 1e-6, trials, worst, "max |TUR ratio - 1| for G affine in L")
+
+
 def per_instance_protocol(trials, seed):
     worst = 0.0
-    for setup in _family_setups(seed + 2, range(trials), gamma_lo=0.0):
+    for setup in family_setups(seed + 2, range(trials), gamma_lo=0.0):
         c_proto = protocol_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
         c_direct = exact_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
         worst = max(worst, abs(c_direct - c_proto))
@@ -75,7 +155,7 @@ def per_instance_series(trials, seed):
     rng = np.random.default_rng(seed + 4)
     errors = {n: [] for n in range(1, 5)}
     worst_moment, worst_first = 0.0, 0.0
-    for setup in _family_setups(seed + 4, range(trials)):
+    for setup in family_setups(seed + 4, range(trials)):
         rho = random_density(setup.channel.dim, rng)
         estimates = survival_activity_series(rho, setup.channel, order=4)
         xi = survival_activity(rho, setup.channel)
@@ -101,3 +181,29 @@ def test_stacked_suites_match_per_instance_loops_across_passes():
     assert (got.passed, got.cases) == (want.passed, want.cases) and got.passed
     assert abs(got.worst - want.worst) <= 1e-15
     assert suite_series(300, 11) == per_instance_series(300, 11)
+
+
+def test_perturbation_suites_match_per_instance_loops_across_passes():
+    """300 instances are ten blocks of OBSERVABLE_ROWS, each one pass per dim_S, for qfi and scaling and ten
+    passes for saturation; the stacked suites equal the per-instance loops to the last bit, and so does a tripped
+    fault."""
+    assert suite_qfi(300, 11) == per_instance_qfi(300, 11)
+    assert suite_scaling(300, 11) == per_instance_scaling(300, 11)
+    assert suite_saturation(300, 11) == per_instance_saturation(300, 11)
+    tripped = suite_scaling(6, 2024, inject_fault="dv0-sign")
+    assert tripped == per_instance_scaling(6, 2024, inject_fault="dv0-sign") and not tripped.passed
+
+
+def test_perturbation_suites_build_no_channel_and_call_no_scalar_function(monkeypatch):
+    from turlab import channels, tur
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by a stacked suite")
+
+    originals = [tur.qfi, tur.sld, tur.check_general_tur, channels.perturbed_kraus, channels.kraus_from_unitary]
+    for module in [m for n, m in sys.modules.items() if n == "turlab" or n.startswith("turlab.")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is f for f in originals):
+                monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(channels.KrausChannel, "__post_init__", refuse)
+    assert all(r.passed for r in run_suites(["qfi", "scaling", "saturation"], trials=40, seed=5))
