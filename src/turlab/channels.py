@@ -16,16 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, ContractError, LayoutError, SingularOperator
+from .errors import AdmissibilityError, ContractError, LayoutError
 from .linalg import (
-    SINGULAR_CUTOFF,
     UNITARY_ATOL,
     SubsystemLayout,
-    _eigenvalue,
-    _hermitian_inverses,
+    _invertible_factors,
+    _no_jump_factors,
     _raise_first_failure,
-    _spectra,
-    _spectral_map,
+    _singular_rows,
     _unitary_check,
     dag,
     max_abs,
@@ -110,8 +108,8 @@ class KrausChannel:
 
 
 def _no_jump_inverse(ch: KrausChannel, message: str = "matrix is singular, inverse undefined") -> np.ndarray:
-    """(V_0^dag V_0)^-1 of a channel; SingularOperator(message) if V_0 is singular."""
-    return _hermitian_inverses((dag(ch.v0) @ ch.v0)[None], message=message)[0]
+    """V_0^-1 of a channel; SingularOperator(message) if V_0 is singular."""
+    return _invertible_factors(ch.v0[None], message=message)[0][0]
 
 
 def kraus_from_unitary(u: np.ndarray, layout: SubsystemLayout, env_initial: int = 0) -> KrausChannel:
@@ -190,12 +188,14 @@ def _heisenberg(ops, a: np.ndarray) -> np.ndarray:
 
 def perturbed_kraus(ch: KrausChannel, theta: float) -> tuple[np.ndarray, ...]:
     """Kraus family of the virtual perturbation at strength theta: the one-row view of _perturbed_kraus."""
-    return tuple(_perturbed_kraus(np.array(ch.operators)[None], ch.no_jump_index, theta)[0])
+    v = np.array(ch.operators)[None]
+    e0 = ch.no_jump_index
+    return tuple(_perturbed_kraus(v, e0, theta, _no_jump_factors(v[:, e0]))[0])
 
 
-def _perturbed_kraus(v: np.ndarray, e0: int, theta: float, spectra: list | None = None) -> np.ndarray:
+def _perturbed_kraus(v: np.ndarray, e0: int, theta: float, factors) -> np.ndarray:
     """The theta-perturbed Kraus family (N, M, d, d) of each row of a stack v (N, M, d, d) with no-jump index e0;
-    spectra, if given, is the _spectra of V_0^dag V_0.
+    factors is the _no_jump_factors of V_0.
 
     V_m(theta) = e^{theta/2} V_m for jump operators, and
     V_0(theta) = U_V sqrt(I - e^theta sum_{m != 0} V_m^dag V_m) with U_V the
@@ -206,36 +206,32 @@ def _perturbed_kraus(v: np.ndarray, e0: int, theta: float, spectra: list | None 
     unitarity. An admissible theta leaves I - e^theta (jump sum) at least
     ADMISSIBILITY_MARGIN above 0, so its square root needs no check.
     """
+    _, u_v, lowest = factors
     v0 = v[:, e0]
-    spectra = _spectra(dag(v0) @ v0) if spectra is None else spectra
     # the jump sum over the operators m != e0, as a sum from zero (the zero matrix for a single operator)
     jump = sum((dag(v[:, m]) @ v[:, m] for m in range(v.shape[1]) if m != e0), np.zeros_like(v0))
-    weight = np.exp(theta) * np.linalg.eigvalsh(jump)[:, -1]
-    lowest = _eigenvalue(spectra, lambda z: z[-1])
-    # a singular row raises before its factor is used, so its eigenvalues are clamped to keep it finite
-    u_v = v0 @ _spectral_map(spectra, lambda z: 1.0 / np.sqrt(np.maximum(z, SINGULAR_CUTOFF)))
+    w, q = np.linalg.eigh(np.eye(v.shape[-1]) - np.exp(theta) * jump)
+    weight = 1.0 - w[:, 0]   # e^theta times the largest eigenvalue of the jump sum
     _raise_first_failure([
         (weight > 1.0 - ADMISSIBILITY_MARGIN, lambda n: AdmissibilityError(
             f"theta={theta:g} inadmissible: e^theta * max-eig(jump sum) = {weight[n]:.6g} > 1")),
-        (lowest <= SINGULAR_CUTOFF, lambda n: SingularOperator(
-            "polar decomposition needs nonsingular v^dag v", eigenvalue=float(lowest[n]))),
+        _singular_rows(lowest, "polar decomposition needs nonsingular v^dag v"),
         _unitary_check(u_v, 1e-9, "polar unitary"),
     ])
     out = np.exp(theta / 2.0) * v
-    root = _spectral_map(_spectra(np.eye(v.shape[-1]) - np.exp(theta) * jump), lambda z: np.sqrt(np.maximum(z, 0.0)))
-    out[:, e0] = u_v @ root
+    out[:, e0] = u_v @ (q * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ dag(q)
     return out
 
 
 def dv0_dtheta(ch: KrausChannel) -> np.ndarray:
     """Derivative of the no-jump operator at theta = 0: (V_0 - (V_0^-1)^dag) / 2."""
-    w_inv = _no_jump_inverse(ch, "V_0 must be invertible for dV_0/dtheta")
-    return _kraus_derivatives(np.array(ch.operators)[None], ch.no_jump_index, w_inv[None])[0, ch.no_jump_index]
+    v0_inv = _no_jump_inverse(ch, "V_0 must be invertible for dV_0/dtheta")
+    return _kraus_derivatives(np.array(ch.operators)[None], ch.no_jump_index, v0_inv[None])[0, ch.no_jump_index]
 
 
-def _kraus_derivatives(v: np.ndarray, e0: int, w_inv: np.ndarray) -> np.ndarray:
-    """dV_m/dtheta at theta = 0 of each row of a stack v (N, M, d, d) with no-jump index e0 and (V_0^dag V_0)^-1
-    w_inv (N, d, d): V_m / 2 for a jump operator, (V_0 - (V_0^-1)^dag) / 2 for V_0."""
+def _kraus_derivatives(v: np.ndarray, e0: int, v0_inv: np.ndarray) -> np.ndarray:
+    """dV_m/dtheta at theta = 0 of each row of a stack v (N, M, d, d) with no-jump index e0 and V_0^-1
+    v0_inv (N, d, d): V_m / 2 for a jump operator, (V_0 - (V_0^-1)^dag) / 2 for V_0."""
     derivs = 0.5 * v
-    derivs[:, e0] = 0.5 * (v[:, e0] - dag(w_inv @ dag(v[:, e0])))
+    derivs[:, e0] = 0.5 * (v[:, e0] - dag(v0_inv))
     return derivs

@@ -30,7 +30,7 @@ import numpy as np
 from .channels import KrausChannel, _checked_kraus, kraus_from_unitary
 from .errors import ContractError
 from .gates import I2, PAULIS, controlled, pauli_pair
-from .linalg import SubsystemLayout, _hermitian_check, _hermitian_inverses, _raise_first_failure, dag, kron
+from .linalg import SubsystemLayout, _hermitian_check, _invertible_factors, _raise_first_failure, kron
 from .protocol import (
     PARTS,
     _ancilla_pullback,
@@ -255,13 +255,13 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
 
     c = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
     sigma = _entry_state(rho, b)
-    p0, rho_v0, (q_re, q_im) = separable_baseline(sigma, v0, (g_re, g_im), label)
-    w_inv = _hermitian_inverses(dag(v0) @ v0, label)
-    xi = _survival_activity(_marginal(sigma, d), w_inv)
+    v0_inv = _invertible_factors(v0, label, "no-jump operator V_0 is singular")[0]
+    p0, rho_v0, (q_re, q_im) = separable_baseline(sigma, v0, v0_inv, (g_re, g_im), label)
+    xi = _survival_activity(_marginal(sigma, d), v0_inv)
     xi_approx, q_approx = _approx_bound_quantities(p0, rho_v0, g_re, v0)
     joint = _purifications(sigma)[2]
     psi_t = _branches(joint, kron(I2, v))   # on R (x) P (x) E, the channel lifted to act on S of P
-    tilde = _branches(joint, _tilde_operators(kron(I2, w_inv @ dag(v0)), d_e, 0))
+    tilde = _branches(joint, _tilde_operators(kron(I2, v0_inv), d_e, 0))
     g_psi = _on_factors(g_re, psi_t, (sigma.shape[-1],) * 2 + (d_e,), (1,))
     general_holds = _tur_report(*_general_tur_terms(psi_t, g_psi, tilde), xi).holds.tolist()
 

@@ -23,7 +23,6 @@ from .errors import ContractError, LayoutError, SingularOperator
 # this package are O(1), so absolute comparisons are appropriate.
 HERMITIAN_ATOL = 1e-10
 UNITARY_ATOL = 1e-10
-EIGENVALUE_GROUP_TOL = 1e-9   # degenerate eigenvalues closer than this share a projector
 SINGULAR_CUTOFF = 1e-12       # eigenvalues at or below this count as zero
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -206,67 +205,37 @@ def embed_operator(u: np.ndarray, dims: Sequence[int], positions: Sequence[int])
     return t.reshape(d, d)
 
 
-def _spectra(m: np.ndarray) -> list:
-    """Spectral decompositions of each matrix of a stack (N, d, d), Hermitian up to rounding (it is symmetrised).
+def _no_jump_factors(v0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V_0^-1, the unitary polar factor U_V, lowest) of each matrix of a stack v0 (N, d, d), from one SVD
+    V_0 = U S W^dag: V_0^-1 = W S^-1 U^dag, U_V = U W^dag and lowest = S_min^2, the least eigenvalue of V_0^dag V_0.
 
-    Eigenvalues run descending, and neighbours closer than EIGENVALUE_GROUP_TOL
-    share one projector and their mean. Lists each pattern of groups that
-    occurs with its rows, the group means (one (n,) array per group) and the
-    projectors (one (n, d, d) array per group).
+    The other inverses are products of these: (V_0^dag V_0)^-1 = V_0^-1 V_0^-dag
+    and (V_0 V_0^dag)^-1 = V_0^-dag V_0^-1. A row with lowest <= SINGULAR_CUTOFF
+    has no inverse: _invertible_factors raises its error, or a caller with
+    earlier checks raises _singular_rows' after them, so its S is clamped to
+    keep the row finite.
     """
-    w, v = np.linalg.eigh((m + dag(m)) / 2.0)
-    w, v = w[..., ::-1], v[..., ::-1]
-    rows_of: dict[tuple, list[int]] = {}
-    for n, splits in enumerate((w[..., :-1] - w[..., 1:] > EIGENVALUE_GROUP_TOL).tolist()):
-        rows_of.setdefault(tuple(splits), []).append(n)
-    spectra = []
-    for splits, rows in rows_of.items():
-        edges = [0, *(k + 1 for k, split in enumerate(splits) if split), m.shape[-1]]
-        w_k, v_k = (w, v) if len(rows_of) == 1 else (w[rows], v[rows])
-        groups = list(zip(edges, edges[1:]))
-        # sum / count: np.mean's bits, without its call; the sum of one eigenvalue is that eigenvalue
-        means = [w_k[..., i] if j == i + 1 else w_k[..., i:j].sum(axis=-1) / (j - i) for i, j in groups]
-        spectra.append((rows, means, [v_k[..., i:j] @ dag(v_k[..., i:j]) for i, j in groups]))
-    return spectra
+    u, s, wh = np.linalg.svd(v0)
+    v0_inv = (dag(wh) / np.maximum(s, SINGULAR_CUTOFF)[..., None, :]) @ dag(u)
+    return v0_inv, u @ wh, s[..., -1] ** 2
 
 
-def _spectral_map(spectra: list, f: Callable) -> np.ndarray:
-    """sum_k f(z_k) P_k of each row of a stack from its _spectra, f mapping the means (n,) of a group elementwise.
-
-    The one map from which inverses, inverse square roots and square roots are
-    taken. Each row equals its one-row call to the last bit only because all
-    of them hand numpy the same operand layouts: numpy multiplies complex
-    arrays in a SIMD (FMA) loop or in a scalar one by layout, and the two can
-    differ in the last bit. The interval half-width sqrt(Xi) turns an ulp of
-    Xi near zero into ~1e-8.
-    """
-    out = np.empty((sum(len(rows) for rows, _, _ in spectra),) + spectra[0][2][0].shape[1:], dtype=complex)
-    for rows, values, projectors in spectra:
-        out[rows] = sum(f(z)[:, None, None] * p for z, p in zip(values, projectors))
-    return out
+def _singular_rows(lowest: np.ndarray, message: str):
+    """The _raise_first_failure check of the rows whose lowest (of _no_jump_factors) is at or below SINGULAR_CUTOFF."""
+    return lowest <= SINGULAR_CUTOFF, lambda n: SingularOperator(message, eigenvalue=float(lowest[n]))
 
 
-def _eigenvalue(spectra: list, pick: Callable) -> np.ndarray:
-    """pick(z) of each row of a stack from its _spectra, z the group means (k, n) of a pattern's rows, descending."""
-    out = np.empty(sum(len(rows) for rows, _, _ in spectra))
-    for rows, values, _ in spectra:
-        out[rows] = pick(np.array(values))
-    return out
-
-
-def _hermitian_inverses(m, label=None, message: str = "matrix is singular, inverse undefined"):
-    """The inverse of each matrix of a stack (N, d, d), Hermitian up to rounding, or of the stack given by its _spectra.
-
-    A row whose eigenvalue nearest zero is within SINGULAR_CUTOFF of it raises
-    SingularOperator(message), labelled as by _raise_first_failure.
-    """
-    spectra = m if isinstance(m, list) else _spectra(m)
-    smallest = _eigenvalue(spectra, lambda z: z[np.abs(z).argmin(axis=0), np.arange(z.shape[1])])   # nearest 0
-    _raise_first_failure([(np.abs(smallest) <= SINGULAR_CUTOFF, lambda n: SingularOperator(
-        message, eigenvalue=float(smallest[n])))], label)
-    return _spectral_map(spectra, lambda z: 1.0 / z)
+def _invertible_factors(v0: np.ndarray, label=None, message: str = "matrix is singular, inverse undefined"):
+    """_no_jump_factors(v0), a singular row raising SingularOperator(message), labelled as by _raise_first_failure."""
+    factors = _no_jump_factors(v0)
+    _raise_first_failure([_singular_rows(factors[2], message)], label)
+    return factors
 
 
 def hermitian_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian matrix; SingularOperator if any eigenvalue is ~0."""
-    return _hermitian_inverses(require_hermitian(m)[None])[0]
+    w, v = np.linalg.eigh(require_hermitian(m))
+    nearest = w[np.abs(w).argmin()]
+    if abs(nearest) <= SINGULAR_CUTOFF:
+        raise SingularOperator("matrix is singular, inverse undefined", eigenvalue=float(nearest))
+    return (v / w) @ dag(v)

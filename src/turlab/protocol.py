@@ -257,11 +257,12 @@ def _bound_and_tradeoff(rho, ch: KrausChannel, a, b, variants, part: str) -> lis
     c = _exact_correlator(rho, ch.operators, a, b)
     c_part = c.real if part == "real" else c.imag
     sigma, g, v0 = _entry_state(rho, b)[None], _ancilla_pullback(a, part)[None], ch.v0[None]
-    p0, rho_v0, (q_exact,) = separable_baseline(sigma, v0, [g])
+    v0_inv = _no_jump_inverse(ch, "no-jump operator V_0 is singular")
+    p0, rho_v0, (q_exact,) = separable_baseline(sigma, v0, v0_inv[None], [g])
     reports = []
     for variant in variants:
         if variant == "exact":
-            xi_b, q = _survival_activity(_marginal(sigma[0], ch.dim), _no_jump_inverse(ch)), q_exact[0]
+            xi_b, q = _survival_activity(_marginal(sigma[0], ch.dim), v0_inv), q_exact[0]
         else:
             (xi_b,), (q,) = _approx_bound_quantities(p0, rho_v0, g, v0)
         lower, upper, holds, tur = correlator_interval(c_part, q, xi_b)

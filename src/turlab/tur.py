@@ -19,16 +19,7 @@ import numpy as np
 
 from .channels import KrausChannel, _heisenberg, _kraus_derivatives, _no_jump_inverse, ensure_dilation
 from .errors import ContractError, DegenerateChannel, LayoutError
-from .linalg import (
-    _hermitian_inverses,
-    _raise_first_failure,
-    basis_vector,
-    dag,
-    kron,
-    outer,
-    require_density,
-    require_hermitian,
-)
+from .linalg import _raise_first_failure, basis_vector, dag, kron, outer, require_density, require_hermitian
 
 DEGENERATE_MEAN_ATOL = 1e-10   # |<G> - Q_G| below this is the 0/0 limit of the bound
 TUR_SLACK = 1e-9               # numerical slack when comparing lhs >= rhs
@@ -95,8 +86,7 @@ def final_joint_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
 
 def tilde_initial_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
     """Unnormalized |tilde-Psi_RSE(0)>; requires V_0 invertible."""
-    v0_inv = _no_jump_inverse(ch) @ dag(ch.v0)
-    return _branches(ps.joint_vector, _tilde_operators(v0_inv, len(ch.operators), ch.no_jump_index))
+    return _branches(ps.joint_vector, _tilde_operators(_no_jump_inverse(ch), len(ch.operators), ch.no_jump_index))
 
 
 def survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
@@ -104,9 +94,9 @@ def survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
     return float(_survival_activity(require_density(rho), _no_jump_inverse(ch)))
 
 
-def _survival_activity(rho: np.ndarray, w_inv: np.ndarray):
-    """Xi of one state and (V_0^dag V_0)^-1, or of each row of stacks of them (N, d, d)."""
-    return np.trace(rho @ w_inv, axis1=-2, axis2=-1).real - 1.0
+def _survival_activity(rho: np.ndarray, v0_inv: np.ndarray):
+    """Xi of one state and V_0^-1, or of each row of stacks of them (N, d, d); (V_0^dag V_0)^-1 = V_0^-1 V_0^-dag."""
+    return np.trace(rho @ v0_inv @ dag(v0_inv), axis1=-2, axis2=-1).real - 1.0
 
 
 def _marginal(sigma: np.ndarray, d_s: int) -> np.ndarray:
@@ -160,36 +150,42 @@ def survival_activity_protocol_sim(rho: np.ndarray, ch: KrausChannel, order: int
         raise ContractError("order must be >= 0")
     rho = require_density(rho)
     dil = ensure_dilation(ch).dilation
-    return [float(t[0]) for t in _survival_activity_protocol_sim(rho[None], dil.unitary, dil.env_initial, order)]
+    x = _purifications(rho)[2].reshape((1,) + rho.shape)
+    return [float(t[0]) for t in _survival_activity_protocol_sim(x, dil.unitary, dil.env_initial, order)]
 
 
-def _survival_activity_protocol_sim(rho: np.ndarray, unitary: np.ndarray, e0: int, order: int) -> list[np.ndarray]:
-    """The protocol's moments of each row of the stacks rho (N, d, d) and dilation unitaries (or one for all rows)."""
-    d, d_e = rho.shape[-1], unitary.shape[-1] // rho.shape[-1]
-    env = outer(basis_vector(d_e, e0))
-    moments = [np.trace(rho, axis1=1, axis2=2).real]
-    sigma = rho
+def _survival_activity_protocol_sim(x: np.ndarray, unitary: np.ndarray, e0: int, order: int) -> list[np.ndarray]:
+    """The protocol's moments of each row of stacks of roots x (N, d, r) of rho and dilation unitaries (or one for
+    all rows): round n applies U (n odd) or U^dag to x_{n-1} (x) |e0> and keeps the E = e0 component x_n, and the
+    n-th moment is ||x_n||_F^2."""
+    n_rows, d, r = x.shape
+    d_e = unitary.shape[-1] // d
+    moments = [(np.abs(x) ** 2).sum(axis=(1, 2))]
     for n in range(order):
         u = unitary if n % 2 == 0 else dag(unitary)
-        big = u @ kron(sigma, env) @ dag(u)
-        sigma = big.reshape(-1, d, d_e, d, d_e)[:, :, e0, :, e0]   # project E onto |e0> (unnormalized)
-        moments.append(np.trace(sigma, axis1=1, axis2=2).real)
+        psi = np.zeros((n_rows, d, d_e, r), dtype=complex)
+        psi[:, :, e0] = x
+        x = (u @ psi.reshape(n_rows, d * d_e, r)).reshape(n_rows, d, d_e, r)[:, :, e0]
+        moments.append((np.abs(x) ** 2).sum(axis=(1, 2)))
     return moments
 
 
-def separable_baseline(sigma: np.ndarray, v0: np.ndarray, gs, label=None) -> tuple[np.ndarray, np.ndarray, list]:
+def separable_baseline(sigma: np.ndarray, v0: np.ndarray, v0_inv: np.ndarray, gs,
+                       label=None) -> tuple[np.ndarray, np.ndarray, list]:
     """(p_0, rho^V0, [Q of each G_0 of gs]) of each row of a stack of states sigma (N, d_X d_S, d_X d_S) on X (x) S,
-    X any register left alone by the channel, no-jump operators v0 (N, d_S, d_S) and blocks G_0 (N, d_X d_S, ...).
+    X any register left alone by the channel, no-jump operators v0 and their inverses v0_inv (N, d_S, d_S) and
+    blocks G_0 (N, d_X d_S, ...).
 
     p_0 = Tr[sigma_S V_0^dag V_0] with sigma_S the S marginal,
     rho^V0 = (I_X (x) V_0) sigma (I_X (x) V_0^dag) / p_0 and the no-cost
     baseline of a separable observable with E = |phi_0> block G_0 is
     Q = p_0 Tr[rho^V0 H] with H = (1/2) {G_0, I_X (x) (V_0 V_0^dag)^-1}.
-    X is the purifying copy R of S or the protocol ancilla S'. A singular V_0
-    or a numerically zero p_0 raises, labelled as by _raise_first_failure.
+    X is the purifying copy R of S or the protocol ancilla S', and
+    (V_0 V_0^dag)^-1 = V_0^-dag V_0^-1. A numerically zero p_0 raises,
+    labelled as by _raise_first_failure.
     """
     eye_x = np.eye(sigma.shape[-1] // v0.shape[-1])
-    winv = kron(eye_x, _hermitian_inverses(v0 @ dag(v0), label, "no-jump operator V_0 is singular"))
+    winv = kron(eye_x, dag(v0_inv) @ v0_inv)
     p0 = np.trace(_marginal(sigma, v0.shape[-1]) @ dag(v0) @ v0, axis1=1, axis2=2).real
     _raise_first_failure([(p0 <= P0_CUTOFF, lambda n: DegenerateChannel(
         f"no-jump probability {p0[n]:.3e} is numerically zero"))], label)
@@ -205,8 +201,8 @@ def qfi(ch: KrausChannel, ps: PurifiedState) -> float:
     H_2 = i sum_m dV_m^dag V_m, expectations over the initial purified state
     (equivalently over rho_S(0)). Equals the survival activity.
     """
-    v, w_inv = np.array(ch.operators)[None], _no_jump_inverse(ch, "V_0 must be invertible for dV_0/dtheta")
-    return float(_qfi(v, _kraus_derivatives(v, ch.no_jump_index, w_inv[None]), ps.rho()[None])[0])
+    v, v0_inv = np.array(ch.operators)[None], _no_jump_inverse(ch, "V_0 must be invertible for dV_0/dtheta")
+    return float(_qfi(v, _kraus_derivatives(v, ch.no_jump_index, v0_inv[None]), ps.rho()[None])[0])
 
 
 def _qfi(v: np.ndarray, derivs: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import KrausChannel, _checked_kraus, _kraus_derivatives, _perturbed_kraus, perturbed_kraus
 from .harness import CHUNK_TRIALS, _PAULI_PAIRS, ExperimentConfig, _draw_stacked
-from .linalg import _hermitian_inverses, _spectra, dag, require_density, require_hermitian
+from .linalg import _invertible_factors, require_density, require_hermitian
 from .protocol import _exact_correlator, _main_vectors, _protocol_correlators, _require_inputs
 from .random_ops import random_density, random_dilation, random_hermitian
 from .tur import (
@@ -111,26 +111,25 @@ def perturbed_mean(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, theta: fl
 def _perturbation_suites(trials: int, seed: int, inject_fault: str | None = None) -> dict[str, SuiteResult]:
     """The qfi and scaling suites (suite_qfi and suite_scaling report one each) over one draw of the instances.
 
-    The two suites share each pass and the one _spectra of its V_0^dag V_0,
-    from which (V_0^dag V_0)^-1 and the polar factor of both perturbed
-    families are taken. scaling's finite difference and analytic leg check
+    The two suites share each pass and the one _invertible_factors of its V_0,
+    from which Xi, dV_0/dtheta, the baseline and both perturbed families are
+    taken. scaling's finite difference and analytic leg check
     d<G>/dtheta = <G> - Q_G at theta = 0.
     """
     worst_j, worst_fd, worst_an = 0.0, 0.0, 0.0
     for rho, v, g in _instances(seed, trials):
-        v0 = v[:, 0]
-        spectra = _spectra(dag(v0) @ v0)
-        w_inv = _hermitian_inverses(spectra)
+        factors = _invertible_factors(v[:, 0])
+        v0_inv = factors[0]
         ps = PurifiedState(*_purifications(rho))
-        derivs = _kraus_derivatives(v, 0, w_inv)
+        derivs = _kraus_derivatives(v, 0, v0_inv)
         j = _qfi(v, derivs, ps.rho())
-        worst_j = max(worst_j, *np.abs(j - _survival_activity(rho, w_inv)).tolist())
+        worst_j = max(worst_j, *np.abs(j - _survival_activity(rho, v0_inv)).tolist())
         psi_t = _branches(ps.joint_vector, v)
         g_psi = (require_hermitian(g, name="observable G") @ psi_t[..., None])[..., 0]
-        tilde = _branches(ps.joint_vector, _tilde_operators(w_inv @ dag(v0), v.shape[1], 0))
+        tilde = _branches(ps.joint_vector, _tilde_operators(v0_inv, v.shape[1], 0))
         mean, _, q = _general_tur_terms(psi_t, g_psi, tilde)
-        fd = (_perturbed_mean(g, ps.joint_vector, _perturbed_kraus(v, 0, FD_STEP, spectra))
-              - _perturbed_mean(g, ps.joint_vector, _perturbed_kraus(v, 0, -FD_STEP, spectra))) / (2.0 * FD_STEP)
+        fd = (_perturbed_mean(g, ps.joint_vector, _perturbed_kraus(v, 0, FD_STEP, factors))
+              - _perturbed_mean(g, ps.joint_vector, _perturbed_kraus(v, 0, -FD_STEP, factors))) / (2.0 * FD_STEP)
         if inject_fault == "dv0-sign":
             derivs[:, 0] = -derivs[:, 0]
         an = 2.0 * _inner(_branches(ps.joint_vector, derivs), g_psi)
@@ -170,15 +169,14 @@ def suite_saturation(trials: int, seed: int) -> SuiteResult:
         draws = [(random_density(v.shape[-1], rng), rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)) for _ in v]
         rho, scale, offset = (np.array(x) for x in zip(*draws))
         ps = PurifiedState(*_purifications(require_density(rho)))
-        v0 = v[:, 0]
-        w_inv = _hermitian_inverses(dag(v0) @ v0)
+        v0_inv = _invertible_factors(v[:, 0])[0]
         psi_t = _branches(ps.joint_vector, v)
-        tilde = _branches(ps.joint_vector, _tilde_operators(w_inv @ dag(v0), v.shape[1], 0))
+        tilde = _branches(ps.joint_vector, _tilde_operators(v0_inv, v.shape[1], 0))
         l = _sld(psi_t, tilde)
         g = require_hermitian(scale[:, None, None] * l + offset[:, None, None] * np.eye(l.shape[-1]),
                               name="observable G")
         report = _tur_report(*_general_tur_terms(psi_t, (g @ psi_t[..., None])[..., 0], tilde),
-                             _survival_activity(ps.rho(), w_inv))
+                             _survival_activity(ps.rho(), v0_inv))
         worst = max(worst, *np.abs(report.ratio - 1.0).tolist())
     return SuiteResult("saturation", worst <= 1e-6, trials, worst, "max |TUR ratio - 1| for G affine in L")
 
@@ -192,9 +190,9 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
         v0 = v[:, 0]
         moments = np.array(_survival_activity_moments(rho, v0, 4))
         estimates = np.array(_series_estimates(moments))
-        xi = _survival_activity(rho, _hermitian_inverses(dag(v0) @ v0))
+        xi = _survival_activity(rho, _invertible_factors(v0)[0])
         errors.append(np.abs(estimates - xi))
-        sim = _survival_activity_protocol_sim(rho, u, 0, 4)
+        sim = _survival_activity_protocol_sim(_purifications(rho)[2].reshape(rho.shape), u, 0, 4)
         worst_moment = max(worst_moment, float(np.abs(moments - sim).max()))
         worst_first = max(worst_first, float(np.abs(estimates[0] - (1.0 - moments[1])).max()))
     medians = [median(row) for row in np.concatenate(errors, axis=1).tolist()]

@@ -9,8 +9,7 @@ from turlab.gates import SIGMA_X
 from turlab.channels import _perturbed_kraus
 from turlab.linalg import (
     SubsystemLayout,
-    _spectra,
-    _spectral_map,
+    _no_jump_factors,
     dag,
     embed_operator,
     hermitian_inverse,
@@ -20,7 +19,7 @@ from turlab.linalg import (
     require_density,
     require_hermitian,
 )
-from turlab.random_ops import random_density
+from turlab.random_ops import random_density, random_unitary
 
 
 def random_complex(rng, *shape):
@@ -92,55 +91,66 @@ class TestEmbedOperator:
             embed_operator(np.eye(2), (2, 2), (1, 0))
 
 
-# Each case's matrix enters the stacked kernels as the last row of a stack, after a random positive definite
-# row with a grouping pattern of its own.
+# Each case's matrix enters the stacked kernels as the last row of a stack, after a random well-conditioned row.
 
 def with_random_row(m):
     z = random_complex(np.random.default_rng(len(m)), len(m), len(m))
-    return np.stack([dag(z) @ z + np.eye(len(m)), m])
+    return np.stack([z + 3 * np.eye(len(m)), m])
 
 
-def spectrum(m):
-    """The group means and projectors of m, the last row of a _spectra call."""
-    for rows, values, projectors in _spectra(with_random_row(m)):
-        if 1 in rows:
-            k = rows.index(1)
-            return tuple(float(z[k]) for z in values), tuple(p[k] for p in projectors)
+def factors(v):
+    """(V^-1, the unitary polar factor of V, the least eigenvalue of V^dag V) of v, the last row of a stack."""
+    return tuple(f[1] for f in _no_jump_factors(with_random_row(v)))
 
 
-def mapped(m, f):
-    """sum_k f(z_k) P_k of m through _spectral_map, m the last row of a stack."""
-    return _spectral_map(_spectra(with_random_row(m)), f)[1]
+def hermitian_sqrt(m):
+    w, q = np.linalg.eigh(m)
+    return (q * np.sqrt(np.maximum(w, 0.0))) @ dag(q)
+
+
+def v0_with_smallest_singular_value(rng, d, s_min):
+    """U diag(s) W^dag with Haar U, W, s_min last and the other singular values uniform in (0.1, 1)."""
+    return random_unitary(d, rng) @ np.diag(np.r_[rng.uniform(0.1, 1.0, d - 1), s_min]) @ random_unitary(d, rng)
 
 
 class TestSpectral:
+    """_no_jump_factors: one SVD of each V gives V^-1, its polar factor and the least eigenvalue of V^dag V."""
+
     def test_diagonal(self):
-        values, projectors = spectrum(np.diag([2.0, 1.0]).astype(complex))
-        assert values == (2.0, 1.0)
-        assert_allclose(projectors[0], np.diag([1, 0]).astype(complex), atol=1e-12)
-        assert_allclose(projectors[1], np.diag([0, 1]).astype(complex), atol=1e-12)
+        inv, polar, lowest = factors(np.diag([2.0, 1.0]).astype(complex))
+        assert_allclose(inv, np.diag([0.5, 1.0]), atol=1e-12)
+        assert_allclose(polar, np.eye(2), atol=1e-12)
+        assert lowest == pytest.approx(1.0, abs=1e-12)
 
     def test_sigma_x(self):
-        values, projectors = spectrum(SIGMA_X)
-        assert_allclose(values, [1.0, -1.0], atol=1e-12)
-        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        minus = np.array([1, -1], dtype=complex) / np.sqrt(2)
-        assert_allclose(projectors[0], outer(plus), atol=1e-12)
-        assert_allclose(projectors[1], outer(minus), atol=1e-12)
+        inv, polar, lowest = factors(SIGMA_X)   # unitary and Hermitian: its own inverse and polar factor
+        assert_allclose(inv, SIGMA_X, atol=1e-12)
+        assert_allclose(polar, SIGMA_X, atol=1e-12)
+        assert lowest == pytest.approx(1.0, abs=1e-12)
 
-    def test_reconstruction_and_projector_algebra(self, rng):
+    def test_reconstruction(self, rng):
         m = random_hermitian(rng, 8)
-        _, projectors = spectrum(m)
-        assert np.max(np.abs(mapped(m, lambda z: z) - m)) <= 1e-9
-        for i, p in enumerate(projectors):
-            assert np.max(np.abs(p @ p - p)) <= 1e-9
-            for q in projectors[i + 1:]:
-                assert np.max(np.abs(p @ q)) <= 1e-9
+        inv, polar, lowest = factors(m)
+        assert np.max(np.abs(inv @ m - np.eye(8))) <= 1e-9
+        assert np.max(np.abs(polar @ hermitian_sqrt(dag(m) @ m) - m)) <= 1e-9
+        assert lowest == pytest.approx(np.linalg.eigvalsh(dag(m) @ m)[0], rel=1e-9)
+        # the other inverses are products of V^-1: (V^dag V)^-1 and (V V^dag)^-1
+        assert np.max(np.abs(inv @ dag(inv) - hermitian_inverse(dag(m) @ m))) <= 1e-9
+        assert np.max(np.abs(dag(inv) @ inv - hermitian_inverse(m @ dag(m)))) <= 1e-9
 
-    def test_degenerate_grouping(self):
-        values, projectors = spectrum(np.eye(4, dtype=complex))
-        assert len(values) == 1
-        assert_allclose(projectors[0], np.eye(4), atol=1e-12)
+    @pytest.mark.parametrize("s_min", [1e-4, 1e-5])
+    def test_ill_conditioned_inverse_and_rows(self, s_min):
+        """|V^-1 V - I| stays at rounding where the normal equations (V^dag V)^-1 V^dag lose ~1e-8 (1e-4) and
+        ~1e-6 (1e-5); each row of the stack equals its one-row call to the last bit."""
+        rng = np.random.default_rng(23)
+        v0 = np.stack([v0_with_smallest_singular_value(rng, 4, s_min) for _ in range(20)])
+        stacked = _no_jump_factors(v0)
+        residual = np.abs(stacked[0] @ v0 - np.eye(4)).max(axis=(1, 2))
+        assert residual.max() <= 1e-10
+        assert_allclose(stacked[2], s_min ** 2, rtol=1e-9)
+        for n in range(len(v0)):
+            for got, one_row in zip(stacked, _no_jump_factors(v0[n:n + 1])):
+                assert np.array_equal(got[n], one_row[0])
 
 
 class TestHermitianFunctions:
@@ -149,7 +159,10 @@ class TestHermitianFunctions:
                         np.diag([1.0, 2.0]), atol=1e-12)
 
     def test_sqrt_identity(self):
-        assert_allclose(mapped(np.eye(3, dtype=complex), lambda z: np.sqrt(np.maximum(z, 0.0))), np.eye(3), atol=1e-12)
+        inv, polar, lowest = factors(np.eye(3, dtype=complex))   # I = I sqrt(I^dag I), all singular values 1
+        assert_allclose(inv, np.eye(3), atol=1e-12)
+        assert_allclose(polar, np.eye(3), atol=1e-12)
+        assert lowest == pytest.approx(1.0, abs=1e-12)
 
     def test_inverse_multiplication_oracle(self, rng):
         m = random_hermitian(rng, 6) + 8 * np.eye(6)  # well conditioned
@@ -157,7 +170,8 @@ class TestHermitianFunctions:
 
     def test_identity_function_is_identity_map(self, rng):
         m = random_hermitian(rng, 5)
-        assert np.max(np.abs(mapped(m, lambda z: z) - m)) <= 1e-12
+        inv = factors(m)[0]
+        assert np.max(np.abs(m @ inv - np.eye(5))) <= 1e-12
 
     def test_singular_inverse_reports_eigenvalue(self):
         with pytest.raises(SingularOperator) as err:
@@ -167,8 +181,8 @@ class TestHermitianFunctions:
 
 
 def polar(v):
-    """The unitary polar factor of v, from the spectrum of v^dag v, as perturbed_kraus takes it."""
-    return v @ mapped(dag(v) @ v, lambda z: 1.0 / np.sqrt(z))
+    """The unitary polar factor of v, as perturbed_kraus takes it."""
+    return factors(v)[1]
 
 
 class TestPolarUnitary:
@@ -184,15 +198,14 @@ class TestPolarUnitary:
     def test_reconstruction(self, rng):
         v = random_complex(rng, 4, 4) + 3 * np.eye(4)
         u = polar(v)
-        root = mapped(dag(v) @ v, lambda z: np.sqrt(np.maximum(z, 0.0)))
-        assert np.max(np.abs(u @ root - v)) <= 1e-9
+        assert np.max(np.abs(u @ hermitian_sqrt(dag(v) @ v) - v)) <= 1e-9
 
     def test_singular_rejected(self):
         """perturbed_kraus checks the polar factor's V_0 (the last row) before taking it."""
         v0 = np.array([[1, 0], [0, 0]], dtype=complex)
         v = np.stack([np.stack([np.eye(2), np.zeros((2, 2))]), np.stack([v0, np.eye(2) - v0])]).astype(complex)
         with pytest.raises(SingularOperator, match="^row 1: polar decomposition needs nonsingular"):
-            _perturbed_kraus(v, 0, -0.1)
+            _perturbed_kraus(v, 0, -0.1, _no_jump_factors(v[:, 0]))
 
 
 class TestKron:

@@ -9,7 +9,7 @@ from turlab.channels import kraus_from_unitary
 from turlab.errors import ContractError
 from turlab.gates import SIGMA_X, SIGMA_Z
 from turlab.harness import ExperimentConfig, generate_trial
-from turlab.linalg import SubsystemLayout, dag
+from turlab.linalg import SubsystemLayout, _no_jump_factors, dag
 from turlab.protocol import (
     PARTS,
     _ancilla_pullback,
@@ -211,7 +211,9 @@ class TestNestedExpectation:
             s = family_setup(53, i, gamma_lo=0.1)
             value = nested_value(s.rho, s.channel, s.a_op, s.b_op)
             g_p = _ancilla_pullback(s.a_op, "real")
-            _, rho_v0, _ = separable_baseline(_entry_state(s.rho, s.b_op)[None], s.channel.v0[None], [g_p[None]])
+            v0 = s.channel.v0[None]
+            sigma = _entry_state(s.rho, s.b_op)[None]
+            _, rho_v0, _ = separable_baseline(sigma, v0, _no_jump_factors(v0)[0], [g_p[None]])
             ww = np.kron(np.eye(2), s.channel.v0 @ dag(s.channel.v0))
             direct = np.trace(rho_v0[0] @ g_p @ ww).real
             assert abs(value - direct) <= 1e-9

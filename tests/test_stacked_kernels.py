@@ -1,6 +1,6 @@
 """Each stacked kernel of tur, protocol, channels and linalg: every row of a stack equals its one-row call to the last
 bit, over dim_S 2-6, dim_E 2-4, mixed and rank-deficient states, and stacks that mix degenerate and non-degenerate
-V_0^dag V_0 spectra; a failing row raises the scalar message prefixed with its row index or label."""
+singular values of V_0; a failing row raises the scalar message prefixed with its row index or label."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from turlab.channels import (
     perturbed_kraus,
 )
 from turlab.errors import AdmissibilityError, SingularOperator
-from turlab.linalg import _hermitian_inverses, _spectra, dag, embed_operator, hermitian_inverse, outer
+from turlab.linalg import _invertible_factors, _no_jump_factors, dag, embed_operator, hermitian_inverse, outer
 from turlab.protocol import _approx_bound_quantities, _on_factors
 from turlab.random_ops import random_density, random_hermitian, random_unitary
 from turlab.tur import (
@@ -65,17 +65,19 @@ def stacks(seed=7, n=6):
             yield rho, ops
 
 
-def test_grouped_inverse_and_survival_activity_rows():
+def test_no_jump_factors_and_survival_activity_rows():
     for rho, ops in stacks():
-        w = dag(ops[:, 0]) @ ops[:, 0]
-        patterns = {tuple(np.diff(e) > 1e-9) for e in np.linalg.eigvalsh(w)}
-        assert len(patterns) >= min(3, w.shape[-1])   # one call groups several eigenvalue patterns
-        w_inv = _hermitian_inverses(w)
-        xi = _survival_activity(rho, w_inv)
-        for n in range(len(w)):
-            assert np.array_equal(w_inv[n], _hermitian_inverses(w[n:n + 1])[0])
-            assert np.array_equal(w_inv[n], hermitian_inverse(w[n]))
-            assert xi[n] == _survival_activity(rho[n], w_inv[n])
+        v0 = ops[:, 0]
+        patterns = {tuple(np.diff(e) > 1e-9) for e in np.linalg.eigvalsh(dag(v0) @ v0)}
+        assert len(patterns) >= min(3, v0.shape[-1])   # one call factors several singular-value patterns
+        factors = _no_jump_factors(v0)
+        v0_inv = factors[0]
+        xi = _survival_activity(rho, v0_inv)
+        for n in range(len(v0)):
+            for got, one_row in zip(factors, _invertible_factors(v0[n:n + 1])):
+                assert np.array_equal(got[n], one_row[0])
+            assert np.max(np.abs(v0_inv[n] @ dag(v0_inv[n]) - hermitian_inverse(dag(v0[n]) @ v0[n]))) <= 1e-9
+            assert xi[n] == _survival_activity(rho[n], v0_inv[n])
             assert xi[n] == survival_activity(rho[n], KrausChannel(tuple(ops[n])))
 
 
@@ -85,11 +87,13 @@ def test_separable_baseline_and_neumann1_rows():
         v0 = ops[:, 0]
         sigma = np.stack([outer(j) for j in _purifications(rho)[2]])   # X = R, the purifying copy of S
         gs = [np.stack([random_hermitian(sigma.shape[-1], rng) for _ in range(len(rho))]) for _ in range(2)]
-        p0, rho_v0, qs = separable_baseline(sigma, v0, gs)
+        v0_inv = _no_jump_factors(v0)[0]
+        p0, rho_v0, qs = separable_baseline(sigma, v0, v0_inv, gs)
         xi_1, q_1 = _approx_bound_quantities(p0, rho_v0, gs[0], v0)
         for n in range(len(rho)):
             one = slice(n, n + 1)
-            p0_n, rho_v0_n, qs_n = separable_baseline(sigma[one], v0[one], [g[one] for g in gs])
+            p0_n, rho_v0_n, qs_n = separable_baseline(sigma[one], v0[one], _no_jump_factors(v0[one])[0],
+                                                      [g[one] for g in gs])
             assert p0[n] == p0_n[0] and np.array_equal(rho_v0[n], rho_v0_n[0])
             assert [q[n] for q in qs] == [q[0] for q in qs_n]
             (xi_1n,), (q_1n,) = _approx_bound_quantities(p0_n, rho_v0_n, gs[0][one], v0[one])
@@ -101,7 +105,7 @@ def test_general_tur_terms_rows_equal_check_general_tur():
     for rho, ops in stacks():
         n_rows, d_e, d_s = ops.shape[:3]
         joint = _purifications(rho)[2]
-        v0_inv = _hermitian_inverses(dag(ops[:, 0]) @ ops[:, 0]) @ dag(ops[:, 0])
+        v0_inv = _no_jump_factors(ops[:, 0])[0]
         psi = _branches(joint, ops)
         tilde = _branches(joint, _tilde_operators(v0_inv, d_e, 0))
         g = np.stack([random_hermitian(psi.shape[-1], rng) for _ in range(n_rows)])
@@ -133,11 +137,9 @@ def test_singular_row_raises_the_scalar_message_with_its_index():
     rho, ops = next(stacks(n=4))
     v0 = ops[:, 0].copy()
     v0[2] = v0[2] @ np.diag([1.0, 0.0])   # rank-deficient V_0 in row 2 only
-    sigma = np.stack([outer(j) for j in _purifications(rho)[2]])
-    g = np.stack([np.eye(sigma.shape[-1], dtype=complex)] * 4)
     cases = [
-        lambda rows: _hermitian_inverses(dag(v0[rows]) @ v0[rows]),
-        lambda rows: separable_baseline(sigma[rows], v0[rows], [g[rows]]),
+        lambda rows: _invertible_factors(v0[rows]),
+        lambda rows: _invertible_factors(v0[rows], message="no-jump operator V_0 is singular"),
     ]
     for call in cases:
         with pytest.raises(SingularOperator) as scalar:
@@ -150,19 +152,17 @@ def test_singular_row_raises_the_scalar_message_with_its_index():
 
 
 def test_perturbation_kernels_rows_equal_one_row_views():
-    """dV_0/dtheta, both perturbed families (sharing the _spectra of V_0^dag V_0), <G> over them, J and the SLD."""
+    """dV_0/dtheta, both perturbed families (sharing the _no_jump_factors of V_0), <G> over them, J and the SLD."""
     rng = np.random.default_rng(19)
     for rho, ops in stacks():
-        v0 = ops[:, 0]
-        spectra = _spectra(dag(v0) @ v0)
-        w_inv = _hermitian_inverses(spectra)
+        factors = _no_jump_factors(ops[:, 0])
         ps = PurifiedState(*_purifications(rho))
-        derivs = _kraus_derivatives(ops, 0, w_inv)
+        derivs = _kraus_derivatives(ops, 0, factors[0])
         j = _qfi(ops, derivs, ps.rho())
-        tilde = _branches(ps.joint_vector, _tilde_operators(w_inv @ dag(v0), ops.shape[1], 0))
+        tilde = _branches(ps.joint_vector, _tilde_operators(factors[0], ops.shape[1], 0))
         l = _sld(_branches(ps.joint_vector, ops), tilde)
         g = np.stack([random_hermitian(l.shape[-1], rng) for _ in range(len(rho))])
-        families = {theta: _perturbed_kraus(ops, 0, theta, spectra) for theta in (1e-5, -1e-5)}
+        families = {theta: _perturbed_kraus(ops, 0, theta, factors) for theta in (1e-5, -1e-5)}
         means = {theta: _perturbed_mean(g, ps.joint_vector, f) for theta, f in families.items()}
         for n in range(len(rho)):
             ch, ps_n = KrausChannel(tuple(ops[n])), purify(rho[n])
@@ -184,5 +184,5 @@ def test_perturbed_kraus_raises_the_failing_rows_scalar_message(second, theta, e
     with pytest.raises(error) as scalar:
         perturbed_kraus(second, theta)
     with pytest.raises(error) as stacked:
-        _perturbed_kraus(v, 0, theta)
+        _perturbed_kraus(v, 0, theta, _no_jump_factors(v[:, 0]))
     assert str(stacked.value) == f"row 1: {scalar.value}"

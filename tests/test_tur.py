@@ -12,13 +12,14 @@ from conftest import amplitude_damping, random_channel, stacked_groups
 from turlab.channels import KrausChannel, apply, ensure_dilation, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
 from turlab.gates import SIGMA_Z
-from turlab.linalg import SubsystemLayout, _hermitian_inverses, dag, outer, partial_trace
+from turlab.linalg import SubsystemLayout, _no_jump_factors, dag, outer, partial_trace
 from turlab.protocol import correlator_interval
 from turlab.random_ops import random_density, random_hermitian
 from turlab.tur import (
     DEGENERATE_MEAN_ATOL,
     P0_CUTOFF,
     TUR_SLACK,
+    _purifications,
     _series_estimates,
     _survival_activity,
     _survival_activity_moments,
@@ -169,10 +170,11 @@ def test_stacked_moments_series_and_xi_rows_equal_the_scalar_values():
         channels = [ensure_dilation(ch) for _, ch, _, _ in group]
         v0 = np.stack([c.v0 for c in channels])
         moments = _survival_activity_moments(rho, v0, 4)
-        sim = _survival_activity_protocol_sim(rho, np.stack([c.dilation.unitary for c in channels]),
+        sim = _survival_activity_protocol_sim(_purifications(rho)[2].reshape(rho.shape),
+                                              np.stack([c.dilation.unitary for c in channels]),
                                               channels[0].dilation.env_initial, 4)
         series = _series_estimates(moments)
-        xi = _survival_activity(rho, _hermitian_inverses(dag(v0) @ v0))
+        xi = _survival_activity(rho, _no_jump_factors(v0)[0])
         for k, (r, ch, _, _) in enumerate(group):
             assert [t[k] for t in moments] == survival_activity_moments(r, ch, 4)
             assert [t[k] for t in sim] == survival_activity_protocol_sim(r, ch, 4)
@@ -210,7 +212,8 @@ class TestQBaselineGeneral:
 
 def q_separable(g0, ps, ch):
     """The Q of separable_baseline on the purified state |Psi_RS(0)>, for the block G_0 of a separable observable."""
-    return separable_baseline(outer(ps.joint_vector)[None], ch.v0[None], [g0[None]])[2][0][0]
+    return separable_baseline(outer(ps.joint_vector)[None], ch.v0[None], _no_jump_factors(ch.v0[None])[0],
+                              [g0[None]])[2][0][0]
 
 
 class TestQBaselineSeparable:

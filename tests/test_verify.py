@@ -39,21 +39,20 @@ from conftest import random_channel
 
 
 def test_default_verify_decomposes_and_validates_each_input_once(monkeypatch):
-    """Each distinct matrix is one row of one _spectra call: V_0^dag V_0 of each qfi/scaling instance (its
-    inverse and both perturbed families' polar factor share it), I - e^theta (jump sum) of each perturbed family,
-    and V_0^dag V_0 of each saturation and series instance. Each suite input is validated once, a stacked
-    validation counting one per row."""
+    """Each V_0 is one row of one SVD (_no_jump_factors): that of each qfi/scaling instance (Xi, dV_0/dtheta, the
+    baseline and both perturbed families share it) and of each saturation and series instance. Each suite input is
+    validated once, a stacked validation counting one per row."""
     seen, validated = Counter(), Counter()
 
     def counting(name, original):
         def wrapper(m, *args, **kwargs):
-            if name == "_spectra":
+            if name == "_no_jump_factors":
                 seen.update((row.shape, row.tobytes()) for row in m)
             validated[name] += len(m) if np.ndim(m) == 3 else 1
             return original(m, *args, **kwargs)
         return wrapper
 
-    for name in ("_spectra", "require_density", "require_hermitian"):
+    for name in ("_no_jump_factors", "require_density", "require_hermitian"):
         original = getattr(linalg, name)
         wrapper = counting(name, original)
         for module in [m for n, m in sys.modules.items() if n.startswith("turlab")]:
@@ -61,7 +60,7 @@ def test_default_verify_decomposes_and_validates_each_input_once(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
     results = run_suites(trials=100, seed=2024)
     assert all(r.passed for r in results)
-    assert len(seen) == 100 * 3 + 20 + 50 and set(seen.values()) == {1}
+    assert len(seen) == 100 + 20 + 50 and set(seen.values()) == {1}
     # require_density checks Hermiticity itself: require_hermitian rows are A and B of protocol, and each G
     assert (validated["require_density"], validated["require_hermitian"]) == (270, 320)
 
