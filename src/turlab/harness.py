@@ -12,7 +12,8 @@ Each trial draws twelve rotation angles and an interaction strength gamma:
 
 Every trial is a deterministic function of (seed, trial_id): its inputs come from numpy's SeedSequence -> Philox
 stream keyed by (seed, trial_id), its main and nested circuits' shots from those keyed by (seed, trial_id, 0) and
-(seed, trial_id, 1). A chunk's streams are keyed in one vectorized pass, numpy's SeedSequence kept as the test oracle.
+(seed, trial_id, 1). A chunk's streams are keyed in one vectorized pass, numpy's SeedSequence kept as the test oracle;
+a trial's thirteen uniforms are one raw read of its stream, scaled as numpy's uniform scales them.
 The inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view. A record has
 one evaluation path too: _evaluate_chunk composes the stacked kernels of tur and protocol, and evaluate_trial, the
 replay of one trial of a run, is its one-row view.
@@ -30,7 +31,7 @@ import numpy as np
 from .channels import KrausChannel, _checked_kraus, kraus_from_unitary
 from .errors import ContractError
 from .gates import I2, PAULIS, controlled, pauli_pair
-from .linalg import SubsystemLayout, _hermitian_check, _invertible_factors, _raise_first_failure, kron
+from .linalg import SubsystemLayout, _invertible_factors, kron, require_hermitian
 from .protocol import (
     PARTS,
     _ancilla_pullback,
@@ -52,7 +53,6 @@ from .tur import (
     _branches,
     _general_tur_terms,
     _marginal,
-    _purifications,
     _survival_activity,
     _tilde_operators,
     _tur_report,
@@ -186,7 +186,7 @@ CHUNK_TRIALS = 128   # fixed so that peak memory does not grow with --trials
 # sigma_i (x) sigma_j at row len(PAULIS) i + j; TrialSetup.a_op and b_op are views of its read-only rows
 _PAULI_PAIRS = np.stack([pauli_pair(i, j) for i in range(len(PAULIS)) for j in range(len(PAULIS))])
 _PAULI_PAIRS.setflags(write=False)
-_PULLBACKS = {part: _ancilla_pullback(_PAULI_PAIRS, part) for part in PARTS}
+_PULLBACKS = {part: require_hermitian(_ancilla_pullback(_PAULI_PAIRS, part), name="observable G") for part in PARTS}
 
 
 def _qubit_gates(thetas: np.ndarray) -> np.ndarray:
@@ -221,12 +221,15 @@ def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray,
 def _draw_stacked(config: ExperimentConfig, trial_ids, rng: np.random.Generator | None = None):
     """Each id's (thetas, gamma, a_idx, b_idx) from stream (seed, id), the Pauli-pair rows of A, B, _stacked_inputs."""
     n = len(trial_ids)
-    thetas, gammas, pairs = np.empty((n, 12)), np.empty(n), np.empty((n, 2), dtype=np.int64)
+    words, pairs = np.empty((n, 13), dtype=np.uint64), np.empty((n, 2), dtype=np.int64)
     seed = _spawned_words(config.seed)
     for k, stream in enumerate(_streams([seed + _entropy_words(i) for i in trial_ids], rng)):
-        thetas[k] = stream.uniform(*config.theta_range, size=12)
-        gammas[k] = stream.uniform(*config.gamma_range)
+        words[k] = stream.bit_generator.random_raw(13)
         pairs[k] = stream.integers(1, len(_PAULI_PAIRS)), stream.integers(1, len(_PAULI_PAIRS))   # row 0 is I (x) I
+    # numpy's uniform(lo, hi) of a raw word w is lo + (hi - lo) * ((w >> 11) * 2^-53)
+    uniforms = (words >> np.uint64(11)) * 2.0**-53
+    (tlo, thi), (glo, ghi) = config.theta_range, config.gamma_range
+    thetas, gammas = tlo + (thi - tlo) * uniforms[:, :12], glo + (ghi - glo) * uniforms[:, 12]
     draws = [(tuple(t), g, divmod(a, len(PAULIS)), divmod(b, len(PAULIS)))
              for t, g, (a, b) in zip(thetas.tolist(), gammas.tolist(), pairs.tolist())]
     return (draws, pairs[:, 0], pairs[:, 1]) + _stacked_inputs(thetas, gammas)
@@ -238,7 +241,8 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     C(T), Xi, p0 and the baselines are those of correlator_bound, exact and
     neumann1, real and imaginary part; the general trade-off is that of
     G = I_R (x) G_P (x) I_E over the purification of the state entering the
-    channel, G_P the real pullback of A on P = S' (x) S.
+    channel, G_P the real pullback of A on P = S' (x) S. That state is pure, so
+    the trade-off runs on its vector U_B^c (|+> (x) psi), R of dimension 1.
     """
     rng = np.random.Generator(np.random.Philox(0))   # re-keyed to each stream of the chunk
     draws, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
@@ -251,7 +255,6 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
 
     v = _checked_kraus(u, d, label)   # (N, M, d, d)
     v0 = v[:, 0]
-    _raise_first_failure([_hermitian_check(g_re, "observable G")], label)
 
     c = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
     sigma = _entry_state(rho, b)
@@ -259,10 +262,10 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     p0, rho_v0, (q_re, q_im) = separable_baseline(sigma, v0, v0_inv, (g_re, g_im), label)
     xi = _survival_activity(_marginal(sigma, d), v0_inv)
     xi_approx, q_approx = _approx_bound_quantities(p0, rho_v0, g_re, v0)
-    joint = _purifications(sigma)[2]
-    psi_t = _branches(joint, kron(I2, v))   # on R (x) P (x) E, the channel lifted to act on S of P
-    tilde = _branches(joint, _tilde_operators(kron(I2, v0_inv), d_e, 0))
-    g_psi = _on_factors(g_re, psi_t, (sigma.shape[-1],) * 2 + (d_e,), (1,))
+    entry = _main_vectors(psi[:, :, None], u, 0, a, b, "after_UB")[:, :, :, 0, 0].reshape(len(psi), -1)
+    psi_t = _branches(entry, kron(I2, v))   # on P (x) E, the channel lifted to act on S of P
+    tilde = _branches(entry, _tilde_operators(kron(I2, v0_inv), d_e, 0))
+    g_psi = _on_factors(g_re, psi_t, (2 * d, d_e), (0,))
     general_holds = _tur_report(*_general_tur_terms(psi_t, g_psi, tilde), xi).holds.tolist()
 
     exact, margins = _variant_values(c.real, xi, q_re)

@@ -394,6 +394,40 @@ class TestKeyedStreams:
         assert built["SeedSequence"] == 0
         assert built["Philox"] <= math.ceil(cfg.n_trials / harness.CHUNK_TRIALS)
 
+    @pytest.mark.parametrize("ranges", [{}, {"gamma_range": (0.2, 0.2)}, {"theta_range": (0.0, 2 * math.pi)}],
+                             ids=["default", "fixed-gamma", "full-turn"])
+    @pytest.mark.parametrize("seed", [0, 9, 2**32 + 1, 2**64 + 5])
+    def test_draws_equal_numpys_uniform_and_integers(self, seed, ranges):
+        cfg = ExperimentConfig(seed=seed, n_trials=1, **ranges)
+        ids = [0, 1, 127, 128, 2**32 - 1, *np.random.default_rng(seed).integers(0, 2**32, size=4).tolist()]
+        draws, a_k, b_k, *_ = harness._draw_stacked(cfg, ids)
+        for i, (thetas, gamma, a_idx, b_idx), a, b in zip(ids, draws, a_k, b_k):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+            assert thetas == tuple(rng.uniform(*cfg.theta_range, size=12).tolist())
+            assert gamma == rng.uniform(*cfg.gamma_range)
+            assert (a, b) == (rng.integers(1, 16), rng.integers(1, 16))
+            assert (a_idx, b_idx) == (divmod(a, 4), divmod(b, 4))
+
+    def test_exact_run_takes_no_eigendecomposition_and_one_raw_read_per_trial(self, monkeypatch):
+        calls = Counter()
+        eigh = np.linalg.eigh
+
+        class Philox(np.random.Philox):   # named as the state setter requires
+            def random_raw(self, size=None, output=True):
+                calls["random_raw"] += 1
+                return super().random_raw(size, output)
+
+        def counting_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", Philox)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        cfg = ExperimentConfig(seed=3, n_trials=300, shots=0, variants=("exact", "neumann1"))
+        records, _ = run_experiment(cfg)
+        assert len(records) == 300
+        assert (calls["eigh"], calls["random_raw"]) == (0, 300)
+
     def test_empty_postselections_are_reported_main_circuit_first(self):
         main = np.zeros((3, 2, 4, 2), dtype=np.int64)
         nested = np.zeros((3, 2, 2, 4, 2, 2), dtype=np.int64)
