@@ -55,6 +55,7 @@ from .protocol import (
 from .harness import (
     ExperimentConfig,
     RunSummary,
+    TrialColumns,
     TrialRecord,
     TrialSetup,
     evaluate_trial,

@@ -138,33 +138,35 @@ def _cmd_experiment(args) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INPUT
     out_dir = args.out_dir
-    try:   # before the run, so that an unusable --out-dir costs no trials
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"input error: cannot create --out-dir: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    start = time.perf_counter()
-    try:
-        records, summary = run_experiment(config)
-    except (SingularOperator, DegenerateChannel) as exc:
-        print(f"numerical degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    config_echo = {
-        "seed": config.seed, "n_trials": config.n_trials, "shots": config.shots,
-        "gamma_range": list(config.gamma_range), "theta_range": list(config.theta_range),
-        "variants": list(config.variants),
-    }
-    outputs = {
-        "trials.csv": trials_csv_text(records).encode(),
-        "trials.json": trials_json_text(records).encode(),
-        "summary.json": summary_json_text(summary).encode(),
-    }
-    for name, blob in outputs.items():
-        (out_dir / name).write_bytes(blob)
-    manifest = manifest_text(config_echo, outputs, runtime_seconds=time.perf_counter() - start)
-    (out_dir / "manifest.json").write_text(manifest)
+    with contextlib.ExitStack() as stack:
+        try:   # before the run, so that an unusable --out-dir or output file costs no trials
+            out_dir.mkdir(parents=True, exist_ok=True)
+            files = {name: stack.enter_context((out_dir / name).open("wb"))
+                     for name in ("trials.csv", "trials.json", "summary.json", "manifest.json")}
+        except OSError as exc:
+            print(f"input error: cannot write into --out-dir: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        start = time.perf_counter()
+        try:
+            records, summary = run_experiment(config)
+        except (SingularOperator, DegenerateChannel) as exc:
+            print(f"numerical degeneracy: {exc}", file=sys.stderr)
+            return EXIT_DEGENERATE
+        evaluated = time.perf_counter()
+        outputs = {
+            "trials.csv": trials_csv_text(records).encode(),
+            "trials.json": trials_json_text(records).encode(),
+            "summary.json": summary_json_text(summary).encode(),
+        }
+        serialized = time.perf_counter()
+        for name, blob in outputs.items():
+            files[name].write(blob)
+            files[name].close()
+        written = time.perf_counter()
+        stages = {"evaluate": evaluated - start, "serialize": serialized - evaluated, "write": written - serialized}
+        files["manifest.json"].write(manifest_text(dataclasses.asdict(config), outputs, stages).encode())
     exact = summary.violations["exact"]
-    print(f"wrote {len(outputs) + 1} files to {out_dir}")
+    print(f"wrote {len(files)} files to {out_dir}")
     print(f"exact violations: tur={exact['tur']} containment={exact['containment']} "
           f"imag={exact['tur_imag']}/{exact['containment_imag']} general={exact['general']}")
     if "sampled" in summary.violations:

@@ -14,16 +14,17 @@ Every trial is a deterministic function of (seed, trial_id): its inputs come fro
 stream keyed by (seed, trial_id), its main and nested circuits' shots from those keyed by (seed, trial_id, 0) and
 (seed, trial_id, 1). A chunk's streams are keyed in one vectorized pass, numpy's SeedSequence kept as the test oracle;
 a trial's thirteen uniforms are one raw read of its stream, scaled as numpy's uniform scales them.
-The inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view. A record has
-one evaluation path too: _evaluate_chunk composes the stacked kernels of tur and protocol, and evaluate_trial, the
-replay of one trial of a run, is its one-row view.
+The inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view. The records
+have one evaluation path too: run_experiment passes CHUNK_TRIALS trials at a time through the stacked kernels of tur
+and protocol (_evaluate_chunk), whose rows equal the scalar functions that `bound` and `verify` call to the last bit,
+and keeps a run's records as columns (TrialColumns, no object per trial). evaluate_trial, the replay of one trial of
+a run, is their one-row view, a TrialRecord. tests/ keeps the scalar composition and density circuits as the oracle.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import median
 
 import numpy as np
@@ -109,10 +110,11 @@ class TrialSetup:
 
 def generate_trial(config: ExperimentConfig, trial_id: int) -> TrialSetup:
     """Deterministic trial inputs for (config.seed, trial_id): the one-row view of _draw_stacked."""
-    ((thetas, gamma, a_idx, b_idx),), a_k, b_k, _, rho, u = _draw_stacked(config, [trial_id])
+    thetas, gammas, a_k, b_k, _, rho, u = _draw_stacked(config, [trial_id])
     return TrialSetup(
-        trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx, rho=rho[0],
-        channel=kraus_from_unitary(u[0], _SE_LAYOUT), a_op=_PAULI_PAIRS[a_k[0]], b_op=_PAULI_PAIRS[b_k[0]],
+        trial_id=trial_id, gamma=gammas.item(), thetas=tuple(thetas[0].tolist()), a_idx=divmod(a_k.item(), len(PAULIS)),
+        b_idx=divmod(b_k.item(), len(PAULIS)), rho=rho[0], channel=kraus_from_unitary(u[0], _SE_LAYOUT),
+        a_op=_PAULI_PAIRS[a_k[0]], b_op=_PAULI_PAIRS[b_k[0]],
     )
 
 
@@ -129,6 +131,25 @@ class VariantValues:
     contained: bool
     tur_violated: bool
     degenerate: bool = False
+
+
+class _Columns:
+    """Mixin of the records of a run as columns, one array per field with one entry per trial."""
+
+    def row(self, n: int):
+        """Row n in the record type this subclasses, of Python values: evaluate_trial's record of trial_id[n]."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, x in values.items():
+            x = x.row(n) if isinstance(x, _Columns) else None if x is None else np.asarray(x[n]).tolist()
+            values[name] = tuple(x) if isinstance(x, list) else x   # a row of a 2-d column as a tuple
+        if not values.get("shots", True):   # a trial without shots has no sampled variant
+            values["sampled"] = None
+        return type(self).__bases__[0](**values)
+
+
+@dataclass(frozen=True)
+class VariantColumns(VariantValues, _Columns):
+    """The VariantValues of a run's trials as columns."""
 
 
 @dataclass(frozen=True)
@@ -151,35 +172,42 @@ class TrialRecord:
     failure: str | None = None
 
 
-def _variant_values(c_part, xi, q) -> tuple[list[VariantValues], list[float]]:
-    """VariantValues of each element of the 1-d arrays c_part, xi, q, and their trade-off margins."""
+@dataclass(frozen=True)
+class TrialColumns(TrialRecord, _Columns):
+    """A run's records as columns (a row per trial in thetas, a_idx and b_idx; failure an object array). sampled is
+    None when sampling is off; else a trial has a sampled variant iff its shots are nonzero."""
+
+
+def _concatenate(parts: list):
+    """The columns of consecutive chunks as one set of columns."""
+    first = parts[0]
+    if len(parts) == 1 or first is None:
+        return first
+    if isinstance(first, _Columns):
+        return type(first)(*(_concatenate([getattr(p, f.name) for p in parts]) for f in fields(first)))
+    return np.concatenate(parts)
+
+
+def _variant_values(c_part, xi, q) -> tuple[VariantColumns, np.ndarray]:
+    """The VariantColumns of the 1-d arrays c_part, xi, q, and their trade-off margins."""
     lower, upper, contained, report = correlator_interval(c_part, q, xi)
-    columns = (c_part, xi, q, lower, upper, report.lhs, contained, ~report.holds, report.degenerate)
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    return [VariantValues(*row) for row in rows], report.margin.tolist()
+    return VariantColumns(c_part, xi, q, lower, upper, report.lhs, contained, ~report.holds, report.degenerate), \
+        report.margin
 
 
-def _sampled_variants(main_counts: np.ndarray, nested_counts: np.ndarray) -> tuple[list, list]:
-    """Sampled variants of stacked shot counts, and why a trial has none: the empty postselection, main one first."""
+def _sampled_variants(main_counts: np.ndarray, nested_counts: np.ndarray) -> tuple[VariantColumns, np.ndarray]:
+    """Sampled variants of stacked counts, and why a trial has none (else None): the empty postselection, main first."""
     with np.errstate(invalid="ignore"):   # nan marks an empty postselection
         (c, p0, t1), t2 = estimate_main_circuit(main_counts), estimate_nested_circuit(nested_counts)
     failures = np.where(np.isnan(t1), "no shots survived the E = e0 postselection",
-                        np.where(np.isnan(t2), "no shots survived the E1 = e0 postselection", None)).tolist()
-    values, _ = _variant_values(c, 1.0 - p0, 2.0 * p0 * t1 - p0 * t2)
-    return [v if f is None else None for v, f in zip(values, failures)], failures
+                        np.where(np.isnan(t2), "no shots survived the E1 = e0 postselection", None))
+    return _variant_values(c, 1.0 - p0, 2.0 * p0 * t1 - p0 * t2)[0], failures
 
 
 def evaluate_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
     """The record of trial (config.seed, trial_id), as run_experiment writes it: the one-row view of _evaluate_chunk."""
-    return _evaluate_chunk(config, [trial_id])[0]
+    return _evaluate_chunk(config, [trial_id]).row(0)
 
-
-# run_experiment evaluates trials in chunks of CHUNK_TRIALS ids. A chunk builds its inputs as stacked arrays and
-# passes them once through the stacked kernels of tur and protocol (the sampled stage through protocol's state-vector
-# circuits, a pure preparation its own root), whose one-row views are the scalar functions that `bound` and `verify`
-# call. A kernel's row equals its one-row call to the last bit, so a record does not depend on the chunk, and
-# evaluate_trial replays it. The scalar composition of those functions and the density-matrix circuits are kept in
-# tests/ as the oracle.
 
 CHUNK_TRIALS = 128   # fixed so that peak memory does not grow with --trials
 
@@ -219,7 +247,7 @@ def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray,
 
 
 def _draw_stacked(config: ExperimentConfig, trial_ids, rng: np.random.Generator | None = None):
-    """Each id's (thetas, gamma, a_idx, b_idx) from stream (seed, id), the Pauli-pair rows of A, B, _stacked_inputs."""
+    """Each id's angles (N, 12) and gamma from stream (seed, id), the Pauli-pair rows of A and B, _stacked_inputs."""
     n = len(trial_ids)
     words, pairs = np.empty((n, 13), dtype=np.uint64), np.empty((n, 2), dtype=np.int64)
     seed = _spawned_words(config.seed)
@@ -230,13 +258,11 @@ def _draw_stacked(config: ExperimentConfig, trial_ids, rng: np.random.Generator 
     uniforms = (words >> np.uint64(11)) * 2.0**-53
     (tlo, thi), (glo, ghi) = config.theta_range, config.gamma_range
     thetas, gammas = tlo + (thi - tlo) * uniforms[:, :12], glo + (ghi - glo) * uniforms[:, 12]
-    draws = [(tuple(t), g, divmod(a, len(PAULIS)), divmod(b, len(PAULIS)))
-             for t, g, (a, b) in zip(thetas.tolist(), gammas.tolist(), pairs.tolist())]
-    return (draws, pairs[:, 0], pairs[:, 1]) + _stacked_inputs(thetas, gammas)
+    return (thetas, gammas, pairs[:, 0], pairs[:, 1]) + _stacked_inputs(thetas, gammas)
 
 
-def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
-    """The record of each id, from one pass of the stacked kernels over the chunk's trials.
+def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> TrialColumns:
+    """The records of the ids as columns, from one pass of the stacked kernels over the chunk's trials.
 
     C(T), Xi, p0 and the baselines are those of correlator_bound, exact and
     neumann1, real and imaginary part; the general trade-off is that of
@@ -245,7 +271,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     the trade-off runs on its vector U_B^c (|+> (x) psi), R of dimension 1.
     """
     rng = np.random.Generator(np.random.Philox(0))   # re-keyed to each stream of the chunk
-    draws, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
+    thetas, gammas, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
     d, d_e = _SE_LAYOUT.dims
     a, b = _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
     g_re, g_im = _PULLBACKS["real"][a_k], _PULLBACKS["imag"][a_k]
@@ -266,13 +292,12 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
     psi_t = _branches(entry, kron(I2, v))   # on P (x) E, the channel lifted to act on S of P
     tilde = _branches(entry, _tilde_operators(kron(I2, v0_inv), d_e, 0))
     g_psi = _on_factors(g_re, psi_t, (2 * d, d_e), (0,))
-    general_holds = _tur_report(*_general_tur_terms(psi_t, g_psi, tilde), xi).holds.tolist()
+    general = _tur_report(*_general_tur_terms(psi_t, g_psi, tilde), xi)
 
     exact, margins = _variant_values(c.real, xi, q_re)
     approx, _ = _variant_values(c.real, xi_approx, q_approx)
     _, _, contained_imag, sep_imag = correlator_interval(c.imag, q_im, xi)
-    contained_imag, sep_holds_imag = contained_imag.tolist(), sep_imag.holds.tolist()
-    sampled, failures = [None] * len(draws), [None] * len(draws)
+    sampled, failures = None, np.full(len(psi), None)
     if "sampled" in config.variants and config.shots > 0:
         # trial i draws its main circuit's shots from stream (seed, i, 0), its nested circuit's from (seed, i, 1)
         seed, x = _entropy_words(config.seed), psi[:, :, None]   # psi is its own root, R of dimension 1
@@ -281,20 +306,10 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> list[TrialRecord]:
                                       _streams([seed + _entropy_words(i, k) for i in trial_ids], rng))
                   for k, amp in enumerate(circuits)]
         sampled, failures = _sampled_variants(*counts)
-    return [
-        TrialRecord(
-            trial_id=trial_id, gamma=gamma, thetas=thetas, a_idx=a_idx, b_idx=b_idx,
-            exact=exact[n], approx=approx[n], sampled=sampled[n],
-            shots=config.shots if sampled[n] is not None else 0, postselect_p0=p0_n,
-            general_tur_holds=general_holds[n],
-            contained_imag=contained_imag[n],
-            sep_tur_holds_imag=sep_holds_imag[n],
-            tur_margin=margins[n],
-            bound_gap=abs(exact[n].upper - approx[n].upper),
-            failure=failures[n],
-        )
-        for n, (trial_id, (thetas, gamma, a_idx, b_idx), p0_n) in enumerate(zip(trial_ids, draws, p0.tolist()))
-    ]
+    return TrialColumns(
+        np.asarray(trial_ids), gammas, thetas, *(np.stack(np.divmod(k, len(PAULIS)), axis=1) for k in (a_k, b_k)),
+        exact, approx, sampled, np.where(failures.astype(bool) | (sampled is None), 0, config.shots), p0,
+        general.holds, contained_imag, sep_imag.holds, margins, np.abs(exact.upper - approx.upper), failures)
 
 
 @dataclass(frozen=True)
@@ -309,59 +324,44 @@ class RunSummary:
     gap_bucket_medians: tuple[float | None, ...]
 
 
-def summarize(records: list[TrialRecord]) -> RunSummary:
-    """Aggregate violation counts, margins and approximation gaps (stable in trial order)."""
-    if not records:
+def summarize(records: TrialColumns) -> RunSummary:
+    """Aggregate violation counts, margins and approximation gaps of a run's columns (independent of row order)."""
+    if not len(records.trial_id):
         raise ContractError("summarize needs at least one trial record")
-    records = sorted(records, key=lambda r: r.trial_id)
+    exact, approx, sampled = records.exact, records.approx, records.shots > 0
     violations = {
-        "exact": {
-            "tur": sum(r.exact.tur_violated for r in records),
-            "containment": sum(not r.exact.contained for r in records),
-            "tur_imag": sum(not r.sep_tur_holds_imag for r in records),
-            "containment_imag": sum(not r.contained_imag for r in records),
-            "general": sum(not r.general_tur_holds for r in records),
-        },
-        "neumann1": {
-            "tur": sum(r.approx.tur_violated for r in records),
-            "containment": sum(not r.approx.contained for r in records),
-        },
+        "exact": {"tur": exact.tur_violated, "containment": ~exact.contained, "tur_imag": ~records.sep_tur_holds_imag,
+                  "containment_imag": ~records.contained_imag, "general": ~records.general_tur_holds},
+        "neumann1": {"tur": approx.tur_violated, "containment": ~approx.contained},
     }
-    sampled = [r for r in records if r.sampled is not None]
-    if sampled:
-        violations["sampled"] = {
-            "tur": sum(r.sampled.tur_violated for r in sampled),
-            "containment": sum(not r.sampled.contained for r in sampled),
-            "n": len(sampled),
-        }
-    margins = [r.tur_margin for r in records if not r.exact.degenerate and math.isfinite(r.tur_margin)]
-    gammas = [r.gamma for r in records]
-    lo, hi = min(gammas), max(gammas)
-    edges = tuple(lo + (hi - lo) * k / 4.0 for k in range(5)) if hi > lo else (lo, hi)
+    if sampled.any():
+        violations["sampled"] = {"tur": records.sampled.tur_violated & sampled,
+                                 "containment": ~records.sampled.contained & sampled, "n": sampled}
+    margins = records.tur_margin[~exact.degenerate & np.isfinite(records.tur_margin)].tolist()
+    gammas, gaps = records.gamma, records.bound_gap
+    lo, hi = gammas.min().item(), gammas.max().item()
     if hi > lo:
+        edges = tuple(lo + (hi - lo) * k / 4.0 for k in range(5))
         # Half-open buckets [e_k, e_{k+1}); the last one also takes gamma = hi.
-        buckets: list[list[float]] = [[] for _ in range(4)]
-        for r in records:
-            buckets[min(bisect_right(edges, r.gamma) - 1, 3)].append(r.bound_gap)
-        bucket_medians = [median(b) if b else None for b in buckets]
+        bucket = np.minimum(np.searchsorted(edges, gammas, side="right") - 1, 3)
+        buckets = [gaps[bucket == k].tolist() for k in range(4)]
     else:
-        bucket_medians = [median(r.bound_gap for r in records)]
+        edges, buckets = (lo, hi), [gaps.tolist()]
     return RunSummary(
-        n_trials=len(records),
-        violations=violations,
+        n_trials=len(records.trial_id),
+        violations={v: {k: int(np.count_nonzero(flags)) for k, flags in c.items()} for v, c in violations.items()},
         margin_min=min(margins) if margins else None,
         margin_median=median(margins) if margins else None,
-        degenerate_trials=sum(r.exact.degenerate for r in records),
-        failed_trials=sum(r.failure is not None for r in records),
+        degenerate_trials=int(np.count_nonzero(exact.degenerate)),
+        failed_trials=int(np.count_nonzero(records.failure.astype(bool))),
         gap_bucket_edges=edges,
-        gap_bucket_medians=tuple(bucket_medians),
+        gap_bucket_medians=tuple(median(b) if b else None for b in buckets),
     )
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], RunSummary]:
-    """Evaluate every trial of the configured family, CHUNK_TRIALS trials per stacked pass."""
+def run_experiment(config: ExperimentConfig) -> tuple[TrialColumns, RunSummary]:
+    """Evaluate every trial of the configured family, CHUNK_TRIALS trials per stacked pass; its records as columns."""
     ids = range(config.n_trials)
-    records = [
-        r for k in range(0, config.n_trials, CHUNK_TRIALS) for r in _evaluate_chunk(config, ids[k:k + CHUNK_TRIALS])
-    ]
+    records = _concatenate([_evaluate_chunk(config, ids[k:k + CHUNK_TRIALS])
+                            for k in range(0, config.n_trials, CHUNK_TRIALS)])
     return records, summarize(records)

@@ -5,7 +5,8 @@ of rows. CSV files are RFC-4180 style with a mandatory header row and floats
 printed with 17 significant digits (0.10000000000000001); JSON floats are the
 shortest repr that round-trips (0.1). Both read back to the same doubles.
 Non-finite floats are inf, -inf and nan in CSV and the strings "inf", "-inf"
-and "nan" in JSON; a disabled cell is empty in CSV and null in JSON.
+and "nan" in JSON; a disabled cell is empty in CSV and null in JSON. The trial
+files are written from a run's columns: both format one set of cells per row.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .channels import KrausChannel, kraus_from_unitary
-from .harness import RunSummary, TrialRecord, VariantValues
+from .harness import RunSummary, TrialColumns
 from .linalg import SubsystemLayout
 
 
@@ -96,36 +97,46 @@ def channel_from_spec(obj, path: str = "channel") -> KrausChannel:
     raise SpecParseError(path, "expected either a 'unitary' or a 'kraus' entry")
 
 
+_VARIANT_CELLS = ("c_real", "xi_b", "q_ab", "lower", "upper", "tur_lhs")
 # Fixed column order of trials.csv; trials.json mirrors it exactly.
 CSV_COLUMNS = (
     ("trial_id", "gamma")
     + tuple(f"theta_{i}" for i in range(1, 13))
     + ("a_i", "a_j", "b_i", "b_j")
     + tuple(f"{q}_{v}" for v in ("exact", "approx", "sampled")
-            for q in ("c_real", "xi_b", "q_ab", "lower", "upper", "tur_lhs"))
+            for q in _VARIANT_CELLS)
     + ("postselect_p0", "violated_exact", "violated_sampled")
 )
 
 
-def _variant_cells(v: VariantValues) -> list[float]:
-    return [v.c_real, v.xi_b, v.q_ab, v.lower, v.upper, v.tur_lhs]
+def _json_floats(column: np.ndarray) -> list:
+    """A float column's cells for the JSON template's %s: a float (its repr), or quoted as _sanitize writes it."""
+    cells = column.tolist()   # a non-finite cell makes the sum non-finite
+    return cells if math.isfinite(sum(cells)) else [x if math.isfinite(x) else f'"{x!r}"' for x in cells]
 
 
-_TEXT = {True: "true", False: "false"}
-
-
-def _record_cells(r: TrialRecord) -> tuple:
-    """The cells of one record that its row template leaves open, in CSV_COLUMNS order: ints, Python floats
-    and bools as text. The sampled cells are left out when the record has no sampled variant."""
-    sampled, violated = ((), ()) if r.sampled is None else (_variant_cells(r.sampled), (_TEXT[r.sampled.tur_violated],))
-    return (r.trial_id, r.gamma, *r.thetas, *r.a_idx, *r.b_idx, *_variant_cells(r.exact), *_variant_cells(r.approx),
-            *sampled, r.postselect_p0, _TEXT[r.exact.tur_violated], *violated)
+def _rows(records: TrialColumns, floats, text: int) -> list[str]:
+    """Each trial's row of trials.csv (text 0) or trials.json (text 1), floats(column) giving a float column's cells:
+    one zip over the columns gives a row's cells, its template formats them (no sampled ones if it has none)."""
+    exact, sampled = records.exact, records.sampled
+    variants = [None if v is None else floats(getattr(v, q)) for v in (exact, records.approx, sampled)
+                for q in _VARIANT_CELLS]
+    violated = [None if v is None else np.where(v.tur_violated, "true", "false").tolist() for v in (exact, sampled)]
+    columns = [records.trial_id.tolist(), floats(records.gamma), *map(floats, records.thetas.T),
+               *records.a_idx.T.tolist(), *records.b_idx.T.tolist(), *variants, floats(records.postselect_p0),
+               *violated]
+    bare = [c for c, name in zip(columns, CSV_COLUMNS) if not name.endswith("_sampled")]
+    with_sampled, without = _TEMPLATES[True][text], _TEMPLATES[False][text]
+    if sampled is None:
+        return [without % cells for cells in zip(*bare)]
+    return [with_sampled % full if has else without % cells
+            for has, full, cells in zip((records.shots > 0).tolist(), zip(*columns), zip(*bare))]
 
 
 def _row_templates(kinds: str) -> tuple[str, str]:
     """The CSV and JSON %-templates of a row whose columns are of the kinds i(nt), f(loat), b(ool) or -(empty):
-    floats as %.17g in CSV and float.__repr__ (%r of a Python float) in JSON, an empty cell as "" or null."""
-    formats = {"i": ("%d", "%d"), "f": ("%.17g", "%r"), "b": ("%s", "%s"), "-": ("", "null")}
+    floats as %.17g in CSV and %s (see _json_floats) in JSON, an empty cell as "" or null."""
+    formats = {"i": ("%d", "%d"), "f": ("%.17g", "%s"), "b": ("%s", "%s"), "-": ("", "null")}
     lines = ",\n".join(f"      {json.dumps(c)}: {formats[k][1]}" for c, k in zip(CSV_COLUMNS, kinds))
     return ",".join(formats[k][0] for k in kinds), "    {\n" + lines + "\n    }"
 
@@ -135,21 +146,16 @@ _TEMPLATES = {True: _row_templates(_KINDS),   # keyed by whether the record has 
               False: _row_templates("".join("-" if c.endswith("_sampled") else k for c, k in zip(CSV_COLUMNS, _KINDS)))}
 
 
-def trials_csv_text(records: list[TrialRecord]) -> str:
+def trials_csv_text(records: TrialColumns) -> str:
     # No cell holds a comma, quote or newline, so no cell needs quoting.
-    rows = [_TEMPLATES[r.sampled is not None][0] % _record_cells(r) for r in records]
-    return "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"
+    return "\n".join([",".join(CSV_COLUMNS), *_rows(records, np.ndarray.tolist, 0)]) + "\n"
 
 
-def trials_json_text(records: list[TrialRecord]) -> str:
-    """dumps_json({"trials": [row, ...]}) of the records, without building the row dicts."""
-    if not records:
+def trials_json_text(records: TrialColumns) -> str:
+    """dumps_json({"trials": [row, ...]}) of a run's columns, without building the row dicts."""
+    if not len(records.trial_id):
         return dumps_json({"trials": []})
-    rows = [_TEMPLATES[r.sampled is not None][1] % _record_cells(r) for r in records]
-    text = '{\n  "trials": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
-    for value in ("inf", "-inf", "nan"):   # non-finite floats are strings, as _sanitize writes them
-        text = text.replace(f'": {value}', f'": "{value}"')
-    return text
+    return '{\n  "trials": [\n' + ",\n".join(_rows(records, _json_floats, 1)) + "\n  ]\n}\n"
 
 
 def _json_default(o):
@@ -178,32 +184,23 @@ def dumps_json(obj) -> str:
 def summary_json_text(summary: RunSummary) -> str:
     # Wall-clock runtime is recorded in the manifest instead so that identical
     # configurations reproduce byte-identical artifact checksums.
-    data = {
-        "n_trials": summary.n_trials,
-        "violations": summary.violations,
-        "margin_min": summary.margin_min,
-        "margin_median": summary.margin_median,
-        "degenerate_trials": summary.degenerate_trials,
-        "failed_trials": summary.failed_trials,
-        "gap_bucket_edges": list(summary.gap_bucket_edges),
-        "gap_bucket_medians": list(summary.gap_bucket_medians),
-    }
-    return dumps_json(data)
+    return dumps_json(vars(summary))
 
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def manifest_text(config_echo: dict, outputs: dict[str, bytes], runtime_seconds: float) -> str:
-    """Run manifest referencing every emitted data file exactly once."""
+def manifest_text(config_echo: dict, outputs: dict[str, bytes], stage_seconds: dict[str, float]) -> str:
+    """Run manifest referencing every emitted data file exactly once; runtime_seconds is the sum of stage_seconds."""
     config_blob = json.dumps(config_echo, sort_keys=True).encode()
     data = {
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config": config_echo,
         "inputs_checksum": sha256_hex(config_blob),
-        "runtime_seconds": runtime_seconds,
+        "runtime_seconds": sum(stage_seconds.values()),
+        "stage_seconds": stage_seconds,
         "outputs": [
             {"path": name, "sha256": sha256_hex(blob), "bytes": len(blob)}
             for name, blob in sorted(outputs.items())

@@ -69,7 +69,7 @@ def _family_passes(seed: int, trial_ids: range, gamma_lo: float = 0.1, rows: int
     """The instances of each pass of rows ids as stacks: rho, A, B, the dilation unitaries and their Kraus
     operators (N, M, d, d), checked as an experiment chunk checks them."""
     for cfg, ids in _family_chunks(seed, trial_ids, gamma_lo, rows):
-        _, a_k, b_k, _, rho, u = _draw_stacked(cfg, ids)
+        *_, a_k, b_k, _, rho, u = _draw_stacked(cfg, ids)
         v = _checked_kraus(u, rho.shape[-1], lambda n: f"trial {ids[n]}")
         yield rho, _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k], u, v
 
@@ -84,7 +84,7 @@ def _instances(seed: int, n: int):
     checked once.
     """
     rng, g_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
-    family = chain.from_iterable(_draw_stacked(cfg, ids)[5] for cfg, ids in _family_chunks(seed, range(0, n, 2), 0.1))
+    family = chain.from_iterable(_draw_stacked(cfg, ids)[-1] for cfg, ids in _family_chunks(seed, range(0, n, 2), 0.1))
     for start in range(0, n, OBSERVABLE_ROWS):
         block = []
         for i in range(start, min(n, start + OBSERVABLE_ROWS)):

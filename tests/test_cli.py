@@ -223,6 +223,25 @@ class TestExperimentCommand:
         assert main(["experiment", "--trials", "2", "--shots", "0", "--out-dir", str(tmp_path / "file")]) == 3
         assert "--out-dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["trials.csv", "trials.json", "summary.json", "manifest.json"])
+    def test_output_that_cannot_be_written_exits_3_before_the_run(self, tmp_path, capsys, monkeypatch, name):
+        def refuse(config):
+            raise AssertionError("ran the experiment")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        (tmp_path / name).mkdir()
+        assert main(["experiment", "--trials", "2", "--shots", "0", "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write") and name in err and "Traceback" not in err
+
+    def test_manifest_splits_the_runtime_into_stages(self, tmp_path, capsys):
+        assert main(["experiment", "--trials", "3", "--shots", "0", "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        stages = manifest["stage_seconds"]
+        assert list(stages) == ["evaluate", "serialize", "write"] and all(t >= 0 for t in stages.values())
+        assert sum(stages.values()) == pytest.approx(manifest["runtime_seconds"], rel=1e-6)
+        assert "stage_seconds" not in (tmp_path / "summary.json").read_text()
+
 
 class TestBoundCommand:
     def test_identity_channel_degenerate_report(self, tmp_path, capsys):

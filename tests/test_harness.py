@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import math
 import sys
+from bisect import bisect_right
 from collections import Counter
 from functools import reduce
+from statistics import median
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from turlab.harness import (
     ExperimentConfig,
     TrialRecord,
     TrialSetup,
+    VariantValues,
     _sampled_variants,
     _variant_values,
     evaluate_trial,
@@ -72,8 +75,14 @@ def scalar_sampled_values(rho, ch: KrausChannel, a, b, config: ExperimentConfig,
                       "premeasure"),
     ]
     main, nested = (sample_shots(state, config.shots, (config.seed, trial_id, k)) for k, state in enumerate(states))
-    (sampled,), (failure,) = _sampled_variants(main.counts[None], nested.counts[None])
-    return sampled, failure
+    sampled, (failure,) = _sampled_variants(main.counts[None], nested.counts[None])
+    return (sampled.row(0) if failure is None else None), failure
+
+
+def variant_row(c_part: float, xi: float, q: float):
+    """The VariantValues of one trial and its trade-off margin, from the run's _variant_values."""
+    values, margin = _variant_values(*(np.array([x]) for x in (c_part, xi, q)))
+    return values.row(0), margin.item()
 
 
 def scalar_evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialRecord:
@@ -86,12 +95,12 @@ def scalar_evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialR
     rho, ch, a, b = setup.rho, setup.channel, setup.a_op, setup.b_op
 
     bound = correlator_bound(rho, ch, a, b, variant="exact", part="real")
-    (exact,), (margin,) = _variant_values([bound.correlator_real], [bound.xi_b], [bound.q_ab])
+    exact, margin = variant_row(bound.correlator_real, bound.xi_b, bound.q_ab)
 
     (bound_i, sep_i), = _bound_and_tradeoff(rho, ch, a, b, ("exact",), "imag")
 
     approx_bound = correlator_bound(rho, ch, a, b, variant="neumann1", part="real")
-    (approx,), _ = _variant_values([approx_bound.correlator_real], [approx_bound.xi_b], [approx_bound.q_ab])
+    approx, _ = variant_row(approx_bound.correlator_real, approx_bound.xi_b, approx_bound.q_ab)
 
     # General trade-off instance: the protocol observable embedded on R+P+E.
     sigma_pb = _entry_state(rho, b)
@@ -120,6 +129,12 @@ def scalar_evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialR
 
 
 GAMMA_RANGES = [(0.0, 0.0), (0.0, 0.75), (0.5, 0.99)]
+
+
+def run_rows(cfg: ExperimentConfig):
+    """run_experiment's records as rows, and its summary."""
+    records, summary = run_experiment(cfg)
+    return [records.row(n) for n in range(len(records.trial_id))], summary
 
 
 def exact_config(**kw):
@@ -198,11 +213,12 @@ class TestGenerateTrial:
     def test_stacked_builder_matches_generate_trial(self, gamma_range):
         cfg = exact_config(seed=11, gamma_range=gamma_range)
         ids = [3, 0, 7, 200, 1]
-        draws, a_k, b_k, _, rho, u = harness._draw_stacked(cfg, ids)
+        thetas, gammas, a_k, b_k, _, rho, u = harness._draw_stacked(cfg, ids)
         v = _checked_kraus(u, 4, str)
-        for n, (i, (thetas, gamma, a_idx, b_idx)) in enumerate(zip(ids, draws, strict=True)):
+        for n, i in enumerate(ids):
             one = generate_trial(cfg, i)
-            assert (i, gamma, thetas, a_idx, b_idx) == (one.trial_id, one.gamma, one.thetas, one.a_idx, one.b_idx)
+            draw = (gammas[n], tuple(thetas[n].tolist()), divmod(a_k[n], 4), divmod(b_k[n], 4))
+            assert draw == (one.gamma, one.thetas, one.a_idx, one.b_idx)
             for x, y in [(rho[n], one.rho), (harness._PAULI_PAIRS[a_k[n]], one.a_op),
                          (harness._PAULI_PAIRS[b_k[n]], one.b_op), (u[n], one.channel.dilation.unitary),
                          *zip(v[n], one.channel.operators, strict=True)]:
@@ -263,7 +279,7 @@ class TestEvaluateTrial:
 class TestRunExperiment:
     def test_exact_run_zero_violations(self):
         cfg = exact_config(seed=2, n_trials=25)
-        records, summary = run_experiment(cfg)
+        records, summary = run_rows(cfg)
         assert len(records) == 25
         exact = summary.violations["exact"]
         assert all(v == 0 for v in exact.values())
@@ -280,8 +296,8 @@ class TestRunExperiment:
 
     def test_sampled_reproducibility(self):
         cfg = ExperimentConfig(seed=5, n_trials=6, shots=200)
-        rec1, _ = run_experiment(cfg)
-        rec2, _ = run_experiment(cfg)
+        rec1, _ = run_rows(cfg)
+        rec2, _ = run_rows(cfg)
         assert rec1 == rec2
 
 
@@ -300,7 +316,7 @@ class TestBatchedPath:
         exact_config(seed=1, n_trials=10, gamma_range=(0.0, 0.0)),
     ], ids=["seed4", "seed11", "gamma0"])
     def test_agrees_with_scalar_oracle(self, cfg):
-        records, _ = run_experiment(cfg)
+        records, _ = run_rows(cfg)
         assert [r.trial_id for r in records] == list(range(cfg.n_trials))
         for r in records:
             o = oracle(cfg, r.trial_id)
@@ -317,13 +333,32 @@ class TestBatchedPath:
             assert abs(r.bound_gap - o.bound_gap) <= 1e-12
             assert [getattr(r, f) for f in self.FLAGS] == [getattr(o, f) for f in self.FLAGS], r.trial_id
 
-    @pytest.mark.parametrize("shots", [0, 1000])
+    @pytest.mark.parametrize("shots", [0, 1, 1000])
     def test_records_equal_their_one_row_replay(self, shots):
         # evaluate_trial(config, i) is the one-row view of the chunk: a record does not depend on its chunk
         cfg = ExperimentConfig(seed=7, n_trials=harness.CHUNK_TRIALS + 4, shots=shots)
         records, _ = run_experiment(cfg)
-        for i in (0, harness.CHUNK_TRIALS - 2, harness.CHUNK_TRIALS - 1, harness.CHUNK_TRIALS, harness.CHUNK_TRIALS + 3):
-            assert evaluate_trial(cfg, i) == records[i], i
+        for i in range(cfg.n_trials):
+            assert evaluate_trial(cfg, i) == records.row(i), i
+        if shots == 1:   # one shot leaves some postselections empty
+            assert 0 < sum(f is not None for f in records.failure) < cfg.n_trials
+
+    @pytest.mark.parametrize("cfg", [
+        exact_config(seed=2, n_trials=harness.CHUNK_TRIALS + 9, variants=("exact", "neumann1")),
+        ExperimentConfig(seed=2, n_trials=harness.CHUNK_TRIALS + 9, shots=1),
+    ], ids=["exact-only", "shots"])
+    def test_run_builds_no_record_objects(self, monkeypatch, cfg):
+        built = Counter()
+        for cls in (TrialRecord, VariantValues):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        records, summary = run_experiment(cfg)
+        assert len(records.trial_id) == cfg.n_trials and summary.n_trials == cfg.n_trials
+        assert built == Counter()
+        records.row(0)   # the one-row view is what builds them
+        assert built["TrialRecord"] == 1 and built["VariantValues"] >= 2
 
     def test_sampled_values_equal_oracle(self):
         # scalar_evaluate_trial takes its sampled fields from scalar_sampled_values alone, so the
@@ -333,7 +368,7 @@ class TestBatchedPath:
         grid = itertools.product((2, 9), ((0.0, 0.75), (0.5, 0.99), (0.0, 0.0)), (1, 20, 1000))
         for seed, gamma_range, shots in grid:
             cfg = ExperimentConfig(seed=seed, n_trials=150, shots=shots, gamma_range=gamma_range)
-            records, _ = run_experiment(cfg)
+            records, _ = run_rows(cfg)
             for r in records:
                 s = generate_trial(cfg, r.trial_id)
                 sampled, failure = scalar_sampled_values(s.rho, s.channel, s.a_op, s.b_op, cfg, r.trial_id)
@@ -357,16 +392,16 @@ class TestBatchedPath:
 
     def test_prefix_stability(self):
         cfg = exact_config(seed=3, n_trials=300, variants=("exact", "neumann1"))
-        full, _ = run_experiment(cfg)
-        prefix, _ = run_experiment(exact_config(seed=3, n_trials=37, variants=("exact", "neumann1")))
+        full, _ = run_rows(cfg)
+        prefix, _ = run_rows(exact_config(seed=3, n_trials=37, variants=("exact", "neumann1")))
         assert prefix == full[:37]
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_does_not_change_records(self, monkeypatch, chunk):
         cfg = exact_config(seed=5, n_trials=20)
-        default, _ = run_experiment(cfg)
+        default, _ = run_rows(cfg)
         monkeypatch.setattr(harness, "CHUNK_TRIALS", chunk)
-        assert run_experiment(cfg)[0] == default
+        assert run_rows(cfg)[0] == default
 
     def test_singular_no_jump_operator_raises_like_oracle(self):
         cfg = exact_config(gamma_range=(0.9999999, 0.9999999), n_trials=3)
@@ -390,7 +425,7 @@ class TestKeyedStreams:
             monkeypatch.setattr(np.random, name, counting(name, getattr(np.random, name)))
         cfg = ExperimentConfig(seed=3, n_trials=300, shots=1000)
         records, _ = run_experiment(cfg)
-        assert len(records) == 300
+        assert len(records.trial_id) == 300
         assert built["SeedSequence"] == 0
         assert built["Philox"] <= math.ceil(cfg.n_trials / harness.CHUNK_TRIALS)
 
@@ -400,13 +435,12 @@ class TestKeyedStreams:
     def test_draws_equal_numpys_uniform_and_integers(self, seed, ranges):
         cfg = ExperimentConfig(seed=seed, n_trials=1, **ranges)
         ids = [0, 1, 127, 128, 2**32 - 1, *np.random.default_rng(seed).integers(0, 2**32, size=4).tolist()]
-        draws, a_k, b_k, *_ = harness._draw_stacked(cfg, ids)
-        for i, (thetas, gamma, a_idx, b_idx), a, b in zip(ids, draws, a_k, b_k):
+        thetas, gammas, a_k, b_k, *_ = harness._draw_stacked(cfg, ids)
+        for i, t, gamma, a, b in zip(ids, thetas.tolist(), gammas.tolist(), a_k, b_k, strict=True):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
-            assert thetas == tuple(rng.uniform(*cfg.theta_range, size=12).tolist())
+            assert t == rng.uniform(*cfg.theta_range, size=12).tolist()
             assert gamma == rng.uniform(*cfg.gamma_range)
             assert (a, b) == (rng.integers(1, 16), rng.integers(1, 16))
-            assert (a_idx, b_idx) == (divmod(a, 4), divmod(b, 4))
 
     def test_exact_run_takes_no_eigendecomposition_and_one_raw_read_per_trial(self, monkeypatch):
         calls = Counter()
@@ -425,7 +459,7 @@ class TestKeyedStreams:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         cfg = ExperimentConfig(seed=3, n_trials=300, shots=0, variants=("exact", "neumann1"))
         records, _ = run_experiment(cfg)
-        assert len(records) == 300
+        assert len(records.trial_id) == 300
         assert (calls["eigh"], calls["random_raw"]) == (0, 300)
 
     def test_empty_postselections_are_reported_main_circuit_first(self):
@@ -436,11 +470,10 @@ class TestKeyedStreams:
         nested[:, 0, 0, 0, 1, 0] = 5   # E1 = 1: trials 0 and 1 have no E1 = e0 shot
         nested[2, 1, 0, 3, 0, 1] = 5
         sampled, failures = harness._sampled_variants(main, nested)
-        assert failures == ["no shots survived the E = e0 postselection",
-                            "no shots survived the E1 = e0 postselection", None]
-        assert sampled[:2] == [None, None]
+        assert failures.tolist() == ["no shots survived the E = e0 postselection",
+                                     "no shots survived the E1 = e0 postselection", None]
         # c = (5 - 5) / 10, p0 = 5 / 10, t1 = -5 / 5, t2 = 0 / 5 and q = 2 p0 t1 - p0 t2
-        assert (sampled[2].c_real, sampled[2].xi_b, sampled[2].q_ab) == (0.0, 0.5, -1.0)
+        assert (sampled.c_real[2], sampled.xi_b[2], sampled.q_ab[2]) == (0.0, 0.5, -1.0)
 
 
 SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))
@@ -451,7 +484,7 @@ GAMMAS = st.lists(st.floats(0.0, 0.95), min_size=2, max_size=2).map(lambda g: tu
 @given(seed=SEEDS, gamma_range=GAMMAS, shots=st.sampled_from([1, 20, 1000]), n_trials=st.integers(1, 40))
 def test_run_equals_scalar_oracle(seed, gamma_range, shots, n_trials):
     cfg = ExperimentConfig(seed=seed, n_trials=n_trials, shots=shots, gamma_range=gamma_range)
-    records, _ = run_experiment(cfg)
+    records, _ = run_rows(cfg)
     assert [r.trial_id for r in records] == list(range(n_trials))
     for r in records:
         o = oracle(cfg, r.trial_id)
@@ -470,40 +503,86 @@ def test_run_equals_scalar_oracle(seed, gamma_range, shots, n_trials):
         assert (r.sampled, r.shots, r.failure) == (o.sampled, o.shots, o.failure), r.trial_id
 
 
+def reference_summary(records: list) -> tuple:
+    """The RunSummary fields of a run's rows, aggregated record by record: the oracle of summarize."""
+    records = sorted(records, key=lambda r: r.trial_id)
+    violations = {
+        "exact": {
+            "tur": sum(r.exact.tur_violated for r in records),
+            "containment": sum(not r.exact.contained for r in records),
+            "tur_imag": sum(not r.sep_tur_holds_imag for r in records),
+            "containment_imag": sum(not r.contained_imag for r in records),
+            "general": sum(not r.general_tur_holds for r in records),
+        },
+        "neumann1": {
+            "tur": sum(r.approx.tur_violated for r in records),
+            "containment": sum(not r.approx.contained for r in records),
+        },
+    }
+    sampled = [r for r in records if r.sampled is not None]
+    if sampled:
+        violations["sampled"] = {
+            "tur": sum(r.sampled.tur_violated for r in sampled),
+            "containment": sum(not r.sampled.contained for r in sampled),
+            "n": len(sampled),
+        }
+    margins = [r.tur_margin for r in records if not r.exact.degenerate and math.isfinite(r.tur_margin)]
+    gammas = [r.gamma for r in records]
+    lo, hi = min(gammas), max(gammas)
+    edges = tuple(lo + (hi - lo) * k / 4.0 for k in range(5)) if hi > lo else (lo, hi)
+    if hi > lo:
+        buckets = [[] for _ in range(4)]
+        for r in records:
+            buckets[min(bisect_right(edges, r.gamma) - 1, 3)].append(r.bound_gap)
+        bucket_medians = [median(b) if b else None for b in buckets]
+    else:
+        bucket_medians = [median(r.bound_gap for r in records)]
+    return (len(records), violations, min(margins) if margins else None, median(margins) if margins else None,
+            sum(r.exact.degenerate for r in records), sum(r.failure is not None for r in records), edges,
+            tuple(bucket_medians))
+
+
 class TestSummarize:
     def test_empty_rejected(self):
+        records, _ = run_experiment(exact_config(n_trials=1))
         with pytest.raises(ContractError):
-            summarize([])
+            summarize(dataclasses.replace(records, trial_id=records.trial_id[:0]))
+
+    @pytest.mark.parametrize("cfg", [
+        exact_config(seed=8, n_trials=harness.CHUNK_TRIALS + 30, gamma_range=(0.1, 0.9)),
+        exact_config(seed=1, n_trials=12, gamma_range=(0.0, 0.0)),
+        exact_config(seed=1, n_trials=1),
+        ExperimentConfig(seed=3, n_trials=60, shots=1),
+        ExperimentConfig(seed=3, n_trials=60, shots=1000, gamma_range=(0.5, 0.99)),
+    ], ids=["exact", "degenerate", "one-trial", "shots-1", "shots-1000"])
+    def test_equals_record_by_record_oracle(self, cfg):
+        records, summary = run_rows(cfg)
+        assert dataclasses.astuple(summary) == reference_summary(records)
+        assert all(type(n) is int for counts in summary.violations.values() for n in counts.values())
 
     def test_single_degenerate_trial(self):
-        cfg = exact_config(gamma_range=(0.0, 0.0))
-        r = evaluate_trial(cfg, 0)
-        assert r.exact.degenerate
-        summary = summarize([r])
+        records, summary = run_rows(exact_config(gamma_range=(0.0, 0.0), n_trials=1))
+        assert records[0].exact.degenerate
         assert summary.degenerate_trials == 1
         assert summary.violations["exact"]["tur"] == 0
         assert summary.margin_min is None
 
     def test_duplicate_records_stable(self):
         cfg = exact_config(seed=8, gamma_range=(0.3, 0.6))
-        r = evaluate_trial(cfg, 0)
-        s1 = summarize([r])
-        s2 = summarize([r, r])
+        chunk = harness._evaluate_chunk(cfg, [0])
+        s1 = summarize(chunk)
+        s2 = summarize(harness._concatenate([chunk, chunk]))
         assert s1.margin_min == s2.margin_min == s2.margin_median
 
     def test_gap_buckets_are_half_open(self):
-        cfg = exact_config(seed=8, gamma_range=(0.3, 0.6))
-        r = evaluate_trial(cfg, 0)
-        records = [
-            dataclasses.replace(r, trial_id=i, gamma=g, bound_gap=gap)
-            for i, (g, gap) in enumerate([(0.0, 1.0), (math.nextafter(0.5, 0.0), 2.0), (1.0, 3.0)])
-        ]
-        summary = summarize(records)
+        records, _ = run_experiment(exact_config(seed=8, n_trials=3, gamma_range=(0.3, 0.6)))
+        gammas, gaps = zip((0.0, 1.0), (math.nextafter(0.5, 0.0), 2.0), (1.0, 3.0))
+        summary = summarize(dataclasses.replace(records, gamma=np.array(gammas), bound_gap=np.array(gaps)))
         assert summary.gap_bucket_edges == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert summary.gap_bucket_medians == (1.0, 2.0, None, 3.0)
 
     def test_min_margin_matches_brute_force(self):
         cfg = exact_config(seed=12, n_trials=12, gamma_range=(0.2, 0.7))
-        records, summary = run_experiment(cfg)
+        records, summary = run_rows(cfg)
         margins = [r.tur_margin for r in records if not r.exact.degenerate and math.isfinite(r.tur_margin)]
         assert summary.margin_min == min(margins)
