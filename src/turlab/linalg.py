@@ -26,6 +26,7 @@ UNITARY_ATOL = 1e-10
 SINGULAR_CUTOFF = 1e-12       # eigenvalues at or below this count as zero
 PSD_ATOL = 1e-10
 TRACE_ATOL = 1e-10
+SLICE_ENTRIES = 1 << 13       # entries of a stack that a sliced step's temporaries hold at once (128 KB complex)
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -70,8 +71,15 @@ def _square_rows(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, Call
     return m, require_square(m, name)[None], None
 
 
+def _row_slices(rows: np.ndarray) -> list[slice]:
+    """Slices of consecutive rows of a nonempty stack, each of at most SLICE_ENTRIES entries (or of one row)."""
+    step = max(1, SLICE_ENTRIES // rows[0].size)
+    return [slice(k, k + step) for k in range(0, len(rows), step)]
+
+
 def _hermitian_check(rows: np.ndarray, name: str, atol: float = HERMITIAN_ATOL):
-    err = np.abs(rows - dag(rows)).max(axis=(1, 2), initial=0.0)
+    err = (np.abs(rows - dag(rows)).max(axis=(1, 2), initial=0.0) if rows.size <= SLICE_ENTRIES else   # max is exact
+           np.concatenate([np.abs(rows[s] - dag(rows[s])).max(axis=(1, 2), initial=0.0) for s in _row_slices(rows)]))
     return err > atol, lambda n: ContractError(f"{name} is not Hermitian: max |M - M^dag| = {err[n]:.3e} > {atol:.1e}")
 
 

@@ -11,9 +11,9 @@ random dilations) and checks one identity or invariant at its pinned tolerance:
   series      truncated-series error decreases with order; first order equals
               1 - p0 exactly; protocol moments match matrix powers at 1e-10
 
-Every suite runs each pass of at most CHUNK_TRIALS instances (OBSERVABLE_ROWS where rows carry D x D observables) as
-one stacked call of the kernels whose one-row views are the scalar functions, after validating the pass's inputs once,
-row by row. qfi and scaling share their passes.
+Each pass of at most CHUNK_TRIALS instances, one per dim_S, is one stacked call of the kernels whose one-row views are
+the scalar functions, its inputs validated once, row by row. D x D observables are formed and checked a slice of rows
+at a time. A NaN deviation fails its suite and is its worst (Python's max and statistics.median drop it).
 """
 
 from __future__ import annotations
@@ -26,28 +26,15 @@ import numpy as np
 
 from .channels import KrausChannel, _checked_kraus, _kraus_derivatives, _perturbed_kraus, perturbed_kraus
 from .harness import CHUNK_TRIALS, _PAULI_PAIRS, ExperimentConfig, _draw_stacked
-from .linalg import _invertible_factors, require_density, require_hermitian
+from .linalg import _invertible_factors, _row_slices, require_density, require_hermitian
 from .protocol import _exact_correlator, _main_vectors, _protocol_correlators, _require_inputs
 from .random_ops import random_density, random_dilation, random_hermitian
-from .tur import (
-    PurifiedState,
-    _branches,
-    _general_tur_terms,
-    _inner,
-    _purifications,
-    _qfi,
-    _series_estimates,
-    _sld,
-    _survival_activity,
-    _survival_activity_moments,
-    _survival_activity_protocol_sim,
-    _tilde_operators,
-    _tur_report,
-)
+from .tur import (PurifiedState, _branches, _general_tur_terms, _inner, _purifications, _qfi, _series_estimates, _sld,
+                  _survival_activity, _survival_activity_moments, _survival_activity_protocol_sim, _tilde_operators,
+                  _tur_report)
 
 SUITES = ("qfi", "scaling", "protocol", "saturation", "series")
 FD_STEP = 1e-5
-OBSERVABLE_ROWS = CHUNK_TRIALS // 4   # a pass's rows when each carries a G or L of up to 32 x 32: ~0.5 MB a stack
 
 
 @dataclass(frozen=True)
@@ -59,42 +46,46 @@ class SuiteResult:
     note: str
 
 
-def _family_chunks(seed: int, trial_ids: range, gamma_lo: float, rows: int = CHUNK_TRIALS):
-    """(config, ids) of each stacked pass of rows harness-family ids; their draws use no suite rng."""
+def _family_chunks(seed: int, trial_ids: range, gamma_lo: float):
+    """(config, ids) of each stacked pass of CHUNK_TRIALS harness-family ids; their draws use no suite rng."""
     cfg = ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, 0.75), variants=("exact",))
-    return [(cfg, trial_ids[k:k + rows]) for k in range(0, len(trial_ids), rows)]
+    return [(cfg, trial_ids[k:k + CHUNK_TRIALS]) for k in range(0, len(trial_ids), CHUNK_TRIALS)]
 
 
-def _family_passes(seed: int, trial_ids: range, gamma_lo: float = 0.1, rows: int = CHUNK_TRIALS):
-    """The instances of each pass of rows ids as stacks: rho, A, B, the dilation unitaries and their Kraus
+def _family_passes(seed: int, trial_ids: range, gamma_lo: float = 0.1):
+    """The instances of each pass of CHUNK_TRIALS ids as stacks: rho, A, B, the dilation unitaries and their Kraus
     operators (N, M, d, d), checked as an experiment chunk checks them."""
-    for cfg, ids in _family_chunks(seed, trial_ids, gamma_lo, rows):
+    for cfg, ids in _family_chunks(seed, trial_ids, gamma_lo):
         *_, a_k, b_k, _, rho, u = _draw_stacked(cfg, ids)
         v = _checked_kraus(u, rho.shape[-1], lambda n: f"trial {ids[n]}")
         yield rho, _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k], u, v
 
 
 def _instances(seed: int, n: int):
-    """Passes (rho, Kraus operators (N, M, d, d), G): each block of OBSERVABLE_ROWS instances, one pass per d.
+    """Passes (rho, Kraus operators (N, M, d, d), G): each block of CHUNK_TRIALS instances, one pass per d.
 
     Instance i is a harness-family channel (trial i) for even i and a generic
     random one for odd i, both with M = 2 (dim_E 2), a mixed state and a
-    random observable G on R (x) S (x) E, all drawn in instance order (G from
-    its own generator). A pass's states are validated and its dilations
-    checked once.
+    random observable G on R (x) S (x) E, drawn in instance order (a block's
+    G last, from their own generator, each into the stack of its pass). A
+    pass's states are validated and its dilations checked once.
     """
     rng, g_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
     family = chain.from_iterable(_draw_stacked(cfg, ids)[-1] for cfg, ids in _family_chunks(seed, range(0, n, 2), 0.1))
-    for start in range(0, n, OBSERVABLE_ROWS):
-        block = []
-        for i in range(start, min(n, start + OBSERVABLE_ROWS)):
-            d = 4 if i % 2 == 0 else int(rng.choice([2, 3, 4]))
+    for start in range(0, n, CHUNK_TRIALS):
+        slots, passes = [], {}   # slots: (d, row in its pass) of each instance; passes: d -> its (i, rho, u)
+        for i in range(start, min(n, start + CHUNK_TRIALS)):
+            d = 4 if i % 2 == 0 else 2 + int(rng.integers(3))
             u = next(family) if i % 2 == 0 else random_dilation(d, 2, rng)
-            block.append((d, i, random_density(d, rng), u, random_hermitian(2 * d * d, g_rng)))
-        for d in dict.fromkeys(row[0] for row in block):
-            ids, rho, u, g = zip(*(row[1:] for row in block if row[0] == d))
+            slots.append((d, len(passes.setdefault(d, []))))
+            passes[d].append((i, random_density(d, rng), u))
+        g = {d: np.empty((len(rows), 2 * d * d, 2 * d * d), dtype=complex) for d, rows in passes.items()}
+        for d, k in slots:
+            g[d][k] = random_hermitian(2 * d * d, g_rng)
+        for d, rows in passes.items():
+            ids, rho, u = zip(*rows)
             v = _checked_kraus(np.stack(u), d, lambda k: f"instance {ids[k]}")
-            yield require_density(np.stack(rho)), v, np.stack(g)
+            yield require_density(np.stack(rho)), v, g.pop(d)
 
 
 def _perturbed_mean(g: np.ndarray, joint: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -123,7 +114,7 @@ def _perturbation_suites(trials: int, seed: int, inject_fault: str | None = None
         ps = PurifiedState(*_purifications(rho))
         derivs = _kraus_derivatives(v, 0, v0_inv)
         j = _qfi(v, derivs, ps.rho())
-        worst_j = max(worst_j, *np.abs(j - _survival_activity(rho, v0_inv)).tolist())
+        worst_j = float(np.maximum(worst_j, np.abs(j - _survival_activity(rho, v0_inv)).max()))
         psi_t = _branches(ps.joint_vector, v)
         g_psi = (require_hermitian(g, name="observable G") @ psi_t[..., None])[..., 0]
         tilde = _branches(ps.joint_vector, _tilde_operators(v0_inv, v.shape[1], 0))
@@ -133,12 +124,12 @@ def _perturbation_suites(trials: int, seed: int, inject_fault: str | None = None
         if inject_fault == "dv0-sign":
             derivs[:, 0] = -derivs[:, 0]
         an = 2.0 * _inner(_branches(ps.joint_vector, derivs), g_psi)
-        worst_fd = max(worst_fd, *np.abs(fd - (mean - q)).tolist())
-        worst_an = max(worst_an, *np.abs(an - (mean - q)).tolist())
+        worst_fd = float(np.maximum(worst_fd, np.abs(fd - (mean - q)).max()))
+        worst_an = float(np.maximum(worst_an, np.abs(an - (mean - q)).max()))
     return {
         "qfi": SuiteResult("qfi", worst_j <= 1e-8, trials, worst_j, "max |J(0) - Xi|"),
         "scaling": SuiteResult(
-            "scaling", worst_fd <= 1e-6 and worst_an <= 1e-8, trials, max(worst_fd, worst_an),
+            "scaling", worst_fd <= 1e-6 and worst_an <= 1e-8, trials, float(np.maximum(worst_fd, worst_an)),
             f"max |fd - (mean - Q)| = {worst_fd:.3e}, analytic leg {worst_an:.3e}",
         ),
     }
@@ -158,26 +149,27 @@ def suite_protocol(trials: int, seed: int) -> SuiteResult:
         rho, a, b = _require_inputs(rho, 4, a, b)   # the family's system has dimension 4, its environment starts in 0
         c_proto = _protocol_correlators(_main_vectors(_purifications(rho)[2].reshape(rho.shape), u, 0, a, b))
         c_direct = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
-        worst = max(worst, *map(abs, (c_direct - c_proto).tolist()))   # Python's complex abs, not numpy's hypot
+        worst = float(np.max([worst, *map(abs, (c_direct - c_proto).tolist())]))   # Python's abs, not numpy's hypot
     return SuiteResult("protocol", worst <= 1e-10, trials, worst, "max |protocol - direct|")
 
 
 def suite_saturation(trials: int, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed + 3)
     worst = 0.0
-    for _, _, _, _, v in _family_passes(seed + 3, range(trials), gamma_lo=0.2, rows=OBSERVABLE_ROWS):
+    for _, _, _, _, v in _family_passes(seed + 3, range(trials), gamma_lo=0.2):
         draws = [(random_density(v.shape[-1], rng), rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)) for _ in v]
         rho, scale, offset = (np.array(x) for x in zip(*draws))
         ps = PurifiedState(*_purifications(require_density(rho)))
         v0_inv = _invertible_factors(v[:, 0])[0]
         psi_t = _branches(ps.joint_vector, v)
         tilde = _branches(ps.joint_vector, _tilde_operators(v0_inv, v.shape[1], 0))
-        l = _sld(psi_t, tilde)
-        g = require_hermitian(scale[:, None, None] * l + offset[:, None, None] * np.eye(l.shape[-1]),
-                              name="observable G")
-        report = _tur_report(*_general_tur_terms(psi_t, (g @ psi_t[..., None])[..., 0], tilde),
-                             _survival_activity(ps.rho(), v0_inv))
-        worst = max(worst, *np.abs(report.ratio - 1.0).tolist())
+        g = np.empty(psi_t.shape + psi_t.shape[-1:], dtype=complex)   # G = scale L + offset I, a slice at a time
+        for s in _row_slices(g):
+            g[s] = scale[s, None, None] * _sld(psi_t[s], tilde[s]) + offset[s, None, None] * np.eye(g.shape[-1])
+        g_psi = (require_hermitian(g, name="observable G") @ psi_t[..., None])[..., 0]
+        del g   # drawing the next pass then holds no stack of this one's observables
+        report = _tur_report(*_general_tur_terms(psi_t, g_psi, tilde), _survival_activity(ps.rho(), v0_inv))
+        worst = float(np.maximum(worst, np.abs(report.ratio - 1.0).max()))
     return SuiteResult("saturation", worst <= 1e-6, trials, worst, "max |TUR ratio - 1| for G affine in L")
 
 
@@ -193,9 +185,9 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
         xi = _survival_activity(rho, _invertible_factors(v0)[0])
         errors.append(np.abs(estimates - xi))
         sim = _survival_activity_protocol_sim(_purifications(rho)[2].reshape(rho.shape), u, 0, 4)
-        worst_moment = max(worst_moment, float(np.abs(moments - sim).max()))
-        worst_first = max(worst_first, float(np.abs(estimates[0] - (1.0 - moments[1])).max()))
-    medians = [median(row) for row in np.concatenate(errors, axis=1).tolist()]
+        worst_moment = float(np.maximum(worst_moment, np.abs(moments - sim).max()))
+        worst_first = float(np.maximum(worst_first, np.abs(estimates[0] - (1.0 - moments[1])).max()))
+    medians = [median(row) if np.isfinite(sum(row)) else np.nan for row in np.concatenate(errors, axis=1).tolist()]
     decreasing = all(medians[k + 1] < medians[k] for k in range(3))
     passed = decreasing and worst_moment <= 1e-10 and worst_first <= 1e-12
     note = (
