@@ -203,8 +203,7 @@ def _cmd_bound(args) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        reports = _bound_and_tradeoff(rho, channel, a, b, dict.fromkeys((args.variant, "exact")), args.part)
-        bound, tur = reports[0][0], reports[-1][1]   # the trade-off reported is always the exact interval's
+        bound, tur = _bound_and_tradeoff(rho, channel, a, b, args.variant, args.part)
     except (SingularOperator, DegenerateChannel) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

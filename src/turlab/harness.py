@@ -16,9 +16,10 @@ stream keyed by (seed, trial_id), its main and nested circuits' shots from those
 a trial's thirteen uniforms are one raw read of its stream, scaled as numpy's uniform scales them.
 The inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view. The records
 have one evaluation path too: run_experiment passes CHUNK_TRIALS trials at a time through the stacked kernels of tur
-and protocol (_evaluate_chunk), whose rows equal the scalar functions that `bound` and `verify` call to the last bit,
-and keeps a run's records as columns (TrialColumns, no object per trial). evaluate_trial, the replay of one trial of
-a run, is their one-row view, a TrialRecord. tests/ keeps the scalar composition and density circuits as the oracle.
+and protocol (_evaluate_chunk: the bound's one composition _bound_terms, of which `bound` is the one-row view, and the
+one neumann1 formula _neumann1, also of the shot estimates), and keeps a run's records as columns (TrialColumns, no
+object per trial). evaluate_trial, the replay of one trial of a run, is their one-row view, a TrialRecord. tests/
+keeps the scalar composition and density circuits as the oracle.
 """
 
 from __future__ import annotations
@@ -32,17 +33,16 @@ import numpy as np
 from .channels import KrausChannel, _checked_kraus, kraus_from_unitary
 from .errors import ContractError
 from .gates import I2, PAULIS, controlled, pauli_pair
-from .linalg import SubsystemLayout, _invertible_factors, kron, require_hermitian
+from .linalg import SubsystemLayout, kron, require_hermitian
 from .protocol import (
     PARTS,
     _ancilla_pullback,
-    _approx_bound_quantities,
+    _bound_terms,
     _entropy_words,
-    _entry_state,
-    _exact_correlator,
     _main_vectors,
     _multinomial_counts,
     _nested_vectors,
+    _neumann1,
     _on_factors,
     _spawned_words,
     _streams,
@@ -50,15 +50,7 @@ from .protocol import (
     estimate_main_circuit,
     estimate_nested_circuit,
 )
-from .tur import (
-    _branches,
-    _general_tur_terms,
-    _marginal,
-    _survival_activity,
-    _tilde_operators,
-    _tur_report,
-    separable_baseline,
-)
+from .tur import _branches, _general_tur_terms, _tilde_operators, _tur_report
 
 VARIANTS = ("exact", "neumann1", "sampled")
 _SE_LAYOUT = SubsystemLayout((4, 2))
@@ -201,7 +193,7 @@ def _sampled_variants(main_counts: np.ndarray, nested_counts: np.ndarray) -> tup
         (c, p0, t1), t2 = estimate_main_circuit(main_counts), estimate_nested_circuit(nested_counts)
     failures = np.where(np.isnan(t1), "no shots survived the E = e0 postselection",
                         np.where(np.isnan(t2), "no shots survived the E1 = e0 postselection", None))
-    return _variant_values(c, 1.0 - p0, 2.0 * p0 * t1 - p0 * t2)[0], failures
+    return _variant_values(c, *_neumann1(p0, t1, t2))[0], failures
 
 
 def evaluate_trial(config: ExperimentConfig, trial_id: int) -> TrialRecord:
@@ -280,14 +272,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> TrialColumns:
         return f"trial {trial_ids[n]}"
 
     v = _checked_kraus(u, d, label)   # (N, M, d, d)
-    v0 = v[:, 0]
-
-    c = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
-    sigma = _entry_state(rho, b)
-    v0_inv = _invertible_factors(v0, label, "no-jump operator V_0 is singular")[0]
-    p0, rho_v0, (q_re, q_im) = separable_baseline(sigma, v0, v0_inv, (g_re, g_im), label)
-    xi = _survival_activity(_marginal(sigma, d), v0_inv)
-    xi_approx, q_approx = _approx_bound_quantities(p0, rho_v0, g_re, v0)
+    c, p0, xi, (q_re, q_im), (xi_approx, q_approx), v0_inv = _bound_terms(rho, v, 0, a, b, (g_re, g_im), label)
     entry = _main_vectors(psi[:, :, None], u, 0, a, b, "after_UB")[:, :, :, 0, 0].reshape(len(psi), -1)
     psi_t = _branches(entry, kron(I2, v))   # on P (x) E, the channel lifted to act on S of P
     tilde = _branches(entry, _tilde_operators(kron(I2, v0_inv), d_e, 0))

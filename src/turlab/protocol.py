@@ -14,6 +14,10 @@ The sigma_x readout is realized as Hadamard-then-sigma_z, sigma_y as
 register factors, and a stage is a prefix of that list. The circuits run exactly
 on state vectors, a mixed rho entering through its purification (a last factor R
 that no gate touches); shot noise enters only through multinomial sampling.
+
+The bound Q - sqrt(Xi) <= Re C(T) <= Q + sqrt(Xi) has one composition, _bound_terms over stacks of instances: the
+experiment chunk calls it on its trials, correlator_bound and `bound` on one row. Its first-order surrogates have
+one formula, _neumann1, fed the exact traces here and the shot estimates in the experiment's sampled variant.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _heisenberg, _no_jump_inverse, ensure_dilation
+from .channels import KrausChannel, _heisenberg, ensure_dilation
 from .errors import ContractError, LayoutError
 from .gates import HADAMARD, S_GATE, SIGMA_X, SIGMA_Y, controlled
 from .linalg import (
     SubsystemLayout,
+    _invertible_factors,
     basis_vector,
     dag,
     kron,
@@ -216,18 +221,33 @@ def correlator_interval(c, q, xi) -> tuple[float, float, bool, TurReport]:
     return lower, upper, contained, report
 
 
-def _approx_bound_quantities(p0: np.ndarray, rho_v0: np.ndarray, g: np.ndarray, v0: np.ndarray):
-    """First-order (truncated Neumann series) surrogates for Xi_B and Q_{A,B} of each row of stacks: the p_0 and
-    rho^V0 of separable_baseline, the ancilla pullback G and the no-jump operator V_0.
+def _neumann1(p0, t1, t2):
+    """The first-order (truncated Neumann series) surrogates (Xi, Q) of p_0, T_1 = Tr[rho^V0 G] and
+    T_2 = Re Tr[rho^V0 G V_0 V_0^dag], exact or estimated: (V_0^dag V_0)^-1 ~ 2 - V_0^dag V_0 gives
+    Xi ~ 1 - p_0 and Q ~ 2 p_0 T_1 - p_0 T_2."""
+    return 1.0 - p0, 2.0 * p0 * t1 - p0 * t2
 
-    (V_0^dag V_0)^-1 ~ 2 - V_0^dag V_0 gives Xi ~ 1 - p_0 and
-    Q ~ 2 p_0 T_1 - p_0 T_2 with T_1 = Tr[rho^V0 G] and
-    T_2 = Re Tr[rho^V0 G V_0 V_0^dag].
-    """
+
+def _approx_bound_quantities(p0: np.ndarray, rho_v0: np.ndarray, g: np.ndarray, v0: np.ndarray):
+    """_neumann1 of the exact T_1, T_2 of each row of stacks: the p_0 and rho^V0 of separable_baseline, the ancilla
+    pullback G and the no-jump operator V_0."""
     ww = kron(np.eye(g.shape[-1] // v0.shape[-1]), v0 @ dag(v0))
     t1 = np.trace(rho_v0 @ g, axis1=1, axis2=2).real
     t2 = np.trace(rho_v0 @ g @ ww, axis1=1, axis2=2).real
-    return 1.0 - p0, 2.0 * p0 * t1 - p0 * t2
+    return _neumann1(p0, t1, t2)
+
+
+def _bound_terms(rho, v, e0: int, a, b, gs, label=None):
+    """(C(T), p_0, Xi, [Q of each G of gs], the neumann1 (Xi, Q) of gs[0], V_0^-1) of each row of stacks rho, A, B
+    (N, d, d), Kraus operators v (N, M, d, d) with no-jump index e0 and ancilla pullbacks gs (N, 2d, 2d), Xi and Q
+    those of the state entering the channel; a singular V_0 or a zero p_0 raises, labelled by label(row)."""
+    v0 = v[:, e0]
+    c = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
+    sigma = _entry_state(rho, b)
+    v0_inv = _invertible_factors(v0, label, "no-jump operator V_0 is singular")[0]
+    p0, rho_v0, qs = separable_baseline(sigma, v0, v0_inv, gs, label)
+    xi = _survival_activity(_marginal(sigma, v0.shape[-1]), v0_inv)
+    return c, p0, xi, qs, _approx_bound_quantities(p0, rho_v0, gs[0], v0), v0_inv
 
 
 def correlator_bound(
@@ -243,34 +263,25 @@ def correlator_bound(
     exact: Xi_B = Tr[rho_S^B (V_0^dag V_0)^-1] - 1 with rho_S^B the S marginal
     of the state entering the channel, and Q_{A,B} the separable baseline
     with G the ancilla pullback of the readout Pauli. neumann1: the
-    first-order surrogates of _approx_bound_quantities. The interval half-width
+    first-order surrogates of _neumann1. The interval half-width
     is sqrt(Xi_B) (variance of the unitary-Hermitian G capped at 1).
     """
-    return _bound_and_tradeoff(rho, ch, a, b, (variant,), part)[0][0]
+    return _bound_and_tradeoff(rho, ch, a, b, variant, part)[0]
 
 
-def _bound_and_tradeoff(rho, ch: KrausChannel, a, b, variants, part: str) -> list[tuple[BoundReport, TurReport]]:
-    """correlator_bound and the separable trade-off of each variant, the inputs validated and C(T) evaluated once."""
-    if unknown := set(variants) - {"exact", "neumann1"}:
-        raise ContractError(f"unknown variant {min(unknown)!r}")
+def _bound_and_tradeoff(rho, ch: KrausChannel, a, b, variant: str, part: str) -> tuple[BoundReport, TurReport]:
+    """(correlator_bound of the variant, separable trade-off of the exact interval): the inputs validated once and
+    one row of _bound_terms."""
+    if variant not in ("exact", "neumann1"):
+        raise ContractError(f"unknown variant {variant!r}")
     rho, a, b = _require_inputs(rho, ch.dim, a, b)
-    c = _exact_correlator(rho, ch.operators, a, b)
-    c_part = c.real if part == "real" else c.imag
-    sigma, g, v0 = _entry_state(rho, b)[None], _ancilla_pullback(a, part)[None], ch.v0[None]
-    v0_inv = _no_jump_inverse(ch, "no-jump operator V_0 is singular")
-    p0, rho_v0, (q_exact,) = separable_baseline(sigma, v0, v0_inv[None], [g])
-    reports = []
-    for variant in variants:
-        if variant == "exact":
-            xi_b, q = _survival_activity(_marginal(sigma[0], ch.dim), v0_inv), q_exact[0]
-        else:
-            (xi_b,), (q,) = _approx_bound_quantities(p0, rho_v0, g, v0)
-        lower, upper, holds, tur = correlator_interval(c_part, q, xi_b)
-        reports.append((BoundReport(
-            correlator_real=c_part, q_ab=float(q), xi_b=float(xi_b), lower=lower, upper=upper,
-            holds=holds, approx_variant=variant, part=part,
-        ), tur))
-    return reports
+    c, _, xi, (q,), approx, _ = _bound_terms(rho[None], np.stack(ch.operators)[None], ch.no_jump_index,
+                                             a[None], b[None], [_ancilla_pullback(a, part)[None]])
+    c_part = (c.real if part == "real" else c.imag).item()
+    exact = correlator_interval(c_part, q[0], xi[0])
+    (xi_b,), (q_b,) = (xi, q) if variant == "exact" else approx
+    lower, upper, holds, _ = exact if variant == "exact" else correlator_interval(c_part, q_b, xi_b)
+    return BoundReport(c_part, float(q_b), float(xi_b), lower, upper, holds, variant, part), exact[3]
 
 
 def separable_tur_protocol_check(
@@ -281,7 +292,7 @@ def separable_tur_protocol_check(
     part: str = "real",
 ) -> TurReport:
     """Separable trade-off for the protocol observable G (Var[G] = 1 - <G>^2)."""
-    return _bound_and_tradeoff(rho, ch, a, b, ("exact",), part)[0][1]
+    return _bound_and_tradeoff(rho, ch, a, b, "exact", part)[1]
 
 
 def nested_premeasure_state(

@@ -199,6 +199,8 @@ def suite_series(trials: int, seed: int) -> SuiteResult:
 
 def run_suites(names=None, trials: int = 100, seed: int = 2024, inject_fault: str | None = None):
     names = SUITES if names is None else tuple(names)
+    if unknown := [name for name in names if name not in SUITES]:
+        raise ValueError(f"unknown suite {unknown[0]!r}; choose from {SUITES}")
     # qfi and scaling check the same instances: one draw, one pass loop for both
     perturbation = _perturbation_suites(trials, seed, inject_fault) if {"qfi", "scaling"} & set(names) else {}
     results = []
@@ -209,8 +211,6 @@ def run_suites(names=None, trials: int = 100, seed: int = 2024, inject_fault: st
             results.append(suite_protocol(trials, seed))
         elif name == "saturation":
             results.append(suite_saturation(max(20, trials // 5), seed))
-        elif name == "series":
-            results.append(suite_series(max(20, trials // 2), seed))
         else:
-            raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+            results.append(suite_series(max(20, trials // 2), seed))
     return results

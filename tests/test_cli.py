@@ -7,9 +7,10 @@ import pytest
 
 from turlab import cli
 from turlab.cli import main
+from turlab.random_ops import random_density
 from turlab.serialize import CSV_COLUMNS, encode_matrix
 
-from conftest import amplitude_damping_unitary
+from conftest import amplitude_damping_unitary, hermitian_unitary, random_channel
 
 
 def write_spec(tmp_path, name, obj):
@@ -281,6 +282,30 @@ class TestBoundCommand:
             "--b", json.dumps(SZ),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("variant", ["exact", "neumann1"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_no_jump_index_one_equals_the_reordered_channel(self, variant, part, capsys):
+        """A Kraus channel whose no-jump operator sits at index 1 bounds as its operators reordered to index 0."""
+        rng = np.random.default_rng(29)
+        ops = [encode_matrix(v) for v in random_channel(3, 3, rng).operators]   # V_0 is ops[0]
+        inputs = [json.dumps(encode_matrix(m)) for m in (random_density(3, rng, rank=2), hermitian_unitary(3, rng),
+                                                         hermitian_unitary(3, rng))]
+        reports = []
+        for spec in ({"kraus": [ops[1], ops[0], ops[2]], "no_jump_index": 1}, {"kraus": ops, "no_jump_index": 0}):
+            code = main(["bound", "--channel", json.dumps(spec), "--rho", inputs[0], "--a", inputs[1],
+                         "--b", inputs[2], "--variant", variant, "--part", part])
+            assert code == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        for key in ("bound", "tur"):
+            one, zero = reports[0][key], reports[1][key]
+            assert one.keys() == zero.keys()
+            for name, value in one.items():
+                if isinstance(value, float):
+                    assert abs(value - zero[name]) <= 1e-12, (key, name)
+                else:
+                    assert value == zero[name], (key, name)
+        assert reports[0]["bound"]["approx_variant"] == variant
 
     def test_malformed_row_names_row(self, tmp_path, capsys):
         bad = {"kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]], "no_jump_index": 0}

@@ -97,7 +97,7 @@ def scalar_evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialR
     bound = correlator_bound(rho, ch, a, b, variant="exact", part="real")
     exact, margin = variant_row(bound.correlator_real, bound.xi_b, bound.q_ab)
 
-    (bound_i, sep_i), = _bound_and_tradeoff(rho, ch, a, b, ("exact",), "imag")
+    bound_i, sep_i = _bound_and_tradeoff(rho, ch, a, b, "exact", "imag")
 
     approx_bound = correlator_bound(rho, ch, a, b, variant="neumann1", part="real")
     approx, _ = variant_row(approx_bound.correlator_real, approx_bound.xi_b, approx_bound.q_ab)
@@ -409,6 +409,27 @@ class TestBatchedPath:
             oracle(cfg, 0)
         with pytest.raises(SingularOperator, match="trial 0"):
             run_experiment(cfg)
+
+    def test_one_neumann1_formula_reaches_all_three_uses(self, monkeypatch):
+        """A mutant of the one surrogate formula that drops a p0 from Q changes the chunk's approx and sampled
+        columns and correlator_bound(variant="neumann1")."""
+        cfg = ExperimentConfig(seed=4, n_trials=12, shots=1000)
+        s = generate_trial(cfg, 5)
+
+        def neumann1_uses():
+            chunk = harness._evaluate_chunk(cfg, range(cfg.n_trials))
+            bound = correlator_bound(s.rho, s.channel, s.a_op, s.b_op, variant="neumann1")
+            return chunk.approx.q_ab, chunk.sampled.q_ab, bound.q_ab
+
+        before, original = neumann1_uses(), protocol._neumann1
+        patched = []
+        for module in [m for n, m in sys.modules.items() if n == "turlab" or n.startswith("turlab.")]:
+            if getattr(module, "_neumann1", None) is original:
+                monkeypatch.setattr(module, "_neumann1", lambda p0, t1, t2: (1.0 - p0, 2.0 * p0 * t1 - t2))
+                patched.append(module.__name__)
+        assert {"turlab.harness", "turlab.protocol"} <= set(patched)
+        after = neumann1_uses()
+        assert np.all(before[0] != after[0]) and np.all(before[1] != after[1]) and before[2] != after[2]
 
 
 class TestKeyedStreams:

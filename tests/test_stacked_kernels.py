@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import amplitude_damping
+from conftest import amplitude_damping, hermitian_unitary
 
 from turlab.channels import (
     KrausChannel,
@@ -17,7 +17,14 @@ from turlab.channels import (
 )
 from turlab.errors import AdmissibilityError, SingularOperator
 from turlab.linalg import _invertible_factors, _no_jump_factors, dag, embed_operator, hermitian_inverse, outer
-from turlab.protocol import _approx_bound_quantities, _on_factors
+from turlab.protocol import (
+    PARTS,
+    _ancilla_pullback,
+    _approx_bound_quantities,
+    _bound_terms,
+    _on_factors,
+    exact_correlator,
+)
 from turlab.random_ops import random_density, random_hermitian, random_unitary
 from turlab.tur import (
     _branches,
@@ -98,6 +105,39 @@ def test_separable_baseline_and_neumann1_rows():
             assert [q[n] for q in qs] == [q[0] for q in qs_n]
             (xi_1n,), (q_1n,) = _approx_bound_quantities(p0_n, rho_v0_n, gs[0][one], v0[one])
             assert (xi_1[n], q_1[n]) == (xi_1n, q_1n)
+
+
+def test_bound_terms_rows():
+    """Each row of _bound_terms equals its one-row call to the last bit, and agrees with formulas outside the kernel:
+    C(T) of exact_correlator, p_0 and Xi of the entry marginal (rho + B rho B) / 2, and each Q as the general
+    baseline of the embedded observable I_R (x) G (x) I_E over the purified entry state on a lifted channel."""
+    rng = np.random.default_rng(23)
+    plus = np.full((2, 2), 0.5)
+    for k, (rho, ops) in enumerate(stacks()):
+        n_rows, d_e, d_s = ops.shape[:3]
+        e0 = k % d_e
+        v = np.roll(ops, e0, axis=1)   # the no-jump operator ops[:, 0] at index e0
+        a, b = (np.stack([hermitian_unitary(d_s, rng) for _ in range(n_rows)]) for _ in range(2))
+        gs = [_ancilla_pullback(a, part) for part in PARTS]
+        c, p0, xi, qs, (xi_1, q_1), v0_inv = _bound_terms(rho, v, e0, a, b, gs)
+        for n in range(n_rows):
+            one = slice(n, n + 1)
+            c_n, p0_n, xi_n, qs_n, (xi_1n, q_1n), v0_inv_n = _bound_terms(rho[one], v[one], e0, a[one], b[one],
+                                                                         [g[one] for g in gs])
+            assert (c[n], p0[n], xi[n], xi_1[n], q_1[n]) == (c_n[0], p0_n[0], xi_n[0], xi_1n[0], q_1n[0])
+            assert [q[n] for q in qs] == [q[0] for q in qs_n] and np.array_equal(v0_inv[n], v0_inv_n[0])
+
+            ch = KrausChannel(tuple(v[n]), no_jump_index=e0)
+            assert abs(c[n] - exact_correlator(rho[n], ch, a[n], b[n])) <= 1e-9
+            marginal = (rho[n] + b[n] @ rho[n] @ b[n]) / 2
+            assert abs(p0[n] - np.trace(marginal @ dag(ops[n, 0]) @ ops[n, 0]).real) <= 1e-9
+            assert abs(xi[n] - survival_activity(marginal, ch)) <= 1e-9
+            ucb = np.block([[np.eye(d_s), np.zeros((d_s, d_s))], [np.zeros((d_s, d_s)), b[n]]])
+            entry = purify(ucb @ np.kron(plus, rho[n]) @ dag(ucb))
+            lifted = KrausChannel(tuple(np.kron(np.eye(2), m) for m in v[n]), no_jump_index=e0)
+            for q, g in zip(qs, gs):
+                g_emb = np.kron(np.kron(np.eye(2 * d_s), g[n]), np.eye(d_e))
+                assert abs(q[n] - check_general_tur(g_emb, entry, lifted).q_baseline) <= 1e-9
 
 
 def test_general_tur_terms_rows_equal_check_general_tur():

@@ -248,3 +248,15 @@ def test_a_nan_deviation_fails_its_suite(monkeypatch, kernel, suites, where):
     monkeypatch.setattr(verify, kernel, _nan_at(where, getattr(verify, kernel)))
     results = {r.name: r for r in run_suites(suites, trials=10, seed=1)}
     assert all(not r.passed and math.isnan(r.worst) for r in results.values()), results
+
+
+def test_an_unknown_suite_name_raises_before_any_suite_runs(monkeypatch):
+    import turlab.verify as verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a suite")
+
+    for name in ("_perturbation_suites", "suite_protocol", "suite_saturation", "suite_series"):
+        monkeypatch.setattr(verify, name, refuse)
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; choose from \('qfi', "):
+        run_suites(["qfi", "series", "nope"], trials=100, seed=1)
