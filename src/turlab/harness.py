@@ -16,10 +16,10 @@ stream keyed by (seed, trial_id), its main and nested circuits' shots from those
 a trial's thirteen uniforms are one raw read of its stream, scaled as numpy's uniform scales them.
 The inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view. The records
 have one evaluation path too: run_experiment passes CHUNK_TRIALS trials at a time through the stacked kernels of tur
-and protocol (_evaluate_chunk: the bound's one composition _bound_terms, of which `bound` is the one-row view, and the
-one neumann1 formula _neumann1, also of the shot estimates), and keeps a run's records as columns (TrialColumns, no
-object per trial). evaluate_trial, the replay of one trial of a run, is their one-row view, a TrialRecord. tests/
-keeps the scalar composition and density circuits as the oracle.
+and protocol (_evaluate_chunk: the bound's one composition _bound_terms, of which `bound` is the one-row view and whose
+terms give the general trade-off too, and the one neumann1 formula _neumann1, also of the shot estimates), and keeps a
+run's records as columns (TrialColumns, no object per trial). evaluate_trial, the replay of one trial of a run, is
+their one-row view, a TrialRecord. tests/ keeps the density-matrix bound and circuits as the oracle.
 """
 
 from __future__ import annotations
@@ -43,14 +43,13 @@ from .protocol import (
     _multinomial_counts,
     _nested_vectors,
     _neumann1,
-    _on_factors,
     _spawned_words,
     _streams,
     correlator_interval,
     estimate_main_circuit,
     estimate_nested_circuit,
 )
-from .tur import _branches, _general_tur_terms, _tilde_operators, _tur_report
+from .tur import _roots, _tur_report
 
 VARIANTS = ("exact", "neumann1", "sampled")
 _SE_LAYOUT = SubsystemLayout((4, 2))
@@ -256,32 +255,27 @@ def _draw_stacked(config: ExperimentConfig, trial_ids, rng: np.random.Generator 
 def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> TrialColumns:
     """The records of the ids as columns, from one pass of the stacked kernels over the chunk's trials.
 
-    C(T), Xi, p0 and the baselines are those of correlator_bound, exact and
-    neumann1, real and imaginary part; the general trade-off is that of
-    G = I_R (x) G_P (x) I_E over the purification of the state entering the
-    channel, G_P the real pullback of A on P = S' (x) S. That state is pure, so
-    the trade-off runs on its vector U_B^c (|+> (x) psi), R of dimension 1.
+    C(T), Xi, p0, the baselines (those of correlator_bound: exact and neumann1,
+    real and imaginary part) and the general trade-off of G = I_R (x) G_P (x) I_E,
+    G_P the real pullback of A on P = S' (x) S, are the terms of one _bound_terms
+    on the root of rho that `bound` takes too (_roots: one column, rho pure).
     """
     rng = np.random.Generator(np.random.Philox(0))   # re-keyed to each stream of the chunk
     thetas, gammas, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
-    d, d_e = _SE_LAYOUT.dims
     a, b = _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
-    g_re, g_im = _PULLBACKS["real"][a_k], _PULLBACKS["imag"][a_k]
+    g_re = _PULLBACKS["real"][a_k]
 
     def label(n):
         return f"trial {trial_ids[n]}"
 
-    v = _checked_kraus(u, d, label)   # (N, M, d, d)
-    c, p0, xi, (q_re, q_im), (xi_approx, q_approx), v0_inv = _bound_terms(rho, v, 0, a, b, (g_re, g_im), label)
-    entry = _main_vectors(psi[:, :, None], u, 0, a, b, "after_UB")[:, :, :, 0, 0].reshape(len(psi), -1)
-    psi_t = _branches(entry, kron(I2, v))   # on P (x) E, the channel lifted to act on S of P
-    tilde = _branches(entry, _tilde_operators(kron(I2, v0_inv), d_e, 0))
-    g_psi = _on_factors(g_re, psi_t, (2 * d, d_e), (0,))
-    general = _tur_report(*_general_tur_terms(psi_t, g_psi, tilde), xi)
+    v = _checked_kraus(u, _SE_LAYOUT.dims[0], label)   # (N, M, d, d)
+    p0, xi, ((c_re, var_re, q_re), (c_im, _, q_im)), (xi_approx, q_approx) = _bound_terms(
+        rho, _roots(rho), v, 0, b, (g_re, _PULLBACKS["imag"][a_k]), label)
+    general = _tur_report(c_re, var_re, q_re, xi)
 
-    exact, margins = _variant_values(c.real, xi, q_re)
-    approx, _ = _variant_values(c.real, xi_approx, q_approx)
-    _, _, contained_imag, sep_imag = correlator_interval(c.imag, q_im, xi)
+    exact, margins = _variant_values(c_re, xi, q_re)
+    approx, _ = _variant_values(c_re, xi_approx, q_approx)
+    _, _, contained_imag, sep_imag = correlator_interval(c_im, q_im, xi)
     sampled, failures = None, np.full(len(psi), None)
     if "sampled" in config.variants and config.shots > 0:
         # trial i draws its main circuit's shots from stream (seed, i, 0), its nested circuit's from (seed, i, 1)

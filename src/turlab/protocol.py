@@ -15,9 +15,10 @@ register factors, and a stage is a prefix of that list. The circuits run exactly
 on state vectors, a mixed rho entering through its purification (a last factor R
 that no gate touches); shot noise enters only through multinomial sampling.
 
-The bound Q - sqrt(Xi) <= Re C(T) <= Q + sqrt(Xi) has one composition, _bound_terms over stacks of instances: the
-experiment chunk calls it on its trials, correlator_bound and `bound` on one row. Its first-order surrogates have
-one formula, _neumann1, fed the exact traces here and the shot estimates in the experiment's sampled variant.
+The bound Q - sqrt(Xi) <= Re C(T) <= Q + sqrt(Xi) has one composition, _bound_terms over stacks of instances, on the
+state vectors of the entry root (tur._roots of rho), with Q_G's one formula tur._general_tur_terms: the experiment
+chunk calls it on its trials, correlator_bound and `bound` on one row. Its first-order surrogates have one formula,
+_neumann1, fed the exact traces here and the shot estimates in the experiment's sampled variant.
 """
 
 from __future__ import annotations
@@ -29,25 +30,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, _heisenberg, ensure_dilation
-from .errors import ContractError, LayoutError
+from .errors import ContractError, DegenerateChannel, LayoutError
 from .gates import HADAMARD, S_GATE, SIGMA_X, SIGMA_Y, controlled
 from .linalg import (
     SubsystemLayout,
     _invertible_factors,
-    basis_vector,
+    _raise_first_failure,
     dag,
     kron,
-    outer,
     require_density,
     require_hermitian,
     require_unitary,
 )
-from .tur import TUR_SLACK, TurReport, _marginal, _purifications, _survival_activity, _tur_report, separable_baseline
+from .tur import (P0_CUTOFF, TUR_SLACK, TurReport, _branches, _general_tur_terms, _inner, _purifications, _roots,
+                  _survival_activity, _tilde_operators, _tur_report)
 
 STAGES = ("prepared", "after_UB", "after_channel", "after_UA", "premeasure")
 _STAGE_GATES = dict(zip(STAGES, (0, 2, 3, 4, 5)))   # gates of protocol_state's list applied by each stage
 PARTS = ("real", "imag")
-_PLUS = outer((basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0))   # |+><+|
 
 
 def _require_inputs(rho, dim: int, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,12 +179,6 @@ def _ancilla_pullback(a: np.ndarray, part: str) -> np.ndarray:
     return dag(uca) @ kron(readout, np.eye(a.shape[-1])) @ uca
 
 
-def _entry_state(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """State of S' (x) S entering the channel: U_B^c (|+><+| (x) rho) U_B^c-dag."""
-    ucb = controlled(b)
-    return ucb @ kron(_PLUS, rho) @ dag(ucb)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluation of the correlator bound Q - sqrt(Xi_B) <= Re C <= Q + sqrt(Xi_B).
@@ -228,26 +222,30 @@ def _neumann1(p0, t1, t2):
     return 1.0 - p0, 2.0 * p0 * t1 - p0 * t2
 
 
-def _approx_bound_quantities(p0: np.ndarray, rho_v0: np.ndarray, g: np.ndarray, v0: np.ndarray):
-    """_neumann1 of the exact T_1, T_2 of each row of stacks: the p_0 and rho^V0 of separable_baseline, the ancilla
-    pullback G and the no-jump operator V_0."""
-    ww = kron(np.eye(g.shape[-1] // v0.shape[-1]), v0 @ dag(v0))
-    t1 = np.trace(rho_v0 @ g, axis1=1, axis2=2).real
-    t2 = np.trace(rho_v0 @ g @ ww, axis1=1, axis2=2).real
-    return _neumann1(p0, t1, t2)
-
-
-def _bound_terms(rho, v, e0: int, a, b, gs, label=None):
-    """(C(T), p_0, Xi, [Q of each G of gs], the neumann1 (Xi, Q) of gs[0], V_0^-1) of each row of stacks rho, A, B
-    (N, d, d), Kraus operators v (N, M, d, d) with no-jump index e0 and ancilla pullbacks gs (N, 2d, 2d), Xi and Q
-    those of the state entering the channel; a singular V_0 or a zero p_0 raises, labelled by label(row)."""
+def _bound_terms(rho, x, v, e0: int, b, gs, label=None):
+    """(p_0, Xi, [(<G>, Var[G], Q_G) of each G of gs], the neumann1 (Xi, Q) of gs[0]) of each row of stacks rho, B
+    (N, d, d), roots x (N, d, r) of rho, Kraus operators v (N, M, d, d) with no-jump index e0 and ancilla pullbacks
+    gs (N, 2d, 2d) on S' (x) S. The terms are _general_tur_terms over R (x) S' (x) S (x) E from the entry root
+    U_B^c (|+> (x) x) = (|0> (x) x + |1> (x) B x) / sqrt(2), so <G_re> + i <G_im> is C(T); p_0 and Xi are those of
+    the entry's S marginal (rho + B rho B^dag) / 2, free of the root's rounding. A singular V_0 or a zero p_0 raises,
+    labelled by label(row)."""
+    (n, d, r), m = x.shape, v.shape[1]
     v0 = v[:, e0]
-    c = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
-    sigma = _entry_state(rho, b)
     v0_inv = _invertible_factors(v0, label, "no-jump operator V_0 is singular")[0]
-    p0, rho_v0, qs = separable_baseline(sigma, v0, v0_inv, gs, label)
-    xi = _survival_activity(_marginal(sigma, v0.shape[-1]), v0_inv)
-    return c, p0, xi, qs, _approx_bound_quantities(p0, rho_v0, gs[0], v0), v0_inv
+    rho_b = (rho + b @ rho @ dag(b)) / 2.0
+    p0 = np.trace(rho_b @ dag(v0) @ v0, axis1=1, axis2=2).real
+    _raise_first_failure([(p0 <= P0_CUTOFF, lambda k: DegenerateChannel(
+        f"no-jump probability {p0[k]:.3e} is numerically zero"))], label)
+    joint = (np.concatenate([x, b @ x], axis=1) / math.sqrt(2.0)).swapaxes(1, 2).reshape(n, -1)   # R (x) S' (x) S
+    psi = _branches(joint, v).reshape(n, r, 2 * d, m)
+    tilde = _branches(joint, _tilde_operators(v0_inv, m, e0))
+    g_psi = [g[:, None] @ psi for g in gs]
+    # neumann1's traces over rho^V0 from the e0 branch w = (I (x) V_0) y: p_0 T_1 = <w|G w> and
+    # p_0 T_2 = Re <G w|(I (x) V_0 V_0^dag) w>
+    w, g_w = psi[..., e0].reshape(n, 2 * r, d), g_psi[0][..., e0].reshape(n, -1)
+    t1, t2 = (_inner(z.reshape(n, -1), g_w) / p0 for z in (w, w @ (v0 @ dag(v0)).swapaxes(1, 2)))
+    terms = [_general_tur_terms(psi.reshape(n, -1), gp.reshape(n, -1), tilde) for gp in g_psi]
+    return p0, _survival_activity(rho_b, v0_inv), terms, _neumann1(p0, t1, t2)
 
 
 def correlator_bound(
@@ -275,9 +273,9 @@ def _bound_and_tradeoff(rho, ch: KrausChannel, a, b, variant: str, part: str) ->
     if variant not in ("exact", "neumann1"):
         raise ContractError(f"unknown variant {variant!r}")
     rho, a, b = _require_inputs(rho, ch.dim, a, b)
-    c, _, xi, (q,), approx, _ = _bound_terms(rho[None], np.stack(ch.operators)[None], ch.no_jump_index,
-                                             a[None], b[None], [_ancilla_pullback(a, part)[None]])
-    c_part = (c.real if part == "real" else c.imag).item()
+    _, xi, ((c, _, q),), approx = _bound_terms(rho[None], _roots(rho[None]), np.stack(ch.operators)[None],
+                                               ch.no_jump_index, b[None], [_ancilla_pullback(a, part)[None]])
+    c_part = c.item()
     exact = correlator_interval(c_part, q[0], xi[0])
     (xi_b,), (q_b,) = (xi, q) if variant == "exact" else approx
     lower, upper, holds, _ = exact if variant == "exact" else correlator_interval(c_part, q_b, xi_b)

@@ -7,7 +7,8 @@ Q_G = Re <tilde-Psi(0)| G |Psi_RSE(T)> built from the unnormalized state
 |tilde-Psi(0)> = (I_R (x) (V_0^-1)^dag (x) I_E) |Psi_RS(0)> (x) |phi_0>.
 
 The general trade-off checked here is Var[G] / (<G> - Q_G)^2 >= 1 / Xi for any
-Hermitian G on R (x) S (x) E.
+Hermitian G on R (x) S (x) E. Q_G has this one formula, _general_tur_terms on
+state vectors, which protocol's correlator bound composes too.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel, _heisenberg, _kraus_derivatives, _no_jump_inverse, ensure_dilation
-from .errors import ContractError, DegenerateChannel, LayoutError
-from .linalg import _raise_first_failure, basis_vector, dag, kron, outer, require_density, require_hermitian
+from .errors import ContractError, LayoutError
+from .linalg import basis_vector, dag, kron, outer, require_density, require_hermitian
 
 DEGENERATE_MEAN_ATOL = 1e-10   # |<G> - Q_G| below this is the 0/0 limit of the bound
 TUR_SLACK = 1e-9               # numerical slack when comparing lhs >= rhs
 P0_CUTOFF = 1e-12
 EIGENVECTOR_ATOL = 1e-9
+ROOT_CUTOFF = 1e-14            # a smaller pivot of _roots is rounding: the state has no weight left
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,22 @@ def _purifications(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return w, v, np.einsum("...i,...ri,...si->...rs", np.sqrt(w), v, v).reshape(w.shape[:-1] + (-1,))
 
 
+def _roots(rho: np.ndarray) -> np.ndarray:
+    """Roots x (N, d, r) of a stack of density matrices (N, d, d), x x^dag = rho, by Cholesky with diagonal pivoting:
+    each column is that of the residual's largest diagonal entry p, over sqrt(p). A pivot at or below ROOT_CUTOFF
+    gives a zero column and r stops at the largest numerical rank of the rows, so a pure state is its one column
+    rho[:, k] / sqrt(rho[k, k]) to the last bit, whatever stack it is in."""
+    rows, res, cols = np.arange(len(rho)), rho, []
+    for _ in range(rho.shape[-1]):
+        diag = np.diagonal(res, axis1=1, axis2=2).real
+        k, pivot = diag.argmax(axis=1), diag.max(axis=1)
+        if not (pivot > ROOT_CUTOFF).any():
+            break
+        cols.append(res[rows, :, k] / np.sqrt(np.where(pivot > ROOT_CUTOFF, pivot, np.inf))[:, None])
+        res = res - cols[-1][:, :, None] * cols[-1].conj()[:, None, :]
+    return np.stack(cols, axis=-1)
+
+
 def _branches(joint: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """sum_m (I_R (x) K_m)|Psi_RS> (x) |m> on R (x) S (x) E of a vector joint (d_R d_S,) and operators
     ops (M, d_S, d_S), or of each row of stacks (N, ...) of them: the joint state a Kraus family leaves, one branch
@@ -97,12 +115,6 @@ def survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
 def _survival_activity(rho: np.ndarray, v0_inv: np.ndarray):
     """Xi of one state and V_0^-1, or of each row of stacks of them (N, d, d); (V_0^dag V_0)^-1 = V_0^-1 V_0^-dag."""
     return np.trace(rho @ v0_inv @ dag(v0_inv), axis1=-2, axis2=-1).real - 1.0
-
-
-def _marginal(sigma: np.ndarray, d_s: int) -> np.ndarray:
-    """The S marginal of a state on X (x) S, or of each state of a stack, X the leading factor."""
-    d_x = sigma.shape[-1] // d_s
-    return np.trace(sigma.reshape(sigma.shape[:-2] + (d_x, d_s, d_x, d_s)), axis1=-4, axis2=-2)
 
 
 def survival_activity_moments(rho: np.ndarray, ch: KrausChannel, order: int) -> list[float]:
@@ -168,30 +180,6 @@ def _survival_activity_protocol_sim(x: np.ndarray, unitary: np.ndarray, e0: int,
         x = (u @ psi.reshape(n_rows, d * d_e, r)).reshape(n_rows, d, d_e, r)[:, :, e0]
         moments.append((np.abs(x) ** 2).sum(axis=(1, 2)))
     return moments
-
-
-def separable_baseline(sigma: np.ndarray, v0: np.ndarray, v0_inv: np.ndarray, gs,
-                       label=None) -> tuple[np.ndarray, np.ndarray, list]:
-    """(p_0, rho^V0, [Q of each G_0 of gs]) of each row of a stack of states sigma (N, d_X d_S, d_X d_S) on X (x) S,
-    X any register left alone by the channel, no-jump operators v0 and their inverses v0_inv (N, d_S, d_S) and
-    blocks G_0 (N, d_X d_S, ...).
-
-    p_0 = Tr[sigma_S V_0^dag V_0] with sigma_S the S marginal,
-    rho^V0 = (I_X (x) V_0) sigma (I_X (x) V_0^dag) / p_0 and the no-cost
-    baseline of a separable observable with E = |phi_0> block G_0 is
-    Q = p_0 Tr[rho^V0 H] with H = (1/2) {G_0, I_X (x) (V_0 V_0^dag)^-1}.
-    X is the purifying copy R of S or the protocol ancilla S', and
-    (V_0 V_0^dag)^-1 = V_0^-dag V_0^-1. A numerically zero p_0 raises,
-    labelled as by _raise_first_failure.
-    """
-    eye_x = np.eye(sigma.shape[-1] // v0.shape[-1])
-    winv = kron(eye_x, dag(v0_inv) @ v0_inv)
-    p0 = np.trace(_marginal(sigma, v0.shape[-1]) @ dag(v0) @ v0, axis1=1, axis2=2).real
-    _raise_first_failure([(p0 <= P0_CUTOFF, lambda n: DegenerateChannel(
-        f"no-jump probability {p0[n]:.3e} is numerically zero"))], label)
-    lift = kron(eye_x, v0)
-    rho_v0 = lift @ sigma @ dag(lift) / p0[:, None, None]
-    return p0, rho_v0, [p0 * np.trace(rho_v0 @ (0.5 * (g @ winv + winv @ g)), axis1=1, axis2=2).real for g in gs]
 
 
 def qfi(ch: KrausChannel, ps: PurifiedState) -> float:

@@ -12,8 +12,8 @@ random dilations) and checks one identity or invariant at its pinned tolerance:
               1 - p0 exactly; protocol moments match matrix powers at 1e-10
 
 Each pass of at most CHUNK_TRIALS instances, one per dim_S, is one stacked call of the kernels whose one-row views are
-the scalar functions, its inputs validated once, row by row. D x D observables are formed and checked a slice of rows
-at a time. A NaN deviation fails its suite and is its worst (Python's max and statistics.median drop it).
+the scalar functions, its inputs validated once, row by row. D x D observables are Hermitian by construction and formed
+a slice of rows at a time. A NaN deviation fails its suite and is its worst (max and statistics.median drop it).
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from statistics import median
 
 import numpy as np
 
-from .channels import KrausChannel, _checked_kraus, _kraus_derivatives, _perturbed_kraus, perturbed_kraus
+from .channels import _checked_kraus, _kraus_derivatives, _perturbed_kraus
 from .harness import CHUNK_TRIALS, _PAULI_PAIRS, ExperimentConfig, _draw_stacked
-from .linalg import _invertible_factors, _row_slices, require_density, require_hermitian
+from .linalg import _invertible_factors, _row_slices, require_density
 from .protocol import _exact_correlator, _main_vectors, _protocol_correlators, _require_inputs
 from .random_ops import random_density, random_dilation, random_hermitian
 from .tur import (PurifiedState, _branches, _general_tur_terms, _inner, _purifications, _qfi, _series_estimates, _sld,
@@ -94,11 +94,6 @@ def _perturbed_mean(g: np.ndarray, joint: np.ndarray, ops: np.ndarray) -> np.nda
     return _inner(psi, (g @ psi[..., None])[..., 0])
 
 
-def perturbed_mean(g: np.ndarray, ps: PurifiedState, ch: KrausChannel, theta: float) -> float:
-    """<G> over the joint state evolved by the theta-perturbed Kraus family: the one-row view of _perturbed_mean."""
-    return float(_perturbed_mean(g[None], ps.joint_vector[None], np.array(perturbed_kraus(ch, theta))[None])[0])
-
-
 def _perturbation_suites(trials: int, seed: int, inject_fault: str | None = None) -> dict[str, SuiteResult]:
     """The qfi and scaling suites (suite_qfi and suite_scaling report one each) over one draw of the instances.
 
@@ -116,7 +111,7 @@ def _perturbation_suites(trials: int, seed: int, inject_fault: str | None = None
         j = _qfi(v, derivs, ps.rho())
         worst_j = float(np.maximum(worst_j, np.abs(j - _survival_activity(rho, v0_inv)).max()))
         psi_t = _branches(ps.joint_vector, v)
-        g_psi = (require_hermitian(g, name="observable G") @ psi_t[..., None])[..., 0]
+        g_psi = (g @ psi_t[..., None])[..., 0]
         tilde = _branches(ps.joint_vector, _tilde_operators(v0_inv, v.shape[1], 0))
         mean, _, q = _general_tur_terms(psi_t, g_psi, tilde)
         fd = (_perturbed_mean(g, ps.joint_vector, _perturbed_kraus(v, 0, FD_STEP, factors))
@@ -166,7 +161,7 @@ def suite_saturation(trials: int, seed: int) -> SuiteResult:
         g = np.empty(psi_t.shape + psi_t.shape[-1:], dtype=complex)   # G = scale L + offset I, a slice at a time
         for s in _row_slices(g):
             g[s] = scale[s, None, None] * _sld(psi_t[s], tilde[s]) + offset[s, None, None] * np.eye(g.shape[-1])
-        g_psi = (require_hermitian(g, name="observable G") @ psi_t[..., None])[..., 0]
+        g_psi = (g @ psi_t[..., None])[..., 0]
         del g   # drawing the next pass then holds no stack of this one's observables
         report = _tur_report(*_general_tur_terms(psi_t, g_psi, tilde), _survival_activity(ps.rho(), v0_inv))
         worst = float(np.maximum(worst, np.abs(report.ratio - 1.0).max()))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from turlab.channels import KrausChannel, kraus_from_unitary
+from turlab.channels import KrausChannel, kraus_from_unitary, perturbed_kraus
 from turlab.gates import I2
 from turlab.linalg import SubsystemLayout
 from turlab.random_ops import random_density, random_dilation, random_unitary
+from turlab.verify import _perturbed_mean
 
 # Single-qubit gates and projectors of the test constructions (the package builds its rotations stacked).
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -38,6 +39,12 @@ def amplitude_damping(gamma: float):
 def random_channel(dim_s: int, dim_e: int, rng) -> KrausChannel:
     """The channel of random_dilation's draw: V_0^dag V_0 bounded away from singular, E starting in 0."""
     return kraus_from_unitary(random_dilation(dim_s, dim_e, rng), SubsystemLayout((dim_s, dim_e)))
+
+
+def perturbed_mean(g: np.ndarray, ps, ch: KrausChannel, theta: float) -> float:
+    """<G> over the joint state the theta-perturbed Kraus family leaves from the purification ps: the one-row view of
+    verify._perturbed_mean."""
+    return float(_perturbed_mean(g[None], ps.joint_vector[None], np.array(perturbed_kraus(ch, theta))[None])[0])
 
 
 def hermitian_unitary(dim: int, rng) -> np.ndarray:

@@ -1,23 +1,33 @@
-"""The density-matrix protocol circuits: the oracle of the state-vector circuits of turlab.protocol.
+"""The density-matrix protocol circuits and correlator bound: the oracle of the state-vector kernels of turlab.protocol.
 
 The same gate lists run on the full register density matrix, each gate applied
 as u sigma u^dag on its register factors. The circuits return stacks of
 density matrices (N, D, D), one per row of their stacked inputs.
+
+bound_terms composes the correlator bound on density matrices: the separable
+baseline p_0 Tr[rho^V0 (1/2) {G_0, (V_0 V_0^dag)^-1}] of the state entering
+the channel, U_B^c (|+><+| (x) rho) U_B^c-dag, and the neumann1 traces over
+its rho^V0, against which protocol._bound_terms is checked.
 """
+
+import math
 
 import numpy as np
 
 from turlab.gates import controlled
-from turlab.linalg import basis_vector, dag, kron, outer
+from turlab.linalg import _invertible_factors, basis_vector, dag, kron, outer
 from turlab.protocol import (
-    _PLUS,
     _STAGE_GATES,
     _ancilla_pullback,
-    _entry_state,
+    _exact_correlator,
     _main_gates,
     _nested_gates,
+    _neumann1,
     _readout_rotation,
 )
+from turlab.tur import _survival_activity
+
+PLUS = outer((basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0))   # |+><+|
 
 
 def on_factors(u: np.ndarray, sigma: np.ndarray, dims: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
@@ -49,7 +59,58 @@ def nested_states(rho, unitary, env_initial: int, a, b, part: str = "real") -> n
     d, d_e = rho.shape[-1], unitary.shape[-1] // rho.shape[-1]
     dims = (2, 2, d, d_e, d_e)
     env = outer(basis_vector(d_e, env_initial))
-    sigma = kron(kron(_PLUS, _entry_state(rho, b)), kron(env, env))
+    sigma = kron(kron(PLUS, entry_state(rho, b)), kron(env, env))
     for u, targets in _nested_gates(unitary, dag(unitary), controlled(_ancilla_pullback(a, part))):
         sigma = on_factors(u, sigma, dims, targets)
     return sigma
+
+
+def entry_state(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """State of S' (x) S entering the channel: U_B^c (|+><+| (x) rho) U_B^c-dag, of one rho and B or of stacks."""
+    ucb = controlled(b)
+    return ucb @ kron(PLUS, rho) @ dag(ucb)
+
+
+def marginal(sigma: np.ndarray, d_s: int) -> np.ndarray:
+    """The S marginal of a state on X (x) S, or of each state of a stack, X the leading factor."""
+    d_x = sigma.shape[-1] // d_s
+    return np.trace(sigma.reshape(sigma.shape[:-2] + (d_x, d_s, d_x, d_s)), axis1=-4, axis2=-2)
+
+
+def separable_baseline(sigma: np.ndarray, v0: np.ndarray, v0_inv: np.ndarray, gs) -> tuple:
+    """(p_0, rho^V0, [Q of each G_0 of gs]) of each row of a stack of states sigma (N, d_X d_S, d_X d_S) on X (x) S,
+    X any register left alone by the channel, no-jump operators v0 and their inverses v0_inv (N, d_S, d_S) and
+    blocks G_0 (N, d_X d_S, ...).
+
+    p_0 = Tr[sigma_S V_0^dag V_0] with sigma_S the S marginal,
+    rho^V0 = (I_X (x) V_0) sigma (I_X (x) V_0^dag) / p_0 and the no-cost
+    baseline of a separable observable with E = |phi_0> block G_0 is
+    Q = p_0 Tr[rho^V0 H] with H = (1/2) {G_0, I_X (x) (V_0 V_0^dag)^-1}.
+    """
+    eye_x = np.eye(sigma.shape[-1] // v0.shape[-1])
+    winv = kron(eye_x, dag(v0_inv) @ v0_inv)
+    p0 = np.trace(marginal(sigma, v0.shape[-1]) @ dag(v0) @ v0, axis1=1, axis2=2).real
+    lift = kron(eye_x, v0)
+    rho_v0 = lift @ sigma @ dag(lift) / p0[:, None, None]
+    return p0, rho_v0, [p0 * np.trace(rho_v0 @ (0.5 * (g @ winv + winv @ g)), axis1=1, axis2=2).real for g in gs]
+
+
+def approx_bound_quantities(p0: np.ndarray, rho_v0: np.ndarray, g: np.ndarray, v0: np.ndarray):
+    """_neumann1 of the exact T_1 = Tr[rho^V0 G], T_2 = Re Tr[rho^V0 G (I (x) V_0 V_0^dag)] of each row of stacks:
+    the p_0 and rho^V0 of separable_baseline, the ancilla pullback G and the no-jump operator V_0."""
+    ww = kron(np.eye(g.shape[-1] // v0.shape[-1]), v0 @ dag(v0))
+    t1 = np.trace(rho_v0 @ g, axis1=1, axis2=2).real
+    t2 = np.trace(rho_v0 @ g @ ww, axis1=1, axis2=2).real
+    return _neumann1(p0, t1, t2)
+
+
+def bound_terms(rho, v, e0: int, a, b, gs):
+    """(C(T), p_0, Xi, [Q of each G of gs], the neumann1 (Xi, Q) of gs[0]) of each row of stacks rho, A, B (N, d, d),
+    Kraus operators v (N, M, d, d) with no-jump index e0 and ancilla pullbacks gs (N, 2d, 2d), composed on density
+    matrices: C(T) = Tr[rho A(T) B], Xi and Q those of the state entering the channel."""
+    v0 = v[:, e0]
+    sigma = entry_state(rho, b)
+    v0_inv = _invertible_factors(v0)[0]
+    p0, rho_v0, qs = separable_baseline(sigma, v0, v0_inv, gs)
+    xi = _survival_activity(marginal(sigma, v0.shape[-1]), v0_inv)
+    return _exact_correlator(rho, v.swapaxes(0, 1), a, b), p0, xi, qs, approx_bound_quantities(p0, rho_v0, gs[0], v0)

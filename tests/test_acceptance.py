@@ -34,7 +34,8 @@ from turlab.tur import (
     survival_activity_protocol_sim,
     survival_activity_series,
 )
-from turlab.verify import perturbed_mean
+
+from conftest import perturbed_mean
 
 
 def family(seed, i, lo=0.0, hi=0.75):

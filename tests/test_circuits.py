@@ -20,7 +20,6 @@ from turlab.protocol import (
     STAGES,
     ProtocolState,
     _ancilla_pullback,
-    _entry_state,
     _exact_correlator,
     _main_vectors,
     _nested_vectors,
@@ -36,7 +35,7 @@ from turlab.random_ops import random_density, random_unitary
 from turlab.tur import _purifications
 
 from conftest import random_channel, stacked_groups
-from density_circuits import main_states, nested_states, on_factors
+from density_circuits import entry_state, main_states, nested_states, on_factors
 
 
 @st.composite
@@ -112,7 +111,7 @@ def embedded_nested(rho, ch, a, b, part):
     dims = (2, 2, ch.dim, dil.env_dim, dil.env_dim)
     plus = (basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0)
     env = outer(basis_vector(dil.env_dim, dil.env_initial))
-    sigma = np.kron(np.kron(outer(plus), _entry_state(rho, b)), np.kron(env, env))
+    sigma = np.kron(np.kron(outer(plus), entry_state(rho, b)), np.kron(env, env))
     return embedded_circuit(sigma, dims, [
         (dil.unitary, (2, 3)),
         (controlled(_ancilla_pullback(a, part)), (0, 1, 2)),

@@ -387,7 +387,7 @@ class TestBoundCommand:
     @pytest.mark.parametrize("part", ["real", "imag"])
     def test_neumann1_validates_and_evaluates_once(self, part, monkeypatch, capsys):
         """bound --variant neumann1 reports its own bound and the exact interval's trade-off, from one
-        validation of rho, A, B and one evaluation of C(T)."""
+        validation of rho, A, B and one composition of the bound (_bound_terms, which gives C(T) too)."""
         import dataclasses
         import sys
 
@@ -399,7 +399,7 @@ class TestBoundCommand:
                                                                       variant="neumann1", part=part)),
                 "tur": dataclasses.asdict(protocol.separable_tur_protocol_check(s.rho, s.channel, s.a_op, s.b_op,
                                                                                  part=part))}
-        calls = {"require_density": 0, "_exact_correlator": 0}
+        calls = {"require_density": 0, "_bound_terms": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -408,7 +408,7 @@ class TestBoundCommand:
             return wrapper
 
         for name, original in (("require_density", linalg.require_density),
-                               ("_exact_correlator", protocol._exact_correlator)):
+                               ("_bound_terms", protocol._bound_terms)):
             for module in [m for n, m in sys.modules.items() if n.startswith("turlab")]:
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counting(name, original))
@@ -418,4 +418,4 @@ class TestBoundCommand:
                      "--variant", "neumann1", "--part", part])
         assert code == 0
         assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(want))
-        assert calls == {"require_density": 1, "_exact_correlator": 1}
+        assert calls == {"require_density": 1, "_bound_terms": 1}

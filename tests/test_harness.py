@@ -34,14 +34,13 @@ from turlab.protocol import (
     ProtocolState,
     _ancilla_pullback,
     _bound_and_tradeoff,
-    _entry_state,
     correlator_bound,
     sample_shots,
 )
 from turlab.tur import check_general_tur, purify
 
 from conftest import KET0, P0, P1, rx, ry
-from density_circuits import main_states, nested_states
+from density_circuits import entry_state, main_states, nested_states
 
 
 def kron_family_inputs(thetas, gamma):
@@ -103,7 +102,7 @@ def scalar_evaluate_trial(setup: TrialSetup, config: ExperimentConfig) -> TrialR
     approx, _ = variant_row(approx_bound.correlator_real, approx_bound.xi_b, approx_bound.q_ab)
 
     # General trade-off instance: the protocol observable embedded on R+P+E.
-    sigma_pb = _entry_state(rho, b)
+    sigma_pb = entry_state(rho, b)
     lifted = KrausChannel(
         tuple(kron(I2, v) for v in ch.operators),
         no_jump_index=ch.no_jump_index,

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import amplitude_damping, random_channel
+from density_circuits import entry_state, separable_baseline
 
 from turlab.channels import kraus_from_unitary
 from turlab.errors import ContractError
@@ -14,7 +15,6 @@ from turlab.protocol import (
     PARTS,
     _ancilla_pullback,
     _entropy_words,
-    _entry_state,
     _spawned_words,
     _stream_keys,
     _streams,
@@ -30,7 +30,7 @@ from turlab.protocol import (
     shot_rng,
 )
 from turlab.random_ops import random_density
-from turlab.tur import P0_CUTOFF, check_general_tur, purify, separable_baseline
+from turlab.tur import P0_CUTOFF, check_general_tur, purify
 
 SE = SubsystemLayout((2, 2))
 IDENTITY_CH = kraus_from_unitary(np.eye(4, dtype=complex), SE)
@@ -144,7 +144,7 @@ class TestCorrelatorBound:
         for i in range(5):
             s = family_setup(31, i, gamma_lo=0.1)
             report = correlator_bound(s.rho, s.channel, s.a_op, s.b_op)
-            sigma_pb = _entry_state(s.rho, s.b_op)
+            sigma_pb = entry_state(s.rho, s.b_op)
             lifted = KrausChannel(
                 tuple(np.kron(I2, v) for v in s.channel.operators),
                 no_jump_index=s.channel.no_jump_index,
@@ -202,7 +202,7 @@ class TestNestedExpectation:
     def test_identity_channel_reduces_to_plain_expectation(self, rng):
         rho = random_density(2, rng)
         value = nested_value(rho, IDENTITY_CH, SIGMA_X, SIGMA_Z)
-        sigma_pb = _entry_state(rho, SIGMA_Z)
+        sigma_pb = entry_state(rho, SIGMA_Z)
         want = np.trace(sigma_pb @ _ancilla_pullback(SIGMA_X, "real")).real
         assert abs(value - want) <= 1e-10
 
@@ -212,7 +212,7 @@ class TestNestedExpectation:
             value = nested_value(s.rho, s.channel, s.a_op, s.b_op)
             g_p = _ancilla_pullback(s.a_op, "real")
             v0 = s.channel.v0[None]
-            sigma = _entry_state(s.rho, s.b_op)[None]
+            sigma = entry_state(s.rho, s.b_op)[None]
             _, rho_v0, _ = separable_baseline(sigma, v0, _no_jump_factors(v0)[0], [g_p[None]])
             ww = np.kron(np.eye(2), s.channel.v0 @ dag(s.channel.v0))
             direct = np.trace(rho_v0[0] @ g_p @ ww).real
@@ -233,7 +233,7 @@ class TestNestedExpectation:
         dims = (2, 2, 4, 2, 2)
         plus = (basis_vector(2, 0) + basis_vector(2, 1)) / np.sqrt(2)
         env = outer(basis_vector(2, 0))
-        sigma = np.kron(np.kron(outer(plus), _entry_state(s.rho, s.b_op)), np.kron(env, env))
+        sigma = np.kron(np.kron(outer(plus), entry_state(s.rho, s.b_op)), np.kron(env, env))
         for op, pos in (
             (dil.unitary, (2, 3)),
             (controlled(_ancilla_pullback(s.a_op, "real")), (0, 1, 2)),

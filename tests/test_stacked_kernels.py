@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import amplitude_damping, hermitian_unitary
+from conftest import amplitude_damping, hermitian_unitary, perturbed_mean, stacked_groups
+from density_circuits import bound_terms
 
 from turlab.channels import (
     KrausChannel,
@@ -16,15 +17,8 @@ from turlab.channels import (
     perturbed_kraus,
 )
 from turlab.errors import AdmissibilityError, SingularOperator
-from turlab.linalg import _invertible_factors, _no_jump_factors, dag, embed_operator, hermitian_inverse, outer
-from turlab.protocol import (
-    PARTS,
-    _ancilla_pullback,
-    _approx_bound_quantities,
-    _bound_terms,
-    _on_factors,
-    exact_correlator,
-)
+from turlab.linalg import _invertible_factors, _no_jump_factors, dag, embed_operator, hermitian_inverse
+from turlab.protocol import PARTS, _ancilla_pullback, _bound_terms, _on_factors, correlator_bound
 from turlab.random_ops import random_density, random_hermitian, random_unitary
 from turlab.tur import (
     _branches,
@@ -32,17 +26,17 @@ from turlab.tur import (
     PurifiedState,
     _purifications,
     _qfi,
+    _roots,
     _sld,
     _survival_activity,
     _tilde_operators,
     check_general_tur,
     purify,
     qfi,
-    separable_baseline,
     sld,
     survival_activity,
 )
-from turlab.verify import _perturbed_mean, perturbed_mean
+from turlab.verify import _perturbed_mean
 
 # eigenvalue patterns of V_0^dag V_0: group sizes, largest first (one pattern per row, cycled)
 PATTERNS = [None, (2,), "all", (1, 2), (2, 2)]
@@ -88,56 +82,67 @@ def test_no_jump_factors_and_survival_activity_rows():
             assert xi[n] == survival_activity(rho[n], KrausChannel(tuple(ops[n])))
 
 
-def test_separable_baseline_and_neumann1_rows():
-    rng = np.random.default_rng(11)
-    for rho, ops in stacks():
-        v0 = ops[:, 0]
-        sigma = np.stack([outer(j) for j in _purifications(rho)[2]])   # X = R, the purifying copy of S
-        gs = [np.stack([random_hermitian(sigma.shape[-1], rng) for _ in range(len(rho))]) for _ in range(2)]
-        v0_inv = _no_jump_factors(v0)[0]
-        p0, rho_v0, qs = separable_baseline(sigma, v0, v0_inv, gs)
-        xi_1, q_1 = _approx_bound_quantities(p0, rho_v0, gs[0], v0)
-        for n in range(len(rho)):
-            one = slice(n, n + 1)
-            p0_n, rho_v0_n, qs_n = separable_baseline(sigma[one], v0[one], _no_jump_factors(v0[one])[0],
-                                                      [g[one] for g in gs])
-            assert p0[n] == p0_n[0] and np.array_equal(rho_v0[n], rho_v0_n[0])
-            assert [q[n] for q in qs] == [q[0] for q in qs_n]
-            (xi_1n,), (q_1n,) = _approx_bound_quantities(p0_n, rho_v0_n, gs[0][one], v0[one])
-            assert (xi_1[n], q_1[n]) == (xi_1n, q_1n)
-
-
 def test_bound_terms_rows():
-    """Each row of _bound_terms equals its one-row call to the last bit, and agrees with formulas outside the kernel:
-    C(T) of exact_correlator, p_0 and Xi of the entry marginal (rho + B rho B) / 2, and each Q as the general
-    baseline of the embedded observable I_R (x) G (x) I_E over the purified entry state on a lifted channel."""
+    """Each row of _bound_terms equals its one-row call to the last bit, and agrees within 1e-12 with the density
+    oracle (C(T) = Tr[rho A(T) B], p_0 and Xi of the entry marginal, each separable Q and the neumann1 pair), for the
+    purification root of rho and for a wider root x W, W W^dag = I."""
     rng = np.random.default_rng(23)
-    plus = np.full((2, 2), 0.5)
     for k, (rho, ops) in enumerate(stacks()):
         n_rows, d_e, d_s = ops.shape[:3]
+        if d_s > 4 or d_e > 3:
+            continue
         e0 = k % d_e
         v = np.roll(ops, e0, axis=1)   # the no-jump operator ops[:, 0] at index e0
         a, b = (np.stack([hermitian_unitary(d_s, rng) for _ in range(n_rows)]) for _ in range(2))
         gs = [_ancilla_pullback(a, part) for part in PARTS]
-        c, p0, xi, qs, (xi_1, q_1), v0_inv = _bound_terms(rho, v, e0, a, b, gs)
-        for n in range(n_rows):
-            one = slice(n, n + 1)
-            c_n, p0_n, xi_n, qs_n, (xi_1n, q_1n), v0_inv_n = _bound_terms(rho[one], v[one], e0, a[one], b[one],
-                                                                         [g[one] for g in gs])
-            assert (c[n], p0[n], xi[n], xi_1[n], q_1[n]) == (c_n[0], p0_n[0], xi_n[0], xi_1n[0], q_1n[0])
-            assert [q[n] for q in qs] == [q[0] for q in qs_n] and np.array_equal(v0_inv[n], v0_inv_n[0])
+        c_want, p0_want, xi_want, qs_want, approx_want = bound_terms(rho, v, e0, a, b, gs)
+        root = _purifications(rho)[2].reshape(rho.shape)
+        wide = root @ np.stack([random_unitary(d_s + 1, rng)[:d_s] for _ in range(n_rows)])
+        for x in (root, wide):
+            p0, xi, terms, approx = _bound_terms(rho, x, v, e0, b, gs)
+            for n in range(n_rows):
+                one = slice(n, n + 1)
+                p0_n, xi_n, terms_n, approx_n = _bound_terms(rho[one], x[one], v[one], e0, b[one], [g[one] for g in gs])
+                assert (p0[n], xi[n]) == (p0_n[0], xi_n[0])
+                assert [t[n] for ts in terms for t in ts] == [t[0] for ts in terms_n for t in ts]
+                assert [t[n] for t in approx] == [t[0] for t in approx_n]
+            (c_re, _, q_re), (c_im, _, q_im) = terms
+            for got, want in [(c_re + 1j * c_im, c_want), (p0, p0_want), (xi, xi_want), (q_re, qs_want[0]),
+                              (q_im, qs_want[1]), *zip(approx, approx_want)]:
+                assert_allclose(got, want, rtol=0, atol=1e-12)
 
-            ch = KrausChannel(tuple(v[n]), no_jump_index=e0)
-            assert abs(c[n] - exact_correlator(rho[n], ch, a[n], b[n])) <= 1e-9
-            marginal = (rho[n] + b[n] @ rho[n] @ b[n]) / 2
-            assert abs(p0[n] - np.trace(marginal @ dag(ops[n, 0]) @ ops[n, 0]).real) <= 1e-9
-            assert abs(xi[n] - survival_activity(marginal, ch)) <= 1e-9
-            ucb = np.block([[np.eye(d_s), np.zeros((d_s, d_s))], [np.zeros((d_s, d_s)), b[n]]])
-            entry = purify(ucb @ np.kron(plus, rho[n]) @ dag(ucb))
-            lifted = KrausChannel(tuple(np.kron(np.eye(2), m) for m in v[n]), no_jump_index=e0)
-            for q, g in zip(qs, gs):
-                g_emb = np.kron(np.kron(np.eye(2 * d_s), g[n]), np.eye(d_e))
-                assert abs(q[n] - check_general_tur(g_emb, entry, lifted).q_baseline) <= 1e-9
+
+def test_roots_rows():
+    """Each row of _roots equals its one-row call to the last bit and is a root of its rho; r is the largest rank of
+    the stack, and a pure state's root is its column rho[:, k] / sqrt(rho[k, k]) at the largest diagonal entry."""
+    for rho, _ in stacks():
+        d = rho.shape[-1]
+        x = _roots(rho)
+        assert x.shape == rho.shape[:2] + (d,)   # stacks() cycles the ranks 1..d
+        assert_allclose(x @ dag(x), rho, rtol=0, atol=1e-14)
+        for n in range(len(rho)):
+            one = _roots(rho[n:n + 1])[0]
+            assert one.shape[-1] == min(1 + n % d, d)
+            assert np.array_equal(x[n, :, :one.shape[-1]], one) and not x[n, :, one.shape[-1]:].any()
+        pure = rho[::d]
+        k = np.diagonal(pure, axis1=1, axis2=2).real.argmax(axis=1)
+        want = pure[np.arange(len(pure)), :, k] / np.sqrt(pure[np.arange(len(pure)), k, k].real)[:, None]
+        assert np.array_equal(_roots(pure)[..., 0], want) and _roots(pure).shape[-1] == 1
+
+
+def test_correlator_bound_agrees_with_density_oracle():
+    """correlator_bound (the bound's one-row view, its root from _roots) against the density oracle within 1e-12, both
+    variants and parts, on generic instances: mixed and rank-deficient rho, dim_S 2-4, dim_E 2-3, e0 0 or 1."""
+    for group in stacked_groups(seed=29):
+        for rho, ch, a, b in group:
+            v = np.stack(ch.operators)[None]
+            for part in PARTS:
+                g = _ancilla_pullback(a, part)[None]
+                c, _, xi, (q,), (xi_1, q_1) = bound_terms(rho[None], v, ch.no_jump_index, a[None], b[None], [g])
+                c_part = c[0].real if part == "real" else c[0].imag
+                for variant, want in (("exact", (xi[0], q[0])), ("neumann1", (xi_1[0], q_1[0]))):
+                    got = correlator_bound(rho, ch, a, b, variant=variant, part=part)
+                    assert_allclose((got.correlator_real, got.xi_b, got.q_ab), (c_part, *want), rtol=0, atol=1e-12)
 
 
 def test_general_tur_terms_rows_equal_check_general_tur():

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import amplitude_damping, random_channel, stacked_groups
+from conftest import amplitude_damping, perturbed_mean, random_channel, stacked_groups
+from density_circuits import separable_baseline
 
 from turlab.channels import KrausChannel, apply, ensure_dilation, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
@@ -31,14 +32,12 @@ from turlab.tur import (
     final_joint_state,
     purify,
     qfi,
-    separable_baseline,
     sld,
     survival_activity,
     survival_activity_moments,
     survival_activity_protocol_sim,
     survival_activity_series,
 )
-from turlab.verify import perturbed_mean
 
 SE = SubsystemLayout((2, 2))
 IDENTITY_CH = kraus_from_unitary(np.eye(4, dtype=complex), SE)

@@ -30,7 +30,6 @@ from turlab.tur import (
 from turlab.verify import (
     FD_STEP,
     SuiteResult,
-    perturbed_mean,
     run_suites,
     suite_protocol,
     suite_qfi,
@@ -39,7 +38,7 @@ from turlab.verify import (
     suite_series,
 )
 
-from conftest import random_channel
+from conftest import perturbed_mean, random_channel
 
 
 def test_default_verify_decomposes_and_validates_each_input_once(monkeypatch):
@@ -65,8 +64,9 @@ def test_default_verify_decomposes_and_validates_each_input_once(monkeypatch):
     results = run_suites(trials=100, seed=2024)
     assert all(r.passed for r in results)
     assert len(seen) == 100 + 20 + 50 and set(seen.values()) == {1}
-    # require_density checks Hermiticity itself: require_hermitian rows are A and B of protocol, and each G
-    assert (validated["require_density"], validated["require_hermitian"]) == (270, 320)
+    # require_density checks Hermiticity itself: require_hermitian rows are A and B of protocol; each G the suites
+    # build is Hermitian to the last bit ((Z + Z^dag) / 2, or scale L + offset I) and is not checked
+    assert (validated["require_density"], validated["require_hermitian"]) == (270, 200)
 
 
 def test_scaling_alone_validates_its_own_inputs(monkeypatch):
