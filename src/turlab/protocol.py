@@ -42,8 +42,8 @@ from .linalg import (
     require_hermitian,
     require_unitary,
 )
-from .tur import (P0_CUTOFF, TUR_SLACK, TurReport, _branches, _general_tur_terms, _inner, _purifications, _roots,
-                  _survival_activity, _tilde_operators, _tur_report)
+from .tur import (P0_CUTOFF, TUR_SLACK, TurReport, _general_tur_terms, _inner, _joint_states, _purifications, _roots,
+                  _survival_activity, _tur_report)
 
 STAGES = ("prepared", "after_UB", "after_channel", "after_UA", "premeasure")
 _STAGE_GATES = dict(zip(STAGES, (0, 2, 3, 4, 5)))   # gates of protocol_state's list applied by each stage
@@ -237,8 +237,8 @@ def _bound_terms(rho, x, v, e0: int, b, gs, label=None):
     _raise_first_failure([(p0 <= P0_CUTOFF, lambda k: DegenerateChannel(
         f"no-jump probability {p0[k]:.3e} is numerically zero"))], label)
     joint = (np.concatenate([x, b @ x], axis=1) / math.sqrt(2.0)).swapaxes(1, 2).reshape(n, -1)   # R (x) S' (x) S
-    psi = _branches(joint, v).reshape(n, r, 2 * d, m)
-    tilde = _branches(joint, _tilde_operators(v0_inv, m, e0))
+    psi, tilde = _joint_states(joint, v, e0, v0_inv)
+    psi = psi.reshape(n, r, 2 * d, m)
     g_psi = [g[:, None] @ psi for g in gs]
     # neumann1's traces over rho^V0 from the e0 branch w = (I (x) V_0) y: p_0 T_1 = <w|G w> and
     # p_0 T_2 = Re <G w|(I (x) V_0 V_0^dag) w>

@@ -7,8 +7,10 @@ Q_G = Re <tilde-Psi(0)| G |Psi_RSE(T)> built from the unnormalized state
 |tilde-Psi(0)> = (I_R (x) (V_0^-1)^dag (x) I_E) |Psi_RS(0)> (x) |phi_0>.
 
 The general trade-off checked here is Var[G] / (<G> - Q_G)^2 >= 1 / Xi for any
-Hermitian G on R (x) S (x) E. Q_G has this one formula, _general_tur_terms on
-state vectors, which protocol's correlator bound composes too.
+Hermitian G on R (x) S (x) E. <G>, Var[G] and Q_G have one formula,
+_general_tur_terms on the state pair of _joint_states, for all three trade-off
+families: protocol's correlator bound composes it, and the evolution and
+classical-correlation bounds are one-row views of _product_terms.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, _heisenberg, _kraus_derivatives, _no_jump_inverse, ensure_dilation
+from .channels import KrausChannel, _kraus_derivatives, _no_jump_inverse, ensure_dilation
 from .errors import ContractError, LayoutError
-from .linalg import basis_vector, dag, kron, outer, require_density, require_hermitian
+from .linalg import basis_vector, dag, outer, require_density, require_hermitian
 
 DEGENERATE_MEAN_ATOL = 1e-10   # |<G> - Q_G| below this is the 0/0 limit of the bound
 TUR_SLACK = 1e-9               # numerical slack when comparing lhs >= rhs
@@ -88,11 +90,12 @@ def _branches(joint: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return psi.swapaxes(-3, -2).swapaxes(-2, -1).reshape(joint.shape[:-1] + (-1,))
 
 
-def _tilde_operators(v0_inv: np.ndarray, n_ops: int, e0: int) -> np.ndarray:
-    """The one-branch family of |tilde-Psi(0)>: (V_0^-1)^dag on branch e0, of one v0_inv or of each of a stack."""
-    ops = np.zeros(v0_inv.shape[:-2] + (n_ops,) + v0_inv.shape[-2:], dtype=complex)
+def _joint_states(joint: np.ndarray, v: np.ndarray, e0: int, v0_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|Psi_RSE(T)>, |tilde-Psi_RSE(0)>) of a joint vector on R (x) S, Kraus operators v (M, d_S, d_S) with no-jump
+    index e0 and V_0^-1, or of each row of stacks (N, ...) of them: the branches of v and of (V_0^-1)^dag on e0."""
+    ops = np.zeros(v0_inv.shape[:-2] + v.shape[-3:], dtype=complex)
     ops[..., e0, :, :] = dag(v0_inv)
-    return ops
+    return _branches(joint, v), _branches(joint, ops)
 
 
 def final_joint_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
@@ -104,7 +107,7 @@ def final_joint_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
 
 def tilde_initial_state(ps: PurifiedState, ch: KrausChannel) -> np.ndarray:
     """Unnormalized |tilde-Psi_RSE(0)>; requires V_0 invertible."""
-    return _branches(ps.joint_vector, _tilde_operators(_no_jump_inverse(ch), len(ch.operators), ch.no_jump_index))
+    return _joint_states(ps.joint_vector, np.array(ch.operators), ch.no_jump_index, _no_jump_inverse(ch))[1]
 
 
 def survival_activity(rho: np.ndarray, ch: KrausChannel) -> float:
@@ -267,16 +270,20 @@ def _inner(bra: np.ndarray, ket: np.ndarray):
     return (bra.conj()[..., None, :] @ ket[..., :, None])[..., 0, 0].real
 
 
-def _mean_and_variance(psi: np.ndarray, g_psi: np.ndarray):
-    """<G> and Var[G] over a pure state psi from G|psi>, or over each row of stacks (N, D) of them."""
-    mean = _inner(psi, g_psi)
-    return mean, _inner(g_psi, g_psi) - mean * mean
-
-
 def _general_tur_terms(psi: np.ndarray, g_psi: np.ndarray, tilde: np.ndarray):
     """<G>, Var[G] and Q_G = Re <tilde-Psi(0)|G|Psi(T)> from |Psi(T)>, G|Psi(T)> and |tilde-Psi(0)>, or of each row
     of stacks (N, D) of them."""
-    return (*_mean_and_variance(psi, g_psi), _inner(tilde, g_psi))
+    mean = _inner(psi, g_psi)
+    return mean, _inner(g_psi, g_psi) - mean * mean, _inner(tilde, g_psi)
+
+
+def _product_terms(joint, v, e0: int, v0_inv, g_r, g_s, g_e):
+    """<G>, Var[G] and Q_G of G = G_R (x) G_S (x) G_E over the _joint_states of each row of stacks: joint vectors
+    (N, d_R d_S), Kraus operators v (N, M, d_S, d_S), V_0^-1 and the factors (N, d, d) on R, S and E, each one
+    batched matmul on its own axis of |Psi_RSE(T)>."""
+    psi, tilde = _joint_states(joint, v, e0, v0_inv)
+    g_psi = g_s[:, None] @ (psi.reshape(g_r.shape[:-1] + (v.shape[-1], -1)) @ g_e[:, None].swapaxes(-1, -2))
+    return _general_tur_terms(psi, (g_r @ g_psi.reshape(g_r.shape[:-1] + (-1,))).reshape(psi.shape), tilde)
 
 
 def check_general_tur(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> TurReport:
@@ -287,6 +294,16 @@ def check_general_tur(g: np.ndarray, ps: PurifiedState, ch: KrausChannel) -> Tur
         raise LayoutError(f"G has dimension {g.shape[0]}, joint state has {psi_t.size}")
     terms = _general_tur_terms(psi_t, g @ psi_t, tilde_initial_state(ps, ch))
     return _tur_report(*terms, _survival_activity(ps.rho(), _no_jump_inverse(ch)))
+
+
+def _product_row(ch: KrausChannel, rho: np.ndarray, g_r, g_s, g_e) -> tuple[float, float, float, float]:
+    """(<G>, Var[G], Q_G, Xi) of one row of _product_terms, on the canonical (eigh) purification of a valid rho."""
+    if not rho.shape[-1] == g_r.shape[-1] == g_s.shape[-1] == ch.dim:
+        raise LayoutError(f"rho, G_R (on R, a copy of S) and G_S must act on the channel's system of dim {ch.dim}")
+    v0_inv = _no_jump_inverse(ch)
+    terms = _product_terms(_purifications(rho[None])[2], np.stack(ch.operators)[None], ch.no_jump_index,
+                           v0_inv[None], g_r[None], g_s[None], g_e[None])
+    return (*(float(t[0]) for t in terms), float(_survival_activity(rho, v0_inv)))
 
 
 @dataclass(frozen=True)
@@ -317,29 +334,22 @@ def check_observable_evolution_bound(
 ) -> EvolutionBoundReport:
     """Check Var[G]/(<G> - g_0)^2 >= 1/Xi and |<G> - g_0| <= sqrt(gmax^2 Xi).
 
-    G = I_R (x) I_S (x) G_E where G_E has the environment's initial basis state
-    as an eigenvector with eigenvalue g_0, and gmax is its largest absolute
-    eigenvalue. When g_0 = 0 the first inequality is the bare precision bound
-    Var[G]/<G>^2 >= 1/Xi.
+    G = I_R (x) I_S (x) G_E where G_E has the environment's initial basis state as an eigenvector with eigenvalue
+    g_0, and gmax is its largest absolute eigenvalue. When g_0 = 0 the first inequality is the bare precision bound
+    Var[G]/<G>^2 >= 1/Xi. <G> and Var[G] are a one-row view of _product_terms (G_R = G_S = I, so Q_G = g_0) on the
+    canonical purification: G is trivial on R, so any root of rho would do, but one root path serves both bounds.
     """
     g_env = require_hermitian(g_env, name="environment observable")
     n_env = len(ch.operators)
     if g_env.shape[0] != n_env:
         raise LayoutError(f"environment observable dim {g_env.shape[0]} != env dim {n_env}")
-    e0 = basis_vector(n_env, ch.no_jump_index)
-    residual = g_env @ e0 - g0 * e0
-    if float(np.max(np.abs(residual))) > EIGENVECTOR_ATOL:
+    if np.max(np.abs(g_env[:, ch.no_jump_index] - g0 * basis_vector(n_env, ch.no_jump_index))) > EIGENVECTOR_ATOL:
         raise ContractError(f"g0={g0:g} is not the eigenvalue of G_E on the no-jump basis state")
-    eigs = np.linalg.eigvalsh(g_env)
-    true_gmax = float(np.max(np.abs(eigs)))
+    true_gmax = float(np.max(np.abs(np.linalg.eigvalsh(g_env))))
     if abs(true_gmax - gmax) > EIGENVECTOR_ATOL:
         raise ContractError(f"gmax={gmax:g} does not match the spectrum (max |eig| = {true_gmax:g})")
-    rho = require_density(rho)
-    ps = PurifiedState(*_purifications(rho))
-    psi_t = final_joint_state(ps, ch)
-    g_full = kron(np.eye(ps.dim_s * ch.dim), g_env)
-    mean, variance = (float(x) for x in _mean_and_variance(psi_t, g_full @ psi_t))
-    xi = float(_survival_activity(rho, _no_jump_inverse(ch)))
+    eye = np.eye(ch.dim)
+    mean, variance, _, xi = _product_row(ch, require_density(rho), eye, eye, g_env)
     base = _tur_report(mean, variance, float(g0), xi)
     deviation = abs(mean - g0)
     cap = math.sqrt(max(gmax * gmax * xi, 0.0))
@@ -360,21 +370,13 @@ def classical_correlation_bound(
 ) -> tuple[float, float, float]:
     """Two-time correlation <G_R (x) G_S(T)> on the purification, with its bounds.
 
-    Returns (lower, value, upper) where value = <Psi_RS(0)| G_R (x) G_S(T)
-    |Psi_RS(0)> (the classical cross-correlation in the commuting limit) and
-    the bounds are Q_G +- sqrt(gmax^2 Xi) for G = G_R (x) G_S (x) I_E.
+    Returns (lower, value, upper), the one-row view of _product_terms for G = G_R (x) G_S (x) I_E: value = <G> =
+    <Psi_RS(0)| G_R (x) sum_m V_m^dag G_S V_m |Psi_RS(0)> (the classical cross-correlation in the commuting limit)
+    on the canonical purification, on which it depends as G_R acts on R; the bounds are Q_G +- sqrt(gmax^2 Xi).
     """
     g_r = require_hermitian(g_r, name="G_R")
     g_s = require_hermitian(g_s, name="G_S")
-    rho = require_density(rho)
-    ps = PurifiedState(*_purifications(rho))
-    if g_r.shape[0] != ps.dim_s or g_s.shape[0] != ch.dim:
-        raise LayoutError("G_R must act on R (copy of S) and G_S on S")
-    value = float(np.vdot(ps.joint_vector, kron(g_r, _heisenberg(ch.operators, g_s)) @ ps.joint_vector).real)
-    g_full = kron(kron(g_r, g_s), np.eye(len(ch.operators)))
-    q = check_general_tur(g_full, ps, ch).q_baseline
-    gmax_r = float(np.max(np.abs(np.linalg.eigvalsh(g_r))))
-    gmax_s = float(np.max(np.abs(np.linalg.eigvalsh(g_s))))
-    xi = float(_survival_activity(rho, _no_jump_inverse(ch)))
-    half = math.sqrt(max((gmax_r * gmax_s) ** 2 * xi, 0.0))
+    value, _, q, xi = _product_row(ch, require_density(rho), g_r, g_s, np.eye(len(ch.operators)))
+    gmax = math.prod(float(np.max(np.abs(np.linalg.eigvalsh(g)))) for g in (g_r, g_s))
+    half = math.sqrt(max(gmax ** 2 * xi, 0.0))
     return (q - half, value, q + half)

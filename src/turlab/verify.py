@@ -29,9 +29,9 @@ from .harness import CHUNK_TRIALS, _PAULI_PAIRS, ExperimentConfig, _draw_stacked
 from .linalg import _invertible_factors, _row_slices, require_density
 from .protocol import _exact_correlator, _main_vectors, _protocol_correlators, _require_inputs
 from .random_ops import random_density, random_dilation, random_hermitian
-from .tur import (PurifiedState, _branches, _general_tur_terms, _inner, _purifications, _qfi, _series_estimates, _sld,
-                  _survival_activity, _survival_activity_moments, _survival_activity_protocol_sim, _tilde_operators,
-                  _tur_report)
+from .tur import (PurifiedState, _branches, _general_tur_terms, _inner, _joint_states, _purifications, _qfi,
+                  _series_estimates, _sld, _survival_activity, _survival_activity_moments,
+                  _survival_activity_protocol_sim, _tur_report)
 
 SUITES = ("qfi", "scaling", "protocol", "saturation", "series")
 FD_STEP = 1e-5
@@ -110,9 +110,8 @@ def _perturbation_suites(trials: int, seed: int, inject_fault: str | None = None
         derivs = _kraus_derivatives(v, 0, v0_inv)
         j = _qfi(v, derivs, ps.rho())
         worst_j = float(np.maximum(worst_j, np.abs(j - _survival_activity(rho, v0_inv)).max()))
-        psi_t = _branches(ps.joint_vector, v)
+        psi_t, tilde = _joint_states(ps.joint_vector, v, 0, v0_inv)
         g_psi = (g @ psi_t[..., None])[..., 0]
-        tilde = _branches(ps.joint_vector, _tilde_operators(v0_inv, v.shape[1], 0))
         mean, _, q = _general_tur_terms(psi_t, g_psi, tilde)
         fd = (_perturbed_mean(g, ps.joint_vector, _perturbed_kraus(v, 0, FD_STEP, factors))
               - _perturbed_mean(g, ps.joint_vector, _perturbed_kraus(v, 0, -FD_STEP, factors))) / (2.0 * FD_STEP)
@@ -156,8 +155,7 @@ def suite_saturation(trials: int, seed: int) -> SuiteResult:
         rho, scale, offset = (np.array(x) for x in zip(*draws))
         ps = PurifiedState(*_purifications(require_density(rho)))
         v0_inv = _invertible_factors(v[:, 0])[0]
-        psi_t = _branches(ps.joint_vector, v)
-        tilde = _branches(ps.joint_vector, _tilde_operators(v0_inv, v.shape[1], 0))
+        psi_t, tilde = _joint_states(ps.joint_vector, v, 0, v0_inv)
         g = np.empty(psi_t.shape + psi_t.shape[-1:], dtype=complex)   # G = scale L + offset I, a slice at a time
         for s in _row_slices(g):
             g[s] = scale[s, None, None] * _sld(psi_t[s], tilde[s]) + offset[s, None, None] * np.eye(g.shape[-1])

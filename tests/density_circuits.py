@@ -8,12 +8,18 @@ bound_terms composes the correlator bound on density matrices: the separable
 baseline p_0 Tr[rho^V0 (1/2) {G_0, (V_0 V_0^dag)^-1}] of the state entering
 the channel, U_B^c (|+><+| (x) rho) U_B^c-dag, and the neumann1 traces over
 its rho^V0, against which protocol._bound_terms is checked.
+
+evolution_bound and classical_bound are the full-space forms of the evolution
+and classical-correlation bounds: G as one Kronecker product on R (x) S (x) E,
+the classical value in the Heisenberg picture, and Q_G from check_general_tur.
+They are the oracle of tur._product_terms' one-row views.
 """
 
 import math
 
 import numpy as np
 
+from turlab.channels import _heisenberg, _no_jump_inverse
 from turlab.gates import controlled
 from turlab.linalg import _invertible_factors, basis_vector, dag, kron, outer
 from turlab.protocol import (
@@ -25,7 +31,17 @@ from turlab.protocol import (
     _neumann1,
     _readout_rotation,
 )
-from turlab.tur import _survival_activity
+from turlab.tur import (
+    EvolutionBoundReport,
+    P0_CUTOFF,
+    PurifiedState,
+    TUR_SLACK,
+    _purifications,
+    _survival_activity,
+    _tur_report,
+    check_general_tur,
+    final_joint_state,
+)
 
 PLUS = outer((basis_vector(2, 0) + basis_vector(2, 1)) / math.sqrt(2.0))   # |+><+|
 
@@ -114,3 +130,37 @@ def bound_terms(rho, v, e0: int, a, b, gs):
     p0, rho_v0, qs = separable_baseline(sigma, v0, v0_inv, gs)
     xi = _survival_activity(marginal(sigma, v0.shape[-1]), v0_inv)
     return _exact_correlator(rho, v.swapaxes(0, 1), a, b), p0, xi, qs, approx_bound_quantities(p0, rho_v0, gs[0], v0)
+
+
+def evolution_bound(ch, rho: np.ndarray, g_env: np.ndarray, g0: float, gmax: float) -> EvolutionBoundReport:
+    """check_observable_evolution_bound of valid inputs, on G = I_R (x) I_S (x) G_E formed as one matrix."""
+    ps = PurifiedState(*_purifications(rho))
+    psi_t = final_joint_state(ps, ch)
+    g_full = kron(np.eye(ps.dim_s * ch.dim), g_env)
+    g_psi = g_full @ psi_t
+    mean = float(np.vdot(psi_t, g_psi).real)
+    variance = float(np.vdot(g_psi, g_psi).real) - mean * mean
+    xi = float(_survival_activity(rho, _no_jump_inverse(ch)))
+    base = _tur_report(mean, variance, float(g0), xi)
+    deviation = abs(mean - g0)
+    cap = math.sqrt(max(gmax * gmax * xi, 0.0))
+    return EvolutionBoundReport(
+        mean=mean, variance=variance, xi=xi, g0=float(g0), gmax=float(gmax),
+        tur_lhs=base.lhs, tur_rhs=base.rhs, tur_holds=base.holds, degenerate=base.degenerate,
+        deviation=deviation, deviation_cap=cap,
+        evolution_holds=deviation <= cap + TUR_SLACK,
+        zero_baseline_case=abs(g0) <= P0_CUTOFF,
+    )
+
+
+def classical_bound(ch, rho: np.ndarray, g_r: np.ndarray, g_s: np.ndarray) -> tuple[float, float, float]:
+    """classical_correlation_bound of valid inputs: the value <Psi_RS(0)| G_R (x) G_S(T) |Psi_RS(0)> with G_S(T) the
+    Heisenberg-picture observable, and Q_G of G = G_R (x) G_S (x) I_E, formed as one matrix, by check_general_tur."""
+    ps = PurifiedState(*_purifications(rho))
+    value = float(np.vdot(ps.joint_vector, kron(g_r, _heisenberg(ch.operators, g_s)) @ ps.joint_vector).real)
+    q = check_general_tur(kron(kron(g_r, g_s), np.eye(len(ch.operators))), ps, ch).q_baseline
+    gmax_r = float(np.max(np.abs(np.linalg.eigvalsh(g_r))))
+    gmax_s = float(np.max(np.abs(np.linalg.eigvalsh(g_s))))
+    xi = float(_survival_activity(rho, _no_jump_inverse(ch)))
+    half = math.sqrt(max((gmax_r * gmax_s) ** 2 * xi, 0.0))
+    return (q - half, value, q + half)

@@ -21,15 +21,15 @@ from turlab.linalg import _invertible_factors, _no_jump_factors, dag, embed_oper
 from turlab.protocol import PARTS, _ancilla_pullback, _bound_terms, _on_factors, correlator_bound
 from turlab.random_ops import random_density, random_hermitian, random_unitary
 from turlab.tur import (
-    _branches,
     _general_tur_terms,
     PurifiedState,
+    _joint_states,
+    _product_terms,
     _purifications,
     _qfi,
     _roots,
     _sld,
     _survival_activity,
-    _tilde_operators,
     check_general_tur,
     purify,
     qfi,
@@ -148,21 +148,42 @@ def test_correlator_bound_agrees_with_density_oracle():
 def test_general_tur_terms_rows_equal_check_general_tur():
     rng = np.random.default_rng(13)
     for rho, ops in stacks():
-        n_rows, d_e, d_s = ops.shape[:3]
+        n_rows = len(ops)
         joint = _purifications(rho)[2]
         v0_inv = _no_jump_factors(ops[:, 0])[0]
-        psi = _branches(joint, ops)
-        tilde = _branches(joint, _tilde_operators(v0_inv, d_e, 0))
+        psi, tilde = _joint_states(joint, ops, 0, v0_inv)
         g = np.stack([random_hermitian(psi.shape[-1], rng) for _ in range(n_rows)])
         g_psi = (g @ psi[..., None])[..., 0]
         terms = _general_tur_terms(psi, g_psi, tilde)
         for n in range(n_rows):
             one = slice(n, n + 1)
-            one_row = _general_tur_terms(_branches(joint[one], ops[one]), g_psi[one],
-                                         _branches(joint[one], _tilde_operators(v0_inv[one], d_e, 0)))
+            psi_n, tilde_n = _joint_states(joint[one], ops[one], 0, v0_inv[one])
+            one_row = _general_tur_terms(psi_n, g_psi[one], tilde_n)
             assert [t[n] for t in terms] == [t[0] for t in one_row]
             report = check_general_tur(g[n], purify(rho[n]), KrausChannel(tuple(ops[n])))
             assert [t[n] for t in terms] == [report.mean, report.variance, report.q_baseline]
+
+
+def test_product_terms_rows():
+    """Each row of _product_terms (G = G_R (x) G_S (x) G_E, one batched matmul per factor) equals its one-row call to
+    the last bit, and agrees within 1e-12 with check_general_tur on the one Kronecker product G, e0 0 or 1."""
+    rng = np.random.default_rng(31)
+    for k, (rho, ops) in enumerate(stacks()):
+        n_rows, d_e, d_s = ops.shape[:3]
+        e0 = k % 2
+        v = np.roll(ops, e0, axis=1)   # the no-jump operator ops[:, 0] at index e0
+        joint = _purifications(rho)[2]
+        v0_inv = _no_jump_factors(ops[:, 0])[0]
+        g_r, g_s, g_e = (np.stack([random_hermitian(d, rng) for _ in range(n_rows)]) for d in (d_s, d_s, d_e))
+        terms = _product_terms(joint, v, e0, v0_inv, g_r, g_s, g_e)
+        for n in range(n_rows):
+            one = slice(n, n + 1)
+            one_row = _product_terms(joint[one], v[one], e0, v0_inv[one], g_r[one], g_s[one], g_e[one])
+            assert [t[n] for t in terms] == [t[0] for t in one_row]
+            ch = KrausChannel(tuple(v[n]), no_jump_index=e0)
+            report = check_general_tur(np.kron(np.kron(g_r[n], g_s[n]), g_e[n]), purify(rho[n]), ch)
+            assert_allclose([t[n] for t in terms], [report.mean, report.variance, report.q_baseline], rtol=0,
+                            atol=1e-12)
 
 
 @pytest.mark.parametrize("dims, targets", [((2, 3, 2), (1, 2)), ((2, 3, 2), (0, 2)), ((4, 4, 3), (1,)),
@@ -204,8 +225,7 @@ def test_perturbation_kernels_rows_equal_one_row_views():
         ps = PurifiedState(*_purifications(rho))
         derivs = _kraus_derivatives(ops, 0, factors[0])
         j = _qfi(ops, derivs, ps.rho())
-        tilde = _branches(ps.joint_vector, _tilde_operators(factors[0], ops.shape[1], 0))
-        l = _sld(_branches(ps.joint_vector, ops), tilde)
+        l = _sld(*_joint_states(ps.joint_vector, ops, 0, factors[0]))
         g = np.stack([random_hermitian(l.shape[-1], rng) for _ in range(len(rho))])
         families = {theta: _perturbed_kraus(ops, 0, theta, factors) for theta in (1e-5, -1e-5)}
         means = {theta: _perturbed_mean(g, ps.joint_vector, f) for theta, f in families.items()}

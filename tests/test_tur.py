@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple, fields
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import amplitude_damping, perturbed_mean, random_channel, stacked_groups
-from density_circuits import separable_baseline
+from density_circuits import classical_bound, evolution_bound, separable_baseline
 
 from turlab.channels import KrausChannel, apply, ensure_dilation, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
@@ -388,6 +389,63 @@ class TestClassicalCorrelationBound:
             rho = random_density(2, rng)
             lo, val, hi = classical_correlation_bound(ch, rho, random_hermitian(2, rng), random_hermitian(2, rng))
             assert lo - 1e-9 <= val <= hi + 1e-9
+
+
+class TestClosedFormSharpness:
+    """Amplitude damping, where both bounds have closed forms: a loosened cap or half-width fails these."""
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
+    def test_evolution_bound_from_the_excited_state(self, gamma):
+        # a jump (probability gamma) leaves E in |1>, so <G> = 1 - 2 gamma; Xi = 1 / (1 - gamma) - 1
+        rho = np.diag([0.0, 1.0]).astype(complex)
+        report = check_observable_evolution_bound(amplitude_damping(gamma), rho, SIGMA_Z, 1.0, 1.0)
+        want = [2.0 * gamma, gamma / (1.0 - gamma), 2.0 * math.sqrt(gamma * (1.0 - gamma))]
+        got = [report.deviation, report.xi, report.deviation / report.deviation_cap]
+        assert_allclose(got, want, rtol=0, atol=1e-12)   # the ratio is 1, saturation, at gamma = 0.5
+        assert report.evolution_holds
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
+    def test_classical_bound_on_the_maximally_mixed_state(self, gamma):
+        # G_S(T) = diag(1, 2 gamma - 1) on the maximally entangled purification: value 1 - gamma; Q = 1
+        lo, val, hi = classical_correlation_bound(amplitude_damping(gamma), HALF, SIGMA_Z, SIGMA_Z)
+        half = math.sqrt(gamma / (2.0 * (1.0 - gamma)))
+        assert_allclose([lo, val, hi, (lo + hi) / 2.0], [1.0 - half, 1.0 - gamma, 1.0 + half, 1.0], rtol=0, atol=1e-12)
+
+
+def bound_instances(seed: int = 37, n: int = 600):
+    """(channel, rho, G_E, g0, gmax, G_R, G_S) of generic instances: dim_S 2-4, dim_E 2-3, ranks 1..d, and every
+    other channel a Kraus list with its no-jump operator at index 1. G_E has the no-jump basis state as an
+    eigenvector (eigenvalue 0 in every fifth instance); G_R and G_S are random Hermitian."""
+    rng = np.random.default_rng(seed)
+    cases = list(product((2, 3, 4), (2, 3), (False, True)))
+    for k in range(n):
+        d_s, d_e, kraus_list = cases[k % len(cases)]
+        ch = random_channel(d_s, d_e, rng)
+        if kraus_list:
+            ops = ch.operators
+            ch = KrausChannel((ops[1], ops[0]) + ops[2:], no_jump_index=1)
+        rho = random_density(d_s, rng, rank=1 + (k // len(cases)) % d_s)
+        g_env, e0 = random_hermitian(d_e, rng), ch.no_jump_index
+        g_env[e0, :] = g_env[:, e0] = 0.0
+        g_env[e0, e0] = 0.0 if k % 5 == 0 else rng.uniform(-1.0, 1.0)
+        gmax = float(np.max(np.abs(np.linalg.eigvalsh(g_env))))
+        yield ch, rho, g_env, float(g_env[e0, e0].real), gmax, random_hermitian(d_s, rng), random_hermitian(d_s, rng)
+
+
+def test_bounds_agree_with_the_full_space_oracle():
+    """Both bounds, one-row views of tur._product_terms, against their full-space (kron, Heisenberg picture) forms
+    within 1e-12 (tur_lhs relative), with identical flags, on 600 generic instances."""
+    for ch, rho, g_env, g0, gmax, g_r, g_s in bound_instances():
+        got, want = check_observable_evolution_bound(ch, rho, g_env, g0, gmax), evolution_bound(ch, rho, g_env, g0, gmax)
+        for field in fields(got):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, bool):
+                assert a is b, field.name
+            else:
+                tol = 1e-12 * abs(b) if field.name == "tur_lhs" else 1e-12
+                assert a == b or abs(a - b) <= tol, field.name
+        assert_allclose(classical_correlation_bound(ch, rho, g_r, g_s), classical_bound(ch, rho, g_r, g_s),
+                        rtol=0, atol=1e-12)
 
 
 def python_tur_report(mean, variance, q, xi):
