@@ -1,40 +1,70 @@
-"""Seeded random ensembles used by the verification suites and tests."""
+"""Seeded random ensembles, drawn n at a time as stacks (N, d, d) from one numpy Generator.
+
+Each call takes its Gaussians in one draw, row by row, so the rows of a stack are the rows that n one-row calls on
+the same generator state would give (dilations excepted: a rejected row is redrawn after the whole stack):
+
+  haar_unitaries  q diag(r / |r|) of the QR of Ginibre matrices, one batched QR: Haar measure
+  dilations       Haar unitaries on S (x) E, E starting in 0, with the smallest eigenvalue of V_0^dag V_0 at least
+                  MIN_NO_JUMP_EIG: each round redraws only the rejected rows, for at most MAX_TRIES rounds
+  densities       psi psi^dag / Tr of Ginibre psi (d, rank): a density of rank `rank` (full by default)
+  hermitians      the GUE, in the distribution of (Z + Z^dag) / 2 from half the Gaussians: the diagonal from N(0, 1),
+                  each off-diagonal real part from the strict lower triangle of one real draw and its imaginary part
+                  from the strict upper triangle, each N(0, 1/2); formed a slice of rows at a time, and equal to its
+                  conjugate transpose to the last bit
+
+The one-instance forms these replaced are kept in tests/ (scalar_ensembles.py).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .channels import _extract_kraus
-from .linalg import dag
+from .linalg import _row_slices, dag
 
 MIN_NO_JUMP_EIG = 0.05   # smallest eigenvalue of V_0^dag V_0 a random channel may have
 MAX_TRIES = 200
+_HALF = np.sqrt(0.5)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex matrices of standard normal real and imaginary parts, the two interleaved in one draw."""
+    return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (z + dag(z)) / 2.0
+def haar_unitaries(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(_ginibre(rng, (n, dim, dim)))
+    phase = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phase / np.abs(phase))[:, None, :]
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    rank = dim if rank is None else rank
-    psi = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = psi @ dag(psi)
-    return rho / np.trace(rho).real
-
-
-def random_dilation(dim_s: int, dim_e: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random dilation unitary on S (x) E, E starting in 0, with V_0^dag V_0 bounded away from singular."""
+def dilations(n: int, dim_s: int, dim_e: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random dilation unitaries on S (x) E, E starting in 0, with V_0^dag V_0 bounded away from singular."""
+    u, redraw = np.empty((n, dim_s * dim_e, dim_s * dim_e), dtype=complex), np.arange(n)
     for _ in range(MAX_TRIES):
-        u = random_unitary(dim_s * dim_e, rng)
-        v0 = _extract_kraus(u, dim_s, dim_e, 0)[0]
-        if float(np.linalg.eigvalsh(dag(v0) @ v0)[0]) >= MIN_NO_JUMP_EIG:
+        u[redraw] = haar_unitaries(len(redraw), dim_s * dim_e, rng)
+        v0 = _extract_kraus(u[redraw], dim_s, dim_e, 0)[:, 0]
+        redraw = redraw[np.linalg.eigvalsh(dag(v0) @ v0)[:, 0] < MIN_NO_JUMP_EIG]
+        if not len(redraw):
             return u
     raise RuntimeError(f"no well-conditioned channel found in {MAX_TRIES} draws")
+
+
+def densities(n: int, dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    psi = _ginibre(rng, (n, dim, dim if rank is None else rank))
+    rho = psi @ dag(psi)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def hermitians(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    # for i > j, h[i, j] = (x[i, j] + 1j x[j, i]) / sqrt(2) and h[j, i] its conjugate, the same two products
+    lower, diagonal = np.tri(dim, k=-1, dtype=bool), np.eye(dim, dtype=bool)
+    real_scale = np.where(diagonal, 1.0, _HALF)
+    imag_scale = np.where(lower, _HALF, -_HALF) * ~diagonal
+    h = np.empty((n, dim, dim), dtype=complex)
+    for s in _row_slices(h):
+        x = rng.standard_normal(h[s].shape)
+        t = x.swapaxes(-1, -2)
+        np.multiply(np.where(lower, x, t), real_scale, out=h[s].real)
+        np.multiply(np.where(lower, t, x), imag_scale, out=h[s].imag)
+    return h

@@ -1,7 +1,8 @@
 """Runtime property suites behind the `verify` command.
 
 Each suite draws seeded random instances (harness-family circuits plus generic
-random dilations) and checks one identity or invariant at its pinned tolerance:
+random dilations) from its own stream, keyed by (seed, suite), and checks one
+identity or invariant at its pinned tolerance:
 
   qfi         |J(0) - Xi| <= 1e-8
   scaling     finite difference of <G>_theta vs <G> - Q_G, step 1e-5, 1e-6;
@@ -12,14 +13,14 @@ random dilations) and checks one identity or invariant at its pinned tolerance:
               Xi_1 = 1 - p0 at 1e-12; protocol moments vs matrix powers, 1e-10
 
 Each pass of at most CHUNK_TRIALS instances, one per dim_S, is one stacked call of the kernels whose one-row views are
-the scalar functions, its inputs validated once, row by row. D x D observables are Hermitian by construction and formed
-a slice of rows at a time. A NaN deviation fails its suite and is its worst (Python's max would drop it).
+the scalar functions, its inputs drawn a pass at a time (random_ops) and validated once, row by row. D x D observables
+are Hermitian by construction and formed a slice of rows at a time. A NaN deviation fails its suite and is its worst
+(Python's max would drop it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .channels import _checked_kraus, _kraus_derivatives, _perturbed_kraus
 from .harness import CHUNK_TRIALS, _PAULI_PAIRS, ExperimentConfig, _draw_stacked
 from .linalg import _invertible_factors, _psd_sqrt, _row_slices, dag, require_density
 from .protocol import _exact_correlator, _main_vectors, _protocol_correlators, _require_inputs
-from .random_ops import random_density, random_dilation, random_hermitian
+from .random_ops import densities, dilations, hermitians
 from .tur import (_branches, _general_tur_terms, _inner, _joint, _joint_states, _qfi, _series_estimates, _sld,
                   _survival_activity, _survival_activity_moments, _survival_activity_protocol_sim, _tur_report)
 
@@ -44,46 +45,66 @@ class SuiteResult:
     note: str
 
 
-def _family_chunks(seed: int, trial_ids: range, gamma_lo: float):
-    """(config, ids) of each stacked pass of CHUNK_TRIALS harness-family ids; their draws use no suite rng."""
-    cfg = ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, 0.75), variants=("exact",))
-    return [(cfg, trial_ids[k:k + CHUNK_TRIALS]) for k in range(0, len(trial_ids), CHUNK_TRIALS)]
+def _suite_stream(seed: int, suite: str) -> tuple[int, np.random.Generator]:
+    """(the seed of the suite's harness-family passes, the generator of its other draws), both from the stream keyed
+    by (seed, suite), so that no two (seed, suite) pairs draw the same instances. qfi and scaling share qfi's."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(SUITES.index(suite),)))
+    return int(rng.bit_generator.random_raw()), rng
+
+
+def _family_config(seed: int, gamma_lo: float) -> ExperimentConfig:
+    """The harness family of the suites; its draws come from each trial's own stream, not from a suite's generator."""
+    return ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, 0.75), variants=("exact",))
 
 
 def _family_passes(seed: int, trial_ids: range, gamma_lo: float = 0.1):
     """The instances of each pass of CHUNK_TRIALS ids as stacks: rho, A, B, the dilation unitaries and their Kraus
     operators (N, M, d, d), checked as an experiment chunk checks them."""
-    for cfg, ids in _family_chunks(seed, trial_ids, gamma_lo):
+    cfg = _family_config(seed, gamma_lo)
+    for k in range(0, len(trial_ids), CHUNK_TRIALS):
+        ids = trial_ids[k:k + CHUNK_TRIALS]
         *_, a_k, b_k, _, rho, u = _draw_stacked(cfg, ids)
         v = _checked_kraus(u, rho.shape[-1], lambda n: f"trial {ids[n]}")
         yield rho, _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k], u, v
 
 
+def _mixed_passes(seed: int, suite: str, trials: int, gamma_lo: float = 0.1):
+    """The suite's harness-family passes with a random mixed state per row in place of the family's pure one:
+    (rng, rho, u, v), each pass's states one draw from the suite's generator rng, validated once."""
+    family_seed, rng = _suite_stream(seed, suite)
+    for *_, u, v in _family_passes(family_seed, range(trials), gamma_lo):
+        yield rng, require_density(densities(len(v), v.shape[-1], rng)), u, v
+
+
 def _instances(seed: int, n: int):
     """Passes (rho, Kraus operators (N, M, d, d), G): each block of CHUNK_TRIALS instances, one pass per d.
 
-    Instance i is a harness-family channel (trial i) for even i and a generic
-    random one for odd i, both with M = 2 (dim_E 2), a mixed state and a
-    random observable G on R (x) S (x) E, drawn in instance order (a block's
-    G last, from their own generator, each into the stack of its pass). A
-    pass's states are validated and its dilations checked once.
+    Instance i is a harness-family channel (trial i // 2) for even i and a
+    generic random one for odd i, both with M = 2 (dim_E 2), a mixed state and
+    a random observable G on R (x) S (x) E. A block draws the dim_S of its
+    generic instances in one call, then, for each d, the generic dilations,
+    the states and the G of its pass in one call each, all from the stream
+    keyed by (seed, qfi). A pass's states are validated and its dilations
+    checked once.
     """
-    rng, g_rng = np.random.default_rng(seed), np.random.default_rng(seed + 1)
-    family = chain.from_iterable(_draw_stacked(cfg, ids)[-1] for cfg, ids in _family_chunks(seed, range(0, n, 2), 0.1))
+    family_seed, rng = _suite_stream(seed, "qfi")
+    cfg = _family_config(family_seed, 0.1)
     for start in range(0, n, CHUNK_TRIALS):
-        slots, passes = [], {}   # slots: (d, row in its pass) of each instance; passes: d -> its (i, rho, u)
-        for i in range(start, min(n, start + CHUNK_TRIALS)):
-            d = 4 if i % 2 == 0 else 2 + int(rng.integers(3))
-            u = next(family) if i % 2 == 0 else random_dilation(d, 2, rng)
-            slots.append((d, len(passes.setdefault(d, []))))
-            passes[d].append((i, random_density(d, rng), u))
-        g = {d: np.empty((len(rows), 2 * d * d, 2 * d * d), dtype=complex) for d, rows in passes.items()}
-        for d, k in slots:
-            g[d][k] = random_hermitian(2 * d * d, g_rng)
-        for d, rows in passes.items():
-            ids, rho, u = zip(*rows)
-            v = _checked_kraus(np.stack(u), d, lambda k: f"instance {ids[k]}")
-            yield require_density(np.stack(rho)), v, g.pop(d)
+        ids = np.arange(start, min(n, start + CHUNK_TRIALS))
+        generic = ids % 2 == 1
+        dims = np.full(len(ids), 4)
+        dims[generic] = rng.integers(2, 5, size=int(generic.sum()))
+        family_u = _draw_stacked(cfg, range(start // 2, (ids[-1] + 2) // 2))[-1]
+        for d in (2, 3, 4):
+            rows, odd = ids[dims == d], generic[dims == d]
+            if not len(rows):
+                continue
+            u = np.empty((len(rows), 2 * d, 2 * d), dtype=complex)
+            u[odd] = dilations(int(odd.sum()), d, 2, rng)
+            if not odd.all():   # the family's rows, of dimension 4
+                u[~odd] = family_u[(rows[~odd] - start) // 2]
+            rho, g = densities(len(rows), d, rng), hermitians(len(rows), 2 * d * d, rng)
+            yield require_density(rho), _checked_kraus(u, d, lambda k: f"instance {rows[k]}"), g
 
 
 def _perturbed_mean(g: np.ndarray, joint: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -137,7 +158,7 @@ def suite_scaling(trials: int, seed: int, inject_fault: str | None = None) -> Su
 
 def suite_protocol(trials: int, seed: int) -> SuiteResult:
     worst = 0.0
-    for rho, a, b, u, v in _family_passes(seed + 2, range(trials), gamma_lo=0.0):
+    for rho, a, b, u, v in _family_passes(_suite_stream(seed, "protocol")[0], range(trials), gamma_lo=0.0):
         rho, a, b = _require_inputs(rho, 4, a, b)   # the family's system has dimension 4, its environment starts in 0
         c_proto = _protocol_correlators(_main_vectors(_psd_sqrt(rho)[1], u, 0, a, b))
         c_direct = _exact_correlator(rho, v.swapaxes(0, 1), a, b)
@@ -146,12 +167,9 @@ def suite_protocol(trials: int, seed: int) -> SuiteResult:
 
 
 def suite_saturation(trials: int, seed: int) -> SuiteResult:
-    rng = np.random.default_rng(seed + 3)
     worst = 0.0
-    for _, _, _, _, v in _family_passes(seed + 3, range(trials), gamma_lo=0.2):
-        draws = [(random_density(v.shape[-1], rng), rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)) for _ in v]
-        rho, scale, offset = (np.array(x) for x in zip(*draws))
-        rho = require_density(rho)
+    for rng, rho, _, v in _mixed_passes(seed, "saturation", trials, gamma_lo=0.2):
+        scale, offset = rng.uniform(0.5, 2.0, len(v)), rng.uniform(-1.0, 1.0, len(v))
         v0_inv = _invertible_factors(v[:, 0])[0]
         psi_t, tilde = _joint_states(_joint(_psd_sqrt(rho)[1]), v, 0, v0_inv)
         g = np.empty(psi_t.shape + psi_t.shape[-1:], dtype=complex)   # G = scale L + offset I, a slice at a time
@@ -167,10 +185,8 @@ def suite_saturation(trials: int, seed: int) -> SuiteResult:
 def suite_series(trials: int, seed: int) -> SuiteResult:
     """With W = V_0^dag V_0, Xi_N = Tr[rho sum_{k<=N} (I - W)^k] - 1 (hockey-stick identity on the binomial sum), so
     each instance's remainder Xi - Xi_N is Tr[rho (I - W)^{N+1} W^-1] >= 0 and does not increase with N."""
-    rng = np.random.default_rng(seed + 4)
     worst_rem, worst_rise, worst_moment, worst_first = 0.0, -np.inf, 0.0, 0.0
-    for _, _, _, u, v in _family_passes(seed + 4, range(trials)):
-        rho = require_density(np.stack([random_density(v.shape[-1], rng) for _ in v]))
+    for _, rho, u, v in _mixed_passes(seed, "series", trials):
         v0 = v[:, 0]
         v0_inv = _invertible_factors(v0)[0]
         moments = np.array(_survival_activity_moments(rho, v0, 4))

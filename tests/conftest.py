@@ -4,8 +4,9 @@ import pytest
 from turlab.channels import KrausChannel, kraus_from_unitary, perturbed_kraus
 from turlab.gates import I2
 from turlab.linalg import SubsystemLayout
-from turlab.random_ops import random_density, random_dilation, random_unitary
 from turlab.verify import _perturbed_mean
+
+from scalar_ensembles import random_density, random_dilation, random_unitary
 
 # Single-qubit gates and projectors of the test constructions (the package builds its rotations stacked).
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)

@@ -22,7 +22,6 @@ from turlab.harness import (
 from turlab.linalg import SubsystemLayout
 from turlab.channels import kraus_from_unitary
 from turlab.protocol import correlator_bound, exact_correlator, protocol_correlator
-from turlab.random_ops import random_density, random_hermitian
 from turlab.serialize import trials_csv_text
 from turlab.tur import (
     check_general_tur,
@@ -36,6 +35,7 @@ from turlab.tur import (
 )
 
 from conftest import perturbed_mean
+from scalar_ensembles import random_density, random_hermitian
 
 
 def family(seed, i, lo=0.0, hi=0.75):

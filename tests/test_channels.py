@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from conftest import P0, P1, amplitude_damping, random_channel
 from density_circuits import apply
+from scalar_ensembles import random_density, random_unitary
 
 from turlab.channels import (
     Dilation,
@@ -18,7 +19,6 @@ from turlab.channels import (
 from turlab.errors import AdmissibilityError, ContractError, SingularOperator
 from turlab.gates import SIGMA_Z
 from turlab.linalg import SubsystemLayout, dag, outer, partial_trace
-from turlab.random_ops import random_density, random_unitary
 from turlab.tur import purify, survival_activity, tilde_initial_state
 
 

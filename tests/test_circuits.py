@@ -31,11 +31,11 @@ from turlab.protocol import (
     protocol_correlator,
     protocol_state,
 )
-from turlab.random_ops import random_density, random_unitary
 from turlab.linalg import _psd_sqrt
 
 from conftest import random_channel, stacked_groups
 from density_circuits import entry_state, main_states, nested_states, on_factors
+from scalar_ensembles import random_density, random_unitary
 
 
 @st.composite

@@ -7,10 +7,10 @@ import pytest
 
 from turlab import cli
 from turlab.cli import main
-from turlab.random_ops import random_density
 from turlab.serialize import CSV_COLUMNS, encode_matrix
 
 from conftest import amplitude_damping_unitary, hermitian_unitary, random_channel
+from scalar_ensembles import random_density
 
 
 def write_spec(tmp_path, name, obj):

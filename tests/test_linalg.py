@@ -19,7 +19,8 @@ from turlab.linalg import (
     require_density,
     require_hermitian,
 )
-from turlab.random_ops import random_density, random_unitary
+
+from scalar_ensembles import random_density, random_unitary
 
 
 def random_complex(rng, *shape):

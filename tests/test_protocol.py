@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import amplitude_damping, random_channel
 from density_circuits import entry_state, separable_baseline
+from scalar_ensembles import random_density
 
 from turlab.channels import kraus_from_unitary
 from turlab.errors import ContractError
@@ -29,7 +30,6 @@ from turlab.protocol import (
     separable_tur_protocol_check,
     shot_rng,
 )
-from turlab.random_ops import random_density
 from turlab.tur import P0_CUTOFF, check_general_tur, purify
 
 SE = SubsystemLayout((2, 2))

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import amplitude_damping, hermitian_unitary, perturbed_mean, stacked_groups
 from density_circuits import bound_terms
+from scalar_ensembles import random_density, random_hermitian, random_unitary
 
 from turlab.channels import (
     KrausChannel,
@@ -19,7 +20,6 @@ from turlab.channels import (
 from turlab.errors import AdmissibilityError, SingularOperator
 from turlab.linalg import _invertible_factors, _no_jump_factors, _psd_sqrt, dag, embed_operator, hermitian_inverse
 from turlab.protocol import PARTS, _ancilla_pullback, _bound_terms, _on_factors, correlator_bound
-from turlab.random_ops import random_density, random_hermitian, random_unitary
 from turlab.tur import (
     _general_tur_terms,
     _joint,

@@ -10,13 +10,13 @@ from numpy.testing import assert_allclose
 
 from conftest import amplitude_damping, perturbed_mean, random_channel, stacked_groups
 from density_circuits import apply, classical_bound, classical_value, evolution_bound, separable_baseline
+from scalar_ensembles import random_density, random_hermitian, random_unitary
 
 from turlab.channels import KrausChannel, ensure_dilation, kraus_from_unitary
 from turlab.errors import ContractError, SingularOperator
 from turlab.gates import SIGMA_Z
 from turlab.linalg import SubsystemLayout, _no_jump_factors, _psd_sqrt, dag, outer, partial_trace
 from turlab.protocol import correlator_interval
-from turlab.random_ops import random_density, random_hermitian, random_unitary
 from turlab.tur import (
     DEGENERATE_MEAN_ATOL,
     P0_CUTOFF,

@@ -2,19 +2,21 @@
 non-finite deviations."""
 
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from turlab import linalg
-from turlab.channels import _no_jump_inverse, dv0_dtheta
-from turlab.harness import ExperimentConfig, generate_trial
-from turlab.linalg import dag
+from turlab.channels import KrausChannel, _no_jump_inverse, dv0_dtheta, kraus_from_unitary
+from turlab.harness import generate_trial
+from turlab.linalg import SubsystemLayout, dag
 from turlab.protocol import exact_correlator, protocol_correlator
-from turlab.random_ops import random_density, random_hermitian
 from turlab.tur import (
     _branches,
     check_general_tur,
@@ -30,6 +32,10 @@ from turlab.tur import (
 from turlab.verify import (
     FD_STEP,
     SuiteResult,
+    _family_config,
+    _instances,
+    _mixed_passes,
+    _suite_stream,
     run_suites,
     suite_protocol,
     suite_qfi,
@@ -38,7 +44,7 @@ from turlab.verify import (
     suite_series,
 )
 
-from conftest import perturbed_mean, random_channel
+from conftest import perturbed_mean
 
 
 def test_default_verify_decomposes_and_validates_each_input_once(monkeypatch):
@@ -85,40 +91,31 @@ def test_scaling_alone_validates_its_own_inputs(monkeypatch):
     assert result.passed and calls["require_density"] == 10
 
 
-# The suites as they ran before stacking, one instance at a time through the public scalar functions.
+# The suites as they ran before stacking, one instance at a time through the public scalar functions, on the
+# instances of each suite's own draw.
 
-def family_setups(seed, trial_ids, gamma_lo=0.1):
-    cfg = ExperimentConfig(seed=seed, n_trials=1, shots=0, gamma_range=(gamma_lo, 0.75), variants=("exact",))
-    return (generate_trial(cfg, i) for i in trial_ids)
+def family_setups(seed, trial_ids, gamma_lo):
+    return (generate_trial(_family_config(seed, gamma_lo), i) for i in trial_ids)
 
 
 def per_instance_inputs(seed, n):
     """qfi's and scaling's instances one at a time: a harness-family channel for even i, a generic one for odd i."""
-    rng = np.random.default_rng(seed)
-    family = family_setups(seed, range(0, n, 2))
-    for i in range(n):
-        if i % 2 == 0:
-            setup = next(family)
-            yield setup.channel, random_density(setup.channel.dim, rng)
-        else:
-            dim_s = int(rng.choice([2, 3, 4]))
-            yield random_channel(dim_s, 2, rng), random_density(dim_s, rng)
+    for rho, v, g in _instances(seed, n):
+        yield from ((KrausChannel(tuple(ops)), r, obs) for r, ops, obs in zip(rho, v, g))
 
 
 def per_instance_qfi(trials, seed):
     worst = 0.0
-    for ch, rho in per_instance_inputs(seed, trials):
+    for ch, rho, _ in per_instance_inputs(seed, trials):
         xi = survival_activity(rho, ch)
         worst = max(worst, abs(qfi(ch, purify(rho)) - xi))
     return SuiteResult("qfi", worst <= 1e-8, trials, worst, "max |J(0) - Xi|")
 
 
 def per_instance_scaling(trials, seed, inject_fault=None):
-    rng = np.random.default_rng(seed + 1)
     worst_fd, worst_an = 0.0, 0.0
-    for ch, rho in per_instance_inputs(seed, trials):
+    for ch, rho, g in per_instance_inputs(seed, trials):
         ps = purify(rho)
-        g = random_hermitian(ps.dim_s * ps.dim_s * len(ch.operators), rng)
         report = check_general_tur(g, ps, ch)
         target = report.mean - report.q_baseline
         fd = (perturbed_mean(g, ps, ch, FD_STEP) - perturbed_mean(g, ps, ch, -FD_STEP)) / (2.0 * FD_STEP)
@@ -133,21 +130,20 @@ def per_instance_scaling(trials, seed, inject_fault=None):
 
 
 def per_instance_saturation(trials, seed):
-    rng = np.random.default_rng(seed + 3)
     worst = 0.0
-    for setup in family_setups(seed + 3, range(trials), gamma_lo=0.2):
-        ps = purify(random_density(setup.channel.dim, rng))
-        l = sld(ps, setup.channel)
-        scale = float(rng.uniform(0.5, 2.0))
-        offset = float(rng.uniform(-1.0, 1.0))
-        report = check_general_tur(scale * l + offset * np.eye(l.shape[0]), ps, setup.channel)
-        worst = max(worst, abs(report.ratio - 1.0))
+    for rng, rhos, _, v in _mixed_passes(seed, "saturation", trials, gamma_lo=0.2):
+        scales, offsets = rng.uniform(0.5, 2.0, len(v)), rng.uniform(-1.0, 1.0, len(v))
+        for rho, ops, scale, offset in zip(rhos, v, scales.tolist(), offsets.tolist()):
+            ch, ps = KrausChannel(tuple(ops)), purify(rho)
+            l = sld(ps, ch)
+            report = check_general_tur(scale * l + offset * np.eye(l.shape[0]), ps, ch)
+            worst = max(worst, abs(report.ratio - 1.0))
     return SuiteResult("saturation", worst <= 1e-6, trials, worst, "max |TUR ratio - 1| for G affine in L")
 
 
 def per_instance_protocol(trials, seed):
     worst = 0.0
-    for setup in family_setups(seed + 2, range(trials), gamma_lo=0.0):
+    for setup in family_setups(_suite_stream(seed, "protocol")[0], range(trials), gamma_lo=0.0):
         c_proto = protocol_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
         c_direct = exact_correlator(setup.rho, setup.channel, setup.a_op, setup.b_op)
         worst = max(worst, abs(c_direct - c_proto))
@@ -155,20 +151,20 @@ def per_instance_protocol(trials, seed):
 
 
 def per_instance_series(trials, seed):
-    rng = np.random.default_rng(seed + 4)
     worst_rem, worst_rise, worst_moment, worst_first = 0.0, -math.inf, 0.0, 0.0
-    for setup in family_setups(seed + 4, range(trials)):
-        rho = random_density(setup.channel.dim, rng)
-        estimates = survival_activity_series(rho, setup.channel, order=4)
-        xi = survival_activity(rho, setup.channel)
-        v0, v0_inv = setup.channel.v0, _no_jump_inverse(setup.channel)
+    passes = _mixed_passes(seed, "series", trials)
+    for rho, u in ((r, w) for _, rhos, units, _ in passes for r, w in zip(rhos, units)):
+        ch = kraus_from_unitary(u, SubsystemLayout((4, 2)))
+        estimates = survival_activity_series(rho, ch, order=4)
+        xi = survival_activity(rho, ch)
+        v0, v0_inv = ch.v0, _no_jump_inverse(ch)
         step, rho_w = np.eye(len(v0)) - dag(v0) @ v0, rho @ v0_inv @ dag(v0_inv)
         remainder = [xi - est for est in estimates]
         for n, rem in enumerate(remainder, start=1):
             worst_rem = max(worst_rem, abs(rem - np.trace(rho_w @ np.linalg.matrix_power(step, n + 1)).real))
         worst_rise = max(worst_rise, *(later - earlier for earlier, later in zip(remainder, remainder[1:])))
-        moments = survival_activity_moments(rho, setup.channel, 4)
-        sim = survival_activity_protocol_sim(rho, setup.channel, 4)
+        moments = survival_activity_moments(rho, ch, 4)
+        sim = survival_activity_protocol_sim(rho, ch, 4)
         worst_moment = max(worst_moment, max(abs(a - b) for a, b in zip(moments, sim)))
         worst_first = max(worst_first, abs(estimates[0] - (1.0 - moments[1])))
     passed = worst_rem <= 1e-10 and worst_rise <= 0.0 and worst_moment <= 1e-10 and worst_first <= 1e-12
@@ -275,3 +271,50 @@ def test_an_offset_series_estimate_fails_the_series_suite(monkeypatch):
     monkeypatch.setattr(verify, "_series_estimates", offset)
     (result,) = run_suites(["series"], seed=2024)
     assert not result.passed and abs(result.worst - 0.01) <= 1e-10
+
+
+def drawn(monkeypatch, suite, seed):
+    """The states (as bytes) that one suite's run validates in verify, and the harness-family thetas it draws, by
+    trial id."""
+    import turlab.verify as verify
+
+    states, thetas = set(), {}
+    require_density, draw_stacked = verify.require_density, verify._draw_stacked
+
+    def recording_density(m, *args, **kwargs):
+        states.update(row.tobytes() for row in np.reshape(m, (-1,) + np.shape(m)[-2:]))
+        return require_density(m, *args, **kwargs)
+
+    def recording_draw(cfg, ids, *args):
+        out = draw_stacked(cfg, ids, *args)
+        thetas.update(zip(ids, map(bytes, out[0])))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "require_density", recording_density)
+        patch.setattr(verify, "_draw_stacked", recording_draw)
+        run_suites([suite], trials=20, seed=seed)
+    return states, thetas
+
+
+def test_no_two_seeds_or_suites_draw_the_same_instances(monkeypatch):
+    """verify --seed s, s + 1 and s + 2 draw no common state, and no suite's family thetas equal another's for the
+    same trial id. With suite generators and family seeds seed + k (k the suite's index), series at s drew
+    saturation's states at s + 1, and qfi's and scaling's family at s + 2 was protocol's at s."""
+    s = 2024
+    draws = {(suite, seed): drawn(monkeypatch, suite, seed) for suite in ("qfi", "protocol", "saturation", "series")
+             for seed in (s, s + 1, s + 2)}
+    # protocol runs on the family's own pure states, which verify does not validate
+    assert all(thetas and (states or suite == "protocol") for (suite, _), (states, thetas) in draws.items())
+    assert max(Counter(state for states, _ in draws.values() for state in states).values()) == 1
+    assert max(Counter(pair for _, thetas in draws.values() for pair in thetas.items()).values()) == 1
+
+
+def test_a_first_run_imports_no_module():
+    """numpy.random aside, which the first draw loads, a fresh interpreter's first run_suites imports no module, so
+    no import lands in the first request (np.unique's first call imports numpy.ma, ~15 ms)."""
+    code = ("import sys, numpy.random, turlab.verify as verify; before = set(sys.modules); "
+            "verify.run_suites(trials=1); print(sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
