@@ -6,13 +6,11 @@ the same generator state would give (dilations excepted: a rejected row is redra
   haar_unitaries  q diag(r / |r|) of the QR of Ginibre matrices, one batched QR: Haar measure
   dilations       Haar unitaries on S (x) E, E starting in 0, with the smallest eigenvalue of V_0^dag V_0 at least
                   MIN_NO_JUMP_EIG: each round redraws only the rejected rows, for at most MAX_TRIES rounds
-  densities       psi psi^dag / Tr of Ginibre psi (d, rank): a density of rank `rank` (full by default)
-  hermitians      the GUE, in the distribution of (Z + Z^dag) / 2 from half the Gaussians: the diagonal from N(0, 1),
-                  each off-diagonal real part from the strict lower triangle of one real draw and its imaginary part
-                  from the strict upper triangle, each N(0, 1/2); formed a slice of rows at a time, and equal to its
-                  conjugate transpose to the last bit
-
-The one-instance forms these replaced are kept in tests/ (scalar_ensembles.py).
+  densities       psi psi^dag / Tr of square Ginibre psi: full-rank densities
+  hermitians      the GUE, in the distribution of (Z + Z^dag) / 2 of Ginibre Z from half its Gaussians: (X + X^T) / 2
+                  + i (X - X^T) / 2 of one real Gaussian X, whose diagonal is N(0, 1) and whose off-diagonal real and
+                  imaginary parts are independent N(0, 1/2); formed a slice of rows at a time, and equal to its
+                  conjugate transpose to the last bit, since x + y = y + x and x - y = -(y - x) in floating point
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .linalg import _row_slices, dag
 
 MIN_NO_JUMP_EIG = 0.05   # smallest eigenvalue of V_0^dag V_0 a random channel may have
 MAX_TRIES = 200
-_HALF = np.sqrt(0.5)
 
 
 def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -50,21 +47,16 @@ def dilations(n: int, dim_s: int, dim_e: int, rng: np.random.Generator) -> np.nd
     raise RuntimeError(f"no well-conditioned channel found in {MAX_TRIES} draws")
 
 
-def densities(n: int, dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    psi = _ginibre(rng, (n, dim, dim if rank is None else rank))
+def densities(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    psi = _ginibre(rng, (n, dim, dim))
     rho = psi @ dag(psi)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def hermitians(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    # for i > j, h[i, j] = (x[i, j] + 1j x[j, i]) / sqrt(2) and h[j, i] its conjugate, the same two products
-    lower, diagonal = np.tri(dim, k=-1, dtype=bool), np.eye(dim, dtype=bool)
-    real_scale = np.where(diagonal, 1.0, _HALF)
-    imag_scale = np.where(lower, _HALF, -_HALF) * ~diagonal
     h = np.empty((n, dim, dim), dtype=complex)
     for s in _row_slices(h):
-        x = rng.standard_normal(h[s].shape)
+        x = rng.standard_normal(h[s].shape) / 2
         t = x.swapaxes(-1, -2)
-        np.multiply(np.where(lower, x, t), real_scale, out=h[s].real)
-        np.multiply(np.where(lower, t, x), imag_scale, out=h[s].imag)
+        h[s].real, h[s].imag = x + t, x - t
     return h

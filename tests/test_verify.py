@@ -14,7 +14,7 @@ import pytest
 
 from turlab import linalg
 from turlab.channels import KrausChannel, _no_jump_inverse, dv0_dtheta, kraus_from_unitary
-from turlab.harness import generate_trial
+from turlab.harness import CHUNK_TRIALS, generate_trial
 from turlab.linalg import SubsystemLayout, dag
 from turlab.protocol import exact_correlator, protocol_correlator
 from turlab.tur import (
@@ -71,7 +71,7 @@ def test_default_verify_decomposes_and_validates_each_input_once(monkeypatch):
     assert all(r.passed for r in results)
     assert len(seen) == 100 + 20 + 50 and set(seen.values()) == {1}
     # require_density checks Hermiticity itself: require_hermitian rows are A and B of protocol; each G the suites
-    # build is Hermitian to the last bit ((Z + Z^dag) / 2, or scale L + offset I) and is not checked
+    # build is Hermitian to the last bit ((X + X^T) / 2 + i (X - X^T) / 2, or scale L + offset I) and is not checked
     assert (validated["require_density"], validated["require_hermitian"]) == (270, 200)
 
 
@@ -308,6 +308,40 @@ def test_no_two_seeds_or_suites_draw_the_same_instances(monkeypatch):
     assert all(thetas and (states or suite == "protocol") for (suite, _), (states, thetas) in draws.items())
     assert max(Counter(state for states, _ in draws.values() for state in states).values()) == 1
     assert max(Counter(pair for _, thetas in draws.values() for pair in thetas.items()).values()) == 1
+
+
+def test_instances_are_family_trial_i_over_2_for_even_i_and_of_their_drawn_dim_for_odd_i(monkeypatch):
+    """Over two blocks, instance i is harness trial i // 2 of the suite's family seed for even i, of dim_S 4, and a
+    generic channel of the dim_S drawn for it for odd i; each pass holds the rows of its dim_S in order of i."""
+    import turlab.verify as verify
+
+    family_seed, rng = _suite_stream(2024, "qfi")
+    drawn = []
+
+    class RecordingDims:
+        def __getattr__(self, name):
+            return getattr(rng, name)
+
+        def integers(self, *args, **kwargs):
+            drawn.append(rng.integers(*args, **kwargs))
+            return drawn[-1]
+
+    monkeypatch.setattr(verify, "_suite_stream", lambda seed, suite: (family_seed, RecordingDims()))
+    n = CHUNK_TRIALS + 37
+    passes = [v for _, v, _ in _instances(2024, n)]
+    expected = []
+    for block, start in enumerate(range(0, n, CHUNK_TRIALS)):
+        ids = np.arange(start, min(n, start + CHUNK_TRIALS))
+        dims = np.full(len(ids), 4)
+        dims[ids % 2 == 1] = drawn[block]
+        expected += [(d, ids[dims == d]) for d in (2, 3, 4) if (dims == d).any()]
+    assert len(drawn) == 2 and {2, 3} <= set(np.concatenate(drawn))
+    assert [v.shape for v in passes] == [(len(rows), 2, d, d) for d, rows in expected]
+    cfg = _family_config(family_seed, 0.1)
+    family = [(ops, i) for v, (_, rows) in zip(passes, expected) for ops, i in zip(v, rows) if i % 2 == 0]
+    assert [i for _, i in family] == list(range(0, n, 2))
+    for ops, i in family:
+        assert np.array_equal(ops, np.stack(generate_trial(cfg, i // 2).channel.operators))
 
 
 def test_a_first_run_imports_no_module():
