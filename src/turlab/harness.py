@@ -12,8 +12,12 @@ Each trial draws twelve rotation angles and an interaction strength gamma:
 
 Every trial is a deterministic function of (seed, trial_id): its inputs come from numpy's SeedSequence -> Philox
 stream keyed by (seed, trial_id), its main and nested circuits' shots from those keyed by (seed, trial_id, 0) and
-(seed, trial_id, 1). A chunk's streams are keyed in one vectorized pass, numpy's SeedSequence kept as the test oracle;
-a trial's thirteen uniforms are one raw read of its stream, scaled as numpy's uniform scales them.
+(seed, trial_id, 1). A chunk's streams are keyed in one vectorized pass (protocol._stream_keys), and its input words
+are one more (protocol._philox_words): Philox4x64-10 of counters 1-4 of every key, the ten rounds of multipliers
+M0, M1 and key increments W0, W1 run on the whole chunk at once. Words 0-12 are a trial's thirteen uniforms, scaled
+as numpy's uniform scales them; its two Pauli-pair indices are numpy's Lemire draw on the 32-bit halves of words
+13-15, low half first, a zero half rejected (_draw_stacked). So the exact path never imports numpy.random; numpy's
+SeedSequence and Generator stay the test oracles, and a Generator re-keyed per stream draws only the shots.
 The inputs have one formula, _stacked_inputs over a stack of trials; generate_trial is its one-row view. The records
 have one evaluation path too: run_experiment passes CHUNK_TRIALS trials at a time through the stacked kernels of tur
 and protocol (_evaluate_chunk: the bound's one composition _bound_terms, of which `bound` is the one-row view and whose
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 from statistics import median
 
 import numpy as np
@@ -43,7 +48,9 @@ from .protocol import (
     _multinomial_counts,
     _nested_vectors,
     _neumann1,
+    _philox_words,
     _spawned_words,
+    _stream_keys,
     _streams,
     correlator_interval,
     estimate_main_circuit,
@@ -237,18 +244,28 @@ def _stacked_inputs(thetas: np.ndarray, gammas: np.ndarray) -> tuple[np.ndarray,
     return psi, rho, layer2 @ controlled(kron(I2, ry_e)) @ layer1
 
 
-def _draw_stacked(config: ExperimentConfig, trial_ids, rng: np.random.Generator | None = None):
-    """Each id's angles (N, 12) and gamma from stream (seed, id), the Pauli-pair rows of A and B, _stacked_inputs."""
-    n = len(trial_ids)
-    words, pairs = np.empty((n, 13), dtype=np.uint64), np.empty((n, 2), dtype=np.int64)
+def _draw_stacked(config: ExperimentConfig, trial_ids):
+    """Each id's angles (N, 12) and gamma from stream (seed, id), the Pauli-pair rows of A and B, _stacked_inputs.
+
+    A stream's first sixteen words are one _philox_words pass over the chunk:
+    counters 1-4 of each id's key. Words 0-12 are the thirteen uniforms, scaled
+    as numpy's uniform(lo, hi) scales a word w: lo + (hi - lo) * ((w >> 11) 2^-53).
+    The two indices are numpy's integers(1, 16), Lemire's bounded draw on
+    32-bit halves taken in stream order, low half first: lo13, hi13, lo14, ...
+    A half h gives 1 + (15 h >> 32) and is rejected when its leftover 15 h mod
+    2^32 falls below (2^32 - 15) mod 15 = 1, that is when h = 0; so A takes the
+    first nonzero half and B the next. Six halves cover every row bar one with
+    fewer than two nonzero halves, of probability below 2^-150.
+    """
     seed = _spawned_words(config.seed)
-    for k, stream in enumerate(_streams([seed + _entropy_words(i) for i in trial_ids], rng)):
-        words[k] = stream.bit_generator.random_raw(13)
-        pairs[k] = stream.integers(1, len(_PAULI_PAIRS)), stream.integers(1, len(_PAULI_PAIRS))   # row 0 is I (x) I
-    # numpy's uniform(lo, hi) of a raw word w is lo + (hi - lo) * ((w >> 11) * 2^-53)
-    uniforms = (words >> np.uint64(11)) * 2.0**-53
+    keys = _stream_keys(np.array([seed + _entropy_words(i) for i in trial_ids], dtype=np.uint32))
+    words = _philox_words(keys, 4)
+    uniforms = (words[:, :13] >> np.uint64(11)) * 2.0**-53
     (tlo, thi), (glo, ghi) = config.theta_range, config.gamma_range
     thetas, gammas = tlo + (thi - tlo) * uniforms[:, :12], glo + (ghi - glo) * uniforms[:, 12]
+    halves = words[:, 13:].astype("<u8").view("<u4").astype(np.uint64)   # lo13, hi13, lo14, hi14, lo15, hi15
+    drawn = np.take_along_axis(halves, np.argsort(halves == 0, axis=1, kind="stable")[:, :2], axis=1)
+    pairs = (drawn * np.uint64(len(_PAULI_PAIRS) - 1) >> np.uint64(32)).astype(np.int64) + 1   # row 0 is I (x) I
     return (thetas, gammas, pairs[:, 0], pairs[:, 1]) + _stacked_inputs(thetas, gammas)
 
 
@@ -260,8 +277,7 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> TrialColumns:
     G_P the real pullback of A on P = S' (x) S, are the terms of one _bound_terms
     on the root of rho that `bound` takes too (_roots: one column, rho pure).
     """
-    rng = np.random.Generator(np.random.Philox(0))   # re-keyed to each stream of the chunk
-    thetas, gammas, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids, rng)
+    thetas, gammas, a_k, b_k, psi, rho, u = _draw_stacked(config, trial_ids)
     a, b = _PAULI_PAIRS[a_k], _PAULI_PAIRS[b_k]
     g_re = _PULLBACKS["real"][a_k]
 
@@ -278,12 +294,13 @@ def _evaluate_chunk(config: ExperimentConfig, trial_ids) -> TrialColumns:
     _, _, contained_imag, sep_imag = correlator_interval(c_im, q_im, xi)
     sampled, failures = None, np.full(len(psi), None)
     if "sampled" in config.variants and config.shots > 0:
-        # trial i draws its main circuit's shots from stream (seed, i, 0), its nested circuit's from (seed, i, 1)
+        # trial i draws its main circuit's shots from stream (seed, i, 0), its nested circuit's from (seed, i, 1):
+        # the chunk's streams keyed in one pass, main ones first, and one Generator re-keyed to each in turn
         seed, x = _entropy_words(config.seed), psi[:, :, None]   # psi is its own root, R of dimension 1
         circuits = _main_vectors(x, u, 0, a, b, "premeasure"), _nested_vectors(x, u, 0, g_re, b)
-        counts = [_multinomial_counts((np.abs(amp) ** 2).sum(axis=-1), config.shots,
-                                      _streams([seed + _entropy_words(i, k) for i in trial_ids], rng))
-                  for k, amp in enumerate(circuits)]
+        streams = _streams([seed + _entropy_words(i, k) for k in range(len(circuits)) for i in trial_ids])
+        counts = [_multinomial_counts((np.abs(amp) ** 2).sum(axis=-1), config.shots, islice(streams, len(amp)))
+                  for amp in circuits]
         sampled, failures = _sampled_variants(*counts)
     return TrialColumns(
         np.asarray(trial_ids), gammas, thetas, *(np.stack(np.divmod(k, len(PAULIS)), axis=1) for k in (a_k, b_k)),

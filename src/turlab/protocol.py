@@ -342,11 +342,19 @@ class ShotResult:
 
 
 # Random streams: numpy's Generator(Philox(SeedSequence(words))) of rows of uint32 entropy words. A Philox stream is
-# its 128-bit key and a zero counter, so _stream_keys replays SeedSequence's hash for many rows at once and one Philox
-# is re-keyed per stream; numpy's SeedSequence stays the test oracle.
+# its 128-bit key and a zero counter, so _stream_keys replays SeedSequence's hash for many rows at once. _philox_words
+# then runs the stream's first words for all rows in one pass; a Generator, where one is needed (multinomial), is one
+# Philox re-keyed per stream. numpy's SeedSequence and Philox stay the test oracles.
 
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 _OTHER_WORDS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# Philox4x64-10 (Random123): the round multipliers (M0, M1), also as 32-bit limbs, and what each of the ten rounds
+# adds to the key, r (W0, W1) mod 2^64 in round r
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_M_LIMBS = _PHILOX_M & _LO32, _PHILOX_M >> _32
+_PHILOX_KEY_STEPS = np.arange(10, dtype=np.uint64)[:, None, None, None] * np.array(
+    [0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 
 
 def _entropy_words(*values) -> list[int]:
@@ -403,12 +411,44 @@ def _stream_keys(words: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _streams(rows, rng: np.random.Generator | None = None):
-    """rng (or a new one) at the start of the stream of each row of entropy words (all of one length) in turn.
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit halves of the 128-bit products _PHILOX_M * x; the high half from 32-bit limbs, no sum
+    of which passes 2^64 (Hacker's Delight's mulhu)."""
+    (m0, m1), x0, x1 = _PHILOX_M_LIMBS, x & _LO32, x >> _32
+    t = x1 * m0 + ((x0 * m0) >> _32)
+    w1 = x0 * m1 + (t & _LO32)
+    return x1 * m1 + (t >> _32) + (w1 >> _32), x * _PHILOX_M
+
+
+def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """numpy's Philox(key=k).random_raw(4 * blocks) of each key k of keys (N, 2) uint64, all rows in one pass.
+
+    A fresh numpy Philox has a zero 256-bit counter and increments it before
+    each block of four words, so the blocks are Philox4x64-10 of counters
+    1..blocks. A round maps the counter (c0, c1, c2, c3) under the key
+    (k0, k1) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1,
+    lo(M0 c0)), with M0 = 0xD2E7470EE14C6C93 and M1 = 0xCA5A826395121157,
+    and round r = 0..9 takes the key plus r (W0, W1), with
+    W0 = 0x9E3779B97F4A7C15 and W1 = 0xBB67AE8584CAA73B. The pass keeps the
+    state as two stacks (2, N, blocks): the multiplied words (c0, c2) and the
+    xored words (c1, c3).
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    mult = np.zeros((2, len(keys), blocks), dtype=np.uint64)
+    mult[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    xored = np.zeros_like(mult)
+    for key in keys.T[:, :, None] + _PHILOX_KEY_STEPS:   # (k0, k1) of each round, (2, N, 1)
+        hi, lo = _mulhilo(mult)
+        mult, xored = hi[::-1] ^ xored ^ key, lo[::-1]
+    return np.stack([mult[0], xored[0], mult[1], xored[1]], axis=-1).reshape(len(keys), 4 * blocks)
+
+
+def _streams(rows):
+    """One Generator, at the start of the stream of each row of entropy words (all of one length) in turn.
 
     Re-keying gives the Philox a fresh one's state: zero counter, empty buffer, no buffered 32-bit half.
     """
-    rng = np.random.Generator(np.random.Philox(0)) if rng is None else rng
+    rng = np.random.Generator(np.random.Philox(0))
     for key in _stream_keys(np.array(rows, dtype=np.uint32)):
         rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
                                    "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

@@ -301,8 +301,8 @@ class TestBoundCommand:
             one, zero = reports[0][key], reports[1][key]
             assert one.keys() == zero.keys()
             for name, value in one.items():
-                if isinstance(value, float):
-                    assert abs(value - zero[name]) <= 1e-12, (key, name)
+                if isinstance(value, float):   # 1e-12 relative past |x| = 1: the TUR lhs reaches ~5e3
+                    assert abs(value - zero[name]) <= 1e-12 * max(1.0, abs(zero[name])), (key, name)
                 else:
                     assert value == zero[name], (key, name)
         assert reports[0]["bound"]["approx_variant"] == variant

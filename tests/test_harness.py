@@ -1,10 +1,13 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
 import sys
 from bisect import bisect_right
 from collections import Counter
 from functools import reduce
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -462,11 +465,15 @@ class TestKeyedStreams:
             assert gamma == rng.uniform(*cfg.gamma_range)
             assert (a, b) == (rng.integers(1, 16), rng.integers(1, 16))
 
-    def test_exact_run_takes_no_eigendecomposition_and_one_raw_read_per_trial(self, monkeypatch):
+    def test_exact_run_takes_no_eigendecomposition_and_no_raw_read(self, monkeypatch):
         calls = Counter()
         eigh = np.linalg.eigh
 
         class Philox(np.random.Philox):   # named as the state setter requires
+            def __init__(self, *args, **kwargs):
+                calls["Philox"] += 1
+                super().__init__(*args, **kwargs)
+
             def random_raw(self, size=None, output=True):
                 calls["random_raw"] += 1
                 return super().random_raw(size, output)
@@ -480,7 +487,88 @@ class TestKeyedStreams:
         cfg = ExperimentConfig(seed=3, n_trials=300, shots=0, variants=("exact", "neumann1"))
         records, _ = run_experiment(cfg)
         assert len(records.trial_id) == 300
-        assert (calls["eigh"], calls["random_raw"]) == (0, 300)
+        assert (calls["eigh"], calls["random_raw"], calls["Philox"]) == (0, 0, 0)
+        run_experiment(dataclasses.replace(cfg, shots=10, variants=harness.VARIANTS))
+        assert calls["Philox"] == math.ceil(cfg.n_trials / harness.CHUNK_TRIALS)   # the counter counts
+
+    @staticmethod
+    def lemire_pair(halves):
+        """numpy's two integers(1, 16) from a stream's 32-bit outputs: buffered_bounded_lemire_uint32 with
+        rng = 14, transcribed as a scalar loop, each draw taking the next half until one is accepted."""
+        rng = 14
+        rng_excl = rng + 1
+        stream = iter(halves)
+
+        def draw():
+            m = next(stream) * rng_excl
+            leftover = m & 0xFFFFFFFF
+            if leftover < rng_excl:
+                threshold = (0xFFFFFFFF - rng) % rng_excl
+                while leftover < threshold:
+                    m = next(stream) * rng_excl
+                    leftover = m & 0xFFFFFFFF
+            return 1 + (m >> 32)
+
+        return draw(), draw()
+
+    def test_pair_indices_skip_zero_halves_as_numpys_lemire_loop(self, monkeypatch):
+        """Words 13-15 of crafted streams: a zero 32-bit half is rejected, any other is taken, in the order lo13,
+        hi13, lo14, hi14, lo15, hi15; words 0-12 stay the uniforms."""
+        inverse_15 = pow(15, -1, 2**32)   # 15 h mod 2^32 = 1: a leftover below 15, still accepted
+        crafted = {
+            "no zero": {},
+            "lo13 = 0": {0: 0},
+            "lo13 = hi13 = 0": {0: 0, 1: 0},
+            "lo13 = lo14 = 0": {0: 0, 2: 0},
+            "word 14 = 0": {2: 0, 3: 0},
+            "words 13 and 14 = 0": {0: 0, 1: 0, 2: 0, 3: 0},
+            "hi13 = lo14 = 0": {1: 0, 2: 0},
+            "leftover 1": {0: inverse_15, 1: 2**32 - 1},
+            "leftover 1, then zeros": {0: inverse_15, 1: 0, 2: 0, 3: 1},
+        }
+        base = np.random.default_rng(41).integers(1, 2**32, size=(len(crafted), 16, 2), dtype=np.uint64)
+        halves = base.copy()
+        for row, zeroed in enumerate(crafted.values()):
+            for k, h in zeroed.items():   # half k of words 13-15: word 13 + k // 2, low half for even k
+                halves[row, 13 + k // 2, k % 2] = h
+        words = halves[..., 0] | (halves[..., 1] << np.uint64(32))
+        monkeypatch.setattr(harness, "_philox_words", lambda keys, blocks: words)
+        cfg = ExperimentConfig(seed=0, n_trials=1)
+        thetas, gammas, a_k, b_k, *_ = harness._draw_stacked(cfg, range(len(crafted)))
+        for row, name in enumerate(crafted):
+            order = halves[row, 13:].reshape(-1).tolist()
+            assert (a_k[row], b_k[row]) == self.lemire_pair(order), name
+        scaled = (words[:, :13] >> np.uint64(11)) * 2.0**-53
+        assert np.array_equal(thetas, math.pi * scaled[:, :12]) and np.array_equal(gammas, 0.75 * scaled[:, 12])
+
+    def test_exact_paths_leave_numpy_random_unimported(self, tmp_path):
+        """An exact experiment, generate_trial and a bound query on a harness instance, in a fresh interpreter,
+        draw without importing numpy.random."""
+        code = """if True:
+            import contextlib, io, json, sys
+            import numpy
+            if "numpy.random" in sys.modules:
+                print("numpy imports numpy.random")
+                raise SystemExit
+            from turlab.cli import main
+            from turlab.harness import ExperimentConfig, generate_trial
+            from turlab.serialize import encode_matrix
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["experiment", "--shots", "0", "--variants", "exact,neumann1", "--trials", "20",
+                             "--out-dir", sys.argv[1]]) == 0
+                s = generate_trial(ExperimentConfig(seed=3, shots=0), 7)
+                spec = {"kraus": [encode_matrix(v) for v in s.channel.operators], "no_jump_index": 0}
+                assert main(["bound", "--channel", json.dumps(spec)] + [
+                    arg for flag, m in (("--rho", s.rho), ("--a", s.a_op), ("--b", s.b_op))
+                    for arg in (flag, json.dumps(encode_matrix(m)))]) == 0
+            print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+        """
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+                             check=True).stdout.strip()
+        if out == "numpy imports numpy.random":
+            pytest.skip("this numpy imports numpy.random with numpy")
+        assert out == "[]"
 
     def test_empty_postselections_are_reported_main_circuit_first(self):
         main = np.zeros((3, 2, 4, 2), dtype=np.int64)

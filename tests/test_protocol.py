@@ -16,6 +16,7 @@ from turlab.protocol import (
     PARTS,
     _ancilla_pullback,
     _entropy_words,
+    _philox_words,
     _spawned_words,
     _stream_keys,
     _streams,
@@ -406,23 +407,42 @@ class TestStreamKeys:
         assert spawned.dtype == flat.dtype == np.uint64
 
     @settings(max_examples=40, deadline=None, database=None)
-    @given(seed=SEEDS, trial_id=TRIAL_IDS, first=st.integers(0, 5))
-    def test_rekeyed_generator_draws_like_a_fresh_one(self, seed, trial_id, first):
-        rng = np.random.Generator(np.random.Philox(first))
-        rng.integers(1, 16)   # a 64-bit output drawn, half of it buffered
-        assert rng.bit_generator.state["has_uint32"] == 1
-        rows = [_spawned_words(seed, trial_id), _entropy_words(seed, trial_id, 1)]
-        entropies = [dict(entropy=seed, spawn_key=(trial_id,)), dict(entropy=(seed, trial_id, 1))]
+    @given(seed=SEEDS, trial_id=TRIAL_IDS)
+    def test_rekeyed_generator_draws_like_a_fresh_one(self, seed, trial_id):
+        """Each stream is the one Generator re-keyed, after the last stream's draws left a 32-bit half buffered."""
+        ids = (trial_id, trial_id ^ 1, trial_id)   # one word each
+        forms = [([_spawned_words(seed, i) for i in ids], [dict(entropy=seed, spawn_key=(i,)) for i in ids]),
+                 ([_entropy_words(seed, i, 1) for i in ids], [dict(entropy=(seed, i, 1)) for i in ids])]
+
         def draws(g):
             return g.integers(1, 16, size=3), g.uniform(size=3), g.integers(1, 16), g.multinomial(50, [0.2, 0.3, 0.5])
 
-        for row, entropy in zip(rows, entropies, strict=True):
-            stream = next(_streams([row], rng))
-            assert stream is rng
-            fresh = np.random.Generator(np.random.Philox(np.random.SeedSequence(**entropy)))
-            for got, want in zip(draws(stream), draws(fresh), strict=True):
-                assert np.array_equal(got, want)
-            stream.integers(1, 16)   # leave a buffered half for the next re-key
+        for rows, entropies in forms:
+            generators = set()
+            for stream, entropy in zip(_streams(rows), entropies, strict=True):
+                generators.add(id(stream))
+                fresh = np.random.Generator(np.random.Philox(np.random.SeedSequence(**entropy)))
+                for got, want in zip(draws(stream), draws(fresh), strict=True):
+                    assert np.array_equal(got, want)
+                stream.integers(1, 16)   # leave a buffered half for the next re-key
+                assert stream.bit_generator.state["has_uint32"] == 1
+            assert len(generators) == 1
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 2**64 + 5])
+    def test_philox_words_equal_numpys_raw_stream(self, seed):
+        """Counters 1-4 of each key, in one pass, are the first sixteen raw words of numpy's stream, bit for bit."""
+        ids = range(8000)
+        keys = _stream_keys(np.array([_spawned_words(seed, i) for i in ids], dtype=np.uint32))
+        got = _philox_words(keys, 4)
+        want = [np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(i,))))
+                .bit_generator.random_raw(16) for i in ids]
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_philox_words_of_any_block_count_and_extreme_keys(self, blocks):
+        keys = np.array([[0, 0], [2**64 - 1, 2**64 - 1], [1, 2**63]], dtype=np.uint64)
+        want = [np.random.Philox(key=k).random_raw(4 * blocks) for k in keys]
+        assert np.array_equal(_philox_words(keys, blocks), want)
 
     @pytest.mark.parametrize("seed", [(2**63, 0, 0), (2**64 - 1, 7), 2**63])
     def test_seed_words_at_and_above_2_63(self, seed):
