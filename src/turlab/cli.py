@@ -153,9 +153,10 @@ def _cmd_experiment(args) -> int:
             print(f"numerical degeneracy: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
         evaluated = time.perf_counter()
+        csv_text = trials_csv_text(records)
         outputs = {
-            "trials.csv": trials_csv_text(records).encode(),
-            "trials.json": trials_json_text(records).encode(),
+            "trials.csv": csv_text.encode(),
+            "trials.json": trials_json_text(csv_text).encode(),
             "summary.json": summary_json_text(summary).encode(),
         }
         serialized = time.perf_counter()

@@ -59,6 +59,7 @@ from .protocol import (
 from .tur import _roots, _tur_report
 
 VARIANTS = ("exact", "neumann1", "sampled")
+THETA_RANGE = (0.0, math.pi)   # of the twelve rotation angles
 _SE_LAYOUT = SubsystemLayout((4, 2))
 
 
@@ -68,16 +69,12 @@ class ExperimentConfig:
     n_trials: int = 50
     shots: int = 1000
     gamma_range: tuple[float, float] = (0.0, 0.75)
-    theta_range: tuple[float, float] = (0.0, math.pi)
     variants: tuple[str, ...] = VARIANTS
 
     def __post_init__(self):
         lo, hi = self.gamma_range
         if not (0.0 <= lo <= hi < 1.0):
             raise ContractError(f"gamma_range must lie in [0, 1), got {self.gamma_range}")
-        tlo, thi = self.theta_range
-        if not (0.0 <= tlo <= thi <= 2.0 * math.pi):
-            raise ContractError(f"theta_range must lie in [0, 2*pi], got {self.theta_range}")
         if self.n_trials < 1:
             raise ContractError("n_trials must be >= 1")
         if self.shots < 0:
@@ -90,7 +87,6 @@ class ExperimentConfig:
             raise ContractError(f"unknown variants {sorted(unknown)}")
         object.__setattr__(self, "variants", variants)
         object.__setattr__(self, "gamma_range", (float(lo), float(hi)))
-        object.__setattr__(self, "theta_range", (float(tlo), float(thi)))
 
 
 @dataclass(frozen=True)
@@ -261,7 +257,7 @@ def _draw_stacked(config: ExperimentConfig, trial_ids):
     keys = _stream_keys(np.array([seed + _entropy_words(i) for i in trial_ids], dtype=np.uint32))
     words = _philox_words(keys, 4)
     uniforms = (words[:, :13] >> np.uint64(11)) * 2.0**-53
-    (tlo, thi), (glo, ghi) = config.theta_range, config.gamma_range
+    (tlo, thi), (glo, ghi) = THETA_RANGE, config.gamma_range
     thetas, gammas = tlo + (thi - tlo) * uniforms[:, :12], glo + (ghi - glo) * uniforms[:, 12]
     halves = words[:, 13:].astype("<u8").view("<u4").astype(np.uint64)   # lo13, hi13, lo14, hi14, lo15, hi15
     drawn = np.take_along_axis(halves, np.argsort(halves == 0, axis=1, kind="stable")[:, :2], axis=1)

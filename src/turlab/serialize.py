@@ -1,12 +1,14 @@
 """Machine-readable input/output formats.
 
 Complex numbers are serialized as [re, im] pairs, matrices as row-major lists
-of rows. CSV files are RFC-4180 style with a mandatory header row and floats
-printed with 17 significant digits (0.10000000000000001); JSON floats are the
-shortest repr that round-trips (0.1). Both read back to the same doubles.
+of rows. CSV files are RFC-4180 style with a mandatory header row. The trial
+files print every float with 17 significant digits (0.10000000000000001):
+trials.csv is written from a run's columns, one set of cells per row, and
+trials.json is rendered from trials.csv's text, each cell's text as is. So an
+integral float such as 0 reads back from JSON as an int, the same double.
 Non-finite floats are inf, -inf and nan in CSV and the strings "inf", "-inf"
-and "nan" in JSON; a disabled cell is empty in CSV and null in JSON. The trial
-files are written from a run's columns: both format one set of cells per row.
+and "nan" in JSON; a disabled cell is empty in CSV and null in JSON. Other
+JSON documents print floats as their shortest repr (0.1).
 """
 
 from __future__ import annotations
@@ -109,53 +111,50 @@ CSV_COLUMNS = (
 )
 
 
-def _json_floats(column: np.ndarray) -> list:
-    """A float column's cells for the JSON template's %s: a float (its repr), or quoted as _sanitize writes it."""
-    cells = column.tolist()   # a non-finite cell makes the sum non-finite
-    return cells if math.isfinite(sum(cells)) else [x if math.isfinite(x) else f'"{x!r}"' for x in cells]
-
-
-def _rows(records: TrialColumns, floats, text: int) -> list[str]:
-    """Each trial's row of trials.csv (text 0) or trials.json (text 1), floats(column) giving a float column's cells:
-    one zip over the columns gives a row's cells, its template formats them (no sampled ones if it has none)."""
+def _rows(records: TrialColumns) -> list[str]:
+    """Each trial's row of trials.csv: one zip over the columns gives a row's cells, its template formats them
+    (no sampled ones if it has none)."""
     exact, sampled = records.exact, records.sampled
-    variants = [None if v is None else floats(getattr(v, q)) for v in (exact, records.approx, sampled)
+    variants = [None if v is None else getattr(v, q).tolist() for v in (exact, records.approx, sampled)
                 for q in _VARIANT_CELLS]
     violated = [None if v is None else np.where(v.tur_violated, "true", "false").tolist() for v in (exact, sampled)]
-    columns = [records.trial_id.tolist(), floats(records.gamma), *map(floats, records.thetas.T),
-               *records.a_idx.T.tolist(), *records.b_idx.T.tolist(), *variants, floats(records.postselect_p0),
+    columns = [records.trial_id.tolist(), records.gamma.tolist(), *records.thetas.T.tolist(),
+               *records.a_idx.T.tolist(), *records.b_idx.T.tolist(), *variants, records.postselect_p0.tolist(),
                *violated]
     bare = [c for c, name in zip(columns, CSV_COLUMNS) if not name.endswith("_sampled")]
-    with_sampled, without = _TEMPLATES[True][text], _TEMPLATES[False][text]
     if sampled is None:
-        return [without % cells for cells in zip(*bare)]
-    return [with_sampled % full if has else without % cells
+        return [_WITHOUT_SAMPLED % cells for cells in zip(*bare)]
+    return [_WITH_SAMPLED % full if has else _WITHOUT_SAMPLED % cells
             for has, full, cells in zip((records.shots > 0).tolist(), zip(*columns), zip(*bare))]
 
 
-def _row_templates(kinds: str) -> tuple[str, str]:
-    """The CSV and JSON %-templates of a row whose columns are of the kinds i(nt), f(loat), b(ool) or -(empty):
-    floats as %.17g in CSV and %s (see _json_floats) in JSON, an empty cell as "" or null."""
-    formats = {"i": ("%d", "%d"), "f": ("%.17g", "%s"), "b": ("%s", "%s"), "-": ("", "null")}
-    lines = ",\n".join(f"      {json.dumps(c)}: {formats[k][1]}" for c, k in zip(CSV_COLUMNS, kinds))
-    return ",".join(formats[k][0] for k in kinds), "    {\n" + lines + "\n    }"
+def _row_template(kinds: str) -> str:
+    """The %-template of a CSV row whose columns are of the kinds i(nt), f(loat), b(ool) or -(empty)."""
+    return ",".join({"i": "%d", "f": "%.17g", "b": "%s", "-": ""}[k] for k in kinds)
 
 
 _KINDS = "if" + "f" * 12 + "i" * 4 + "f" * 18 + "fbb"   # of CSV_COLUMNS in a record with a sampled variant
-_TEMPLATES = {True: _row_templates(_KINDS),   # keyed by whether the record has a sampled variant
-              False: _row_templates("".join("-" if c.endswith("_sampled") else k for c, k in zip(CSV_COLUMNS, _KINDS)))}
+_WITH_SAMPLED = _row_template(_KINDS)
+_WITHOUT_SAMPLED = _row_template("".join("-" if c.endswith("_sampled") else k for c, k in zip(CSV_COLUMNS, _KINDS)))
+# One trials.json row: every cell's CSV text as is, bar the four _JSON_CELLS.
+_JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(c)}: %s" for c in CSV_COLUMNS) + "\n    }"
+_JSON_CELLS = {"": "null", "inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 
 
 def trials_csv_text(records: TrialColumns) -> str:
     # No cell holds a comma, quote or newline, so no cell needs quoting.
-    return "\n".join([",".join(CSV_COLUMNS), *_rows(records, np.ndarray.tolist, 0)]) + "\n"
+    return "\n".join([",".join(CSV_COLUMNS), *_rows(records)]) + "\n"
 
 
-def trials_json_text(records: TrialColumns) -> str:
-    """dumps_json({"trials": [row, ...]}) of a run's columns, without building the row dicts."""
-    if not len(records.trial_id):
+def trials_json_text(csv_text: str) -> str:
+    """trials.json of trials_csv_text's text: its rows as dicts, each cell's text as is, an empty one as null and a
+    non-finite one as its quoted marker (as _sanitize writes it)."""
+    lines = csv_text.splitlines()[1:]
+    if not lines:
         return dumps_json({"trials": []})
-    return '{\n  "trials": [\n' + ",\n".join(_rows(records, _json_floats, 1)) + "\n  ]\n}\n"
+    cell = _JSON_CELLS.get
+    rows = [_JSON_ROW % tuple([cell(c, c) for c in line.split(",")]) for line in lines]
+    return '{\n  "trials": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
 
 
 def _json_default(o):

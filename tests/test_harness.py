@@ -150,12 +150,12 @@ class TestConfig:
         cfg = ExperimentConfig()
         assert cfg.n_trials == 50 and cfg.shots == 1000
         assert cfg.gamma_range == (0.0, 0.75)
-        assert cfg.theta_range == (0.0, math.pi)
+        assert harness.THETA_RANGE == (0.0, math.pi)
 
     @pytest.mark.parametrize("bad", [
         dict(gamma_range=(-0.1, 0.5)),
         dict(gamma_range=(0.0, 1.0)),
-        dict(theta_range=(0.0, 7.0)),
+        dict(shots=-1),
         dict(n_trials=0),
         dict(variants=("exact", "bogus")),
         dict(seed=-1),
@@ -247,12 +247,11 @@ class TestGenerateTrial:
         assert np.array_equal(generate_trial(exact_config(), 0).a_op, s.a_op)
 
     def test_all_angles_zero_prepares_ground_state(self):
-        cfg = exact_config(theta_range=(0.0, 0.0), gamma_range=(0.0, 0.0))
-        s = generate_trial(cfg, 0)
+        _, rho, u = harness._stacked_inputs(np.zeros((1, 12)), np.zeros(1))
         want = np.zeros((4, 4), dtype=complex)
         want[0, 0] = 1.0
-        assert_allclose(s.rho, want, atol=1e-12)
-        assert_allclose(s.channel.v0, np.eye(4), atol=1e-12)
+        assert_allclose(rho[0], want, atol=1e-12)
+        assert_allclose(kraus_from_unitary(u[0], harness._SE_LAYOUT).v0, np.eye(4), atol=1e-12)
 
 
 class TestEvaluateTrial:
@@ -452,8 +451,7 @@ class TestKeyedStreams:
         assert built["SeedSequence"] == 0
         assert built["Philox"] <= math.ceil(cfg.n_trials / harness.CHUNK_TRIALS)
 
-    @pytest.mark.parametrize("ranges", [{}, {"gamma_range": (0.2, 0.2)}, {"theta_range": (0.0, 2 * math.pi)}],
-                             ids=["default", "fixed-gamma", "full-turn"])
+    @pytest.mark.parametrize("ranges", [{}, {"gamma_range": (0.2, 0.2)}], ids=["default", "fixed-gamma"])
     @pytest.mark.parametrize("seed", [0, 9, 2**32 + 1, 2**64 + 5])
     def test_draws_equal_numpys_uniform_and_integers(self, seed, ranges):
         cfg = ExperimentConfig(seed=seed, n_trials=1, **ranges)
@@ -461,7 +459,7 @@ class TestKeyedStreams:
         thetas, gammas, a_k, b_k, *_ = harness._draw_stacked(cfg, ids)
         for i, t, gamma, a, b in zip(ids, thetas.tolist(), gammas.tolist(), a_k, b_k, strict=True):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
-            assert t == rng.uniform(*cfg.theta_range, size=12).tolist()
+            assert t == rng.uniform(*harness.THETA_RANGE, size=12).tolist()
             assert gamma == rng.uniform(*cfg.gamma_range)
             assert (a, b) == (rng.integers(1, 16), rng.integers(1, 16))
 

@@ -48,7 +48,13 @@ def reference_csv(records) -> str:
 
 
 def reference_json(records) -> str:
-    return json.dumps(_sanitize({"trials": [reference_row(r) for r in records]}), indent=2, allow_nan=False) + "\n"
+    """json.dumps of the dict rows, each finite float printed as its CSV cell: marked as a string, then unquoted."""
+    def number(x):
+        return f"<{reference_cell(x)}>" if isinstance(x, float) and math.isfinite(x) else x
+
+    rows = [{c: number(x) for c, x in reference_row(r).items()} for r in records]
+    text = json.dumps(_sanitize({"trials": rows}), indent=2, allow_nan=False) + "\n"
+    return text.replace('"<', "").replace('>"', "")
 
 
 def columns_of(rows: list[TrialRecord]) -> TrialColumns:
@@ -124,8 +130,38 @@ CASES = {
 @pytest.mark.parametrize("case", CASES)
 def test_writers_equal_dict_row_encoding(case):
     rows, columns = CASES[case]()
-    assert trials_csv_text(columns) == reference_csv(rows)
-    assert trials_json_text(columns) == reference_json(rows)
+    csv_text = trials_csv_text(columns)
+    assert csv_text == reference_csv(rows)
+    assert trials_json_text(csv_text) == reference_json(rows)
+
+
+class Number(str):
+    """A JSON number's text, as json.loads read it."""
+
+
+def reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_json_cells_are_the_csv_cells(case):
+    _, columns = CASES[case]()
+    csv_text = trials_csv_text(columns)
+    json_rows = json.loads(trials_json_text(csv_text), parse_float=Number, parse_int=Number,
+                           parse_constant=reject)["trials"]
+    csv_rows = list(csv.reader(io.StringIO(csv_text)))
+    assert csv_rows[0] == list(CSV_COLUMNS) and len(json_rows) == len(csv_rows) - 1
+    for json_row, cells in zip(json_rows, csv_rows[1:]):
+        assert list(json_row) == list(CSV_COLUMNS)
+        for value, cell in zip(json_row.values(), cells, strict=True):
+            if isinstance(value, Number):
+                assert value == cell
+            elif value is None:
+                assert cell == ""
+            elif isinstance(value, bool):
+                assert cell == ("true" if value else "false")
+            else:
+                assert value == cell and cell in ("inf", "-inf", "nan")
 
 
 def test_cases_cover_the_special_cells():
